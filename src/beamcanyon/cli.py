@@ -26,6 +26,7 @@ from .dataset import (
     build_episode_record,
     export_csv,
     extract_examples,
+    open_atomic,
     read_episodes,
     split_episodes,
     write_episodes,
@@ -141,6 +142,8 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
     """Simulate episodes, trace all pairs, and write the episodes file atomically."""
     if n_episodes < 1:
         raise ValueError("need at least one episode")
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     tasks = [
         (
             config.scenario,
@@ -200,7 +203,7 @@ def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(train, out_dir / "train.csv")
     export_csv(test, out_dir / "test.csv")
-    with open(out_dir / "labelmap.json", "w", encoding="utf-8") as f:
+    with open_atomic(out_dir / "labelmap.json") as f:
         json.dump(
             {
                 "num_classes": label_map.num_classes,
@@ -239,7 +242,7 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}
     print(_classifier_table(reports))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "classify_report.json", "w", encoding="utf-8") as f:
+    with open_atomic(out_dir / "classify_report.json") as f:
         json.dump(
             {name: clf.report_to_obj(rep) for name, rep in reports.items()},
             f,
@@ -293,11 +296,11 @@ def cmd_schedule(
             for episode_id, plans in rows
         ]
     }
-    with open(out_dir / "schedule_report.json", "w", encoding="utf-8") as f:
+    with open_atomic(out_dir / "schedule_report.json") as f:
         json.dump(report, f, sort_keys=True, indent=2)
 
     csv_path = out_dir / "rewards.csv"
-    with open(csv_path, "w", encoding="utf-8") as f:
+    with open_atomic(csv_path) as f:
         f.write(",".join(["episode"] + list(agents)) + "\n")
         for episode_id, plans in rows:
             f.write(

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .features import GridSpec, encode_for_receiver, encode_scene
-from .mimo import ArraySpec, LabelMap, compact_labels, compose_channel, dft_codebook, strongest_ray_angles, sweep
+from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from .raytrace import LosStatus, PairRecord, Ray, TraceConfig, classify_los, trace_paths
 from .scenario import (
     Episode,
@@ -243,21 +244,31 @@ def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:
-    """Write records as JSON Lines, atomically (temp file then rename)."""
+@contextmanager
+def open_atomic(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
+    """Open ``path`` for writing through a temp file renamed over it on success.
+
+    If the body raises, the temp file is removed and ``path`` is untouched.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as f:
-            f.write(_dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
-            f.write("\n")
-            for rec in records:
-                f.write(_dumps(_record_to_obj(rec)))
-                f.write("\n")
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:
+    """Write records as JSON Lines, atomically."""
+    with open_atomic(path) as f:
+        f.write(_dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
+        f.write("\n")
+        for rec in records:
+            f.write(_dumps(_record_to_obj(rec)))
+            f.write("\n")
 
 
 def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
@@ -324,52 +335,44 @@ def extract_examples(
     if mode == "apply" and label_map is None:
         raise ValueError("apply mode requires a fitted label map")
 
-    tx_codebook = dft_codebook(tx_spec)
-    rx_codebook = dft_codebook(rx_spec)
-    rows: list[tuple[int, int, int, int, LosStatus, bool, tuple, np.ndarray]] = []
+    # sweep before encoding any grid, so that the sweep's scratch arrays are freed before the
+    # grids accumulate and add nothing to peak memory
+    records = list(records)
+    ray_lists = [
+        pair.rays for rec in records for scene_rec in rec.scenes for pair in scene_rec.pairs if pair.rays
+    ]
+    raw_keys = [
+        key for result in sweep_rays(ray_lists, tx_spec, rx_spec) for key in result.best_index.tolist()
+    ]
+    if mode == "fit":
+        label_map = compact_labels(raw_keys)
+    assert label_map is not None
+    keys = iter(raw_keys)
+    examples = []
     for rec in records:
         for scene_index, scene_rec in enumerate(rec.scenes):
             grid_values = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
             for pair in scene_rec.pairs:
                 if not pair.rays:
                     continue
-                h = compose_channel(pair.rays, tx_spec, rx_spec)
-                raw_key = sweep(h, tx_codebook, rx_codebook).best_index
                 present = bool(np.any(grid_values == pair.rx_id))
                 features = (
                     encode_for_receiver(grid_values, pair.rx_id)
                     if present
                     else np.zeros_like(grid_values)
                 )
-                rows.append(
-                    (
-                        rec.episode_id,
-                        scene_index,
-                        pair.rx_id,
-                        raw_key,
-                        classify_los(pair),
-                        present,
-                        strongest_ray_angles(pair.rays),
-                        features,
+                examples.append(
+                    Example(
+                        episode_id=rec.episode_id,
+                        scene_index=scene_index,
+                        receiver_index=pair.rx_id,
+                        features=features,
+                        label=label_map.apply(next(keys)),
+                        los=classify_los(pair),
+                        in_service_area=present,
+                        target_angles=strongest_ray_angles(pair.rays),
                     )
                 )
-
-    if mode == "fit":
-        label_map = compact_labels([row[3] for row in rows])
-    assert label_map is not None
-    examples = [
-        Example(
-            episode_id=ep,
-            scene_index=sc,
-            receiver_index=rx,
-            features=features,
-            label=label_map.apply(key),
-            los=los,
-            in_service_area=present,
-            target_angles=angles,
-        )
-        for ep, sc, rx, key, los, present, angles, features in rows
-    ]
     return examples, label_map
 
 
@@ -386,24 +389,31 @@ CSV_FIXED_COLUMNS = (
 
 
 def export_csv(examples: Sequence[Example], path: str | os.PathLike) -> None:
-    """Flattened row-major grids plus the fixed label/metadata columns."""
+    """Flattened row-major grids plus the fixed label/metadata columns, atomically.
+
+    Each cell is written as ``int(c)``. The bytes come from a table of
+    ``"<code>,"`` for every integer between the smallest and the largest
+    cell, padded to one width, so a row is one table lookup with the padding
+    dropped.
+    """
     if not examples:
         raise ValueError("no examples to export")
     n_cells = examples[0].features.size
+    if any(ex.features.size != n_cells for ex in examples):
+        raise ValueError("examples have inconsistent grid sizes")
+    # int() truncates toward zero, which is monotone, so the extremes convert alone
+    lo = min(int(ex.features.min()) for ex in examples)
+    hi = max(int(ex.features.max()) for ex in examples)
+    table = np.array([f"{code}," for code in range(lo, hi + 1)], dtype=bytes)
     header = [f"g{i}" for i in range(n_cells)] + list(CSV_FIXED_COLUMNS)
     try:
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(header) + "\n")
+        with open_atomic(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
             for ex in examples:
-                if ex.features.size != n_cells:
-                    raise ValueError("examples have inconsistent grid sizes")
-                cells = ex.features.reshape(-1)
-                fields = [str(int(c)) for c in cells]
-                fields.append(str(ex.label))
-                fields.append(ex.los.value)
-                fields.append(str(ex.episode_id))
-                fields.append(str(ex.scene_index))
-                fields.extend(repr(float(a)) for a in ex.target_angles)
-                f.write(",".join(fields) + "\n")
+                cells = ex.features.reshape(-1).astype(np.intp)
+                f.write(table[cells - lo].tobytes().replace(b"\0", b""))
+                fixed = [str(ex.label), ex.los.value, str(ex.episode_id), str(ex.scene_index)]
+                fixed.extend(repr(float(a)) for a in ex.target_angles)
+                f.write((",".join(fixed) + "\n").encode())
     except OSError as e:
         raise OSError(f"failed writing {path}: {e}") from e

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import EpisodeRecord
-from .mimo import ArraySpec, compose_channel, dft_codebook, sweep
+from .mimo import ArraySpec, sweep_rays
 
 MAX_DP_STATES = 1_000_000
 
@@ -106,27 +106,33 @@ def build_reward_table(
     rx_spec: ArraySpec,
     params: SchedulerParams,
 ) -> RewardTable:
-    """Sweep the stored rays of the first ``num_receivers`` receivers per scene."""
+    """Sweep the stored rays of the first ``num_receivers`` receivers per scene.
+
+    A scene where none of those receivers has a path has no power to
+    normalize; its rewards are all 0.
+    """
     available = sorted(record.receiver_vehicles)
     if params.num_receivers > len(available):
         raise ValueError(
             f"scheduler needs {params.num_receivers} receivers, episode has {len(available)}"
         )
-    tx_codebook = dft_codebook(tx_spec)
-    rx_codebook = dft_codebook(rx_spec)
-    n_pairs = tx_codebook.shape[1] * rx_codebook.shape[1]
+    n_pairs = tx_spec.size * rx_spec.size
     raw = np.full((len(record.scenes), params.num_receivers, n_pairs), -np.inf)
-    for s, scene_rec in enumerate(record.scenes):
-        for pair in scene_rec.pairs:
-            if pair.rx_id > params.num_receivers or not pair.rays:
-                continue
-            h = compose_channel(pair.rays, tx_spec, rx_spec)
-            outputs = sweep(h, tx_codebook, rx_codebook).outputs
-            with np.errstate(divide="ignore"):
-                raw[s, pair.rx_id - 1, :] = 20.0 * np.log10(np.abs(outputs))
-    normalized = np.stack(
-        [normalize_powers(raw[s], params.floor_offset_db) for s in range(raw.shape[0])]
-    )
+    swept = [
+        (s, pair.rx_id - 1, pair.rays)
+        for s, scene_rec in enumerate(record.scenes)
+        for pair in scene_rec.pairs
+        if pair.rx_id <= params.num_receivers and pair.rays
+    ]
+    if swept:
+        scenes, receivers, ray_lists = zip(*swept)
+        outputs = np.concatenate([r.outputs for r in sweep_rays(ray_lists, tx_spec, rx_spec)])
+        with np.errstate(divide="ignore"):
+            raw[scenes, receivers] = 20.0 * np.log10(np.abs(outputs))
+    normalized = np.zeros_like(raw)
+    for s in range(raw.shape[0]):
+        if np.isfinite(raw[s]).any():
+            normalized[s] = normalize_powers(raw[s], params.floor_offset_db)
     return RewardTable(normalized=normalized, raw_db=raw)
 
 

@@ -145,7 +145,7 @@ def test_criterion_03_channel_sweep_consistency():
             arr_elevation=arr[1],
             interactions="LOS",
         )
-        h = compose_channel([ray], ARRAY, ARRAY)
+        h = compose_channel([[ray]], ARRAY, ARRAY)[0]
         result = sweep(h, codebook, codebook)
         assert result.best_pair == (px * ARRAY.ny + py, qx * ARRAY.ny + qy)
         checked += 1
@@ -326,7 +326,7 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     }
     for ex in train + test:
         pair = pairs[(ex.episode_id, ex.scene_index, ex.receiver_index)]
-        reswept = sweep(compose_channel(pair.rays, ARRAY, ARRAY), codebook, codebook).best_index
+        reswept = sweep(compose_channel([pair.rays], ARRAY, ARRAY), codebook, codebook).best_index[0]
         assert label_map.apply(reswept) == ex.label
     _report(
         8,

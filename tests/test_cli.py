@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from beamcanyon.cli import derive_seed, load_run_config, main, splitmix64
 from beamcanyon.dataset import read_episodes
 
@@ -66,6 +68,19 @@ class TestGenerate:
         rc = main(["--out", str(tmp_path), "generate", "--episodes", "0"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_negative_episode_count_fails(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "generate", "--episodes", "-1"])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "episodes.jsonl").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_bad_jobs_fails(self, tmp_path, capsys, jobs):
+        rc = main(["--out", str(tmp_path), "generate", "--episodes", "1", "--scenes", "1", "--jobs", jobs])
+        assert rc == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "episodes.jsonl").exists()
 
 
 class TestExport:
@@ -168,6 +183,17 @@ class TestSchedule:
         report = json.loads((tmp_path / "schedule_report.json").read_text())
         for ep in report["episodes"]:
             assert ep["agents"]["greedy"]["mean_reward"] == 1.0
+
+    def test_scenes_without_paths_do_not_abort(self, tmp_path, capsys):
+        # at this seed receivers 1 and 2 have no path in episode 2, scenes 8-9
+        path = _generate(tmp_path, episodes=3, scenes=10, seed=71)
+        dead = [p for p in read_episodes(path)[2].scenes[8].pairs if p.rx_id <= 2]
+        assert len(dead) == 2 and not any(p.rays for p in dead)
+        argv = ["--seed", "71", "--out", str(tmp_path), "schedule", str(path)]
+        assert main(argv + ["--n-rec", "2", "--n-out", "3", "--r-out", "-3"]) == 0
+        report = json.loads((tmp_path / "schedule_report.json").read_text())
+        assert [e["episode_id"] for e in report["episodes"]] == [0, 1, 2]
+        assert len((tmp_path / "rewards.csv").read_text().splitlines()) == 4
 
     def test_unknown_agent_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=2, scenes=2)

@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestExtractExamples:
         by_key = {(r.episode_id, s, p.rx_id): p for r in records for s, sr in enumerate(r.scenes) for p in sr.pairs}
         for ex in examples:
             pair = by_key[(ex.episode_id, ex.scene_index, ex.receiver_index)]
-            raw = sweep(compose_channel(pair.rays, ARRAY, ARRAY), cb, cb).best_index
+            raw = sweep(compose_channel([pair.rays], ARRAY, ARRAY), cb, cb).best_index[0]
             assert label_map.apply(raw) == ex.label
 
     def test_outside_strip_receiver_flagged_with_zero_grid(self, records, grid):
@@ -221,3 +222,19 @@ class TestExportCsv:
     def test_empty_examples_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_csv([], tmp_path / "x.csv")
+
+    def test_failed_export_leaves_no_partial_or_temp_file(self, records, grid, tmp_path):
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
+        # the third row cannot be formatted, after two rows have been written
+        broken = examples[:2] + [replace(examples[2], los=None)]
+        path = tmp_path / "examples.csv"
+        with pytest.raises(AttributeError):
+            export_csv(broken, path)
+        assert list(tmp_path.iterdir()) == []
+        # a file already at the path survives a failed rewrite unchanged
+        export_csv(examples[:2], path)
+        before = path.read_bytes()
+        with pytest.raises(AttributeError):
+            export_csv(broken, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]

@@ -67,7 +67,7 @@ class TestUpaSteering:
 class TestComposeChannel:
     def test_single_zenith_ray_gives_all_ones(self):
         spec = ArraySpec(4, 4)
-        h = compose_channel([_ray()], spec, spec)
+        h = compose_channel([[_ray()]], spec, spec)[0]
         assert np.allclose(h, np.ones((16, 16)))
 
     def test_linearity_over_concatenation(self):
@@ -89,15 +89,17 @@ class TestComposeChannel:
             )
             for _ in range(3)
         ]
-        h_all = compose_channel(rays_a + rays_b, spec, spec)
-        h_sum = compose_channel(rays_a, spec, spec) + compose_channel(rays_b, spec, spec)
+        h_all = compose_channel([rays_a + rays_b], spec, spec)[0]
+        h_a, h_b = compose_channel([rays_a, rays_b], spec, spec)
+        h_sum = h_a + h_b
         assert np.allclose(h_all, h_sum, rtol=1e-12, atol=1e-15)
 
     def test_homogeneity(self):
         spec = ArraySpec(2, 2)
         ray = _ray(gain=0.3 - 0.4j, dep=(1.0, 1.2), arr=(-0.5, 0.8))
         scaled = _ray(gain=3 * (0.3 - 0.4j), dep=(1.0, 1.2), arr=(-0.5, 0.8))
-        assert np.allclose(3 * compose_channel([ray], spec, spec), compose_channel([scaled], spec, spec))
+        h, h_scaled = compose_channel([[ray], [scaled]], spec, spec)
+        assert np.allclose(3 * h, h_scaled)
 
     def test_rank_bounded_by_ray_count(self):
         rng = np.random.default_rng(4)
@@ -111,13 +113,13 @@ class TestComposeChannel:
                 )
                 for _ in range(n_rays)
             ]
-            h = compose_channel(rays, spec, spec)
+            h = compose_channel([rays], spec, spec)[0]
             s = np.linalg.svd(h, compute_uv=False)
             assert (s > 1e-9 * s[0]).sum() <= n_rays
 
     def test_empty_rays_rejected(self):
         with pytest.raises(ValueError):
-            compose_channel([], ArraySpec(2, 2), ArraySpec(2, 2))
+            compose_channel([[_ray()], []], ArraySpec(2, 2), ArraySpec(2, 2))
 
 
 class TestDftCodebook:
@@ -140,7 +142,7 @@ class TestDftCodebook:
 class TestSweep:
     def test_all_ones_channel_picks_broadside(self):
         spec = ArraySpec(4, 4)
-        h = compose_channel([_ray()], spec, spec)
+        h = compose_channel([[_ray()]], spec, spec)[0]
         cb = dft_codebook(spec)
         result = sweep(h, cb, cb)
         assert result.best_pair == (0, 0)
@@ -201,7 +203,7 @@ class TestSweep:
             if dep is None or arr is None:
                 continue
             gain = complex(rng.normal(), rng.normal())
-            h = compose_channel([_ray(gain=gain, dep=dep, arr=arr)], spec, spec)
+            h = compose_channel([[_ray(gain=gain, dep=dep, arr=arr)]], spec, spec)[0]
             result = sweep(h, cb, cb)
             tx_col = px * spec.ny + py
             rx_col = qx * spec.ny + qy

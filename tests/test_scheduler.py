@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -281,3 +282,23 @@ class TestBuildRewardTable:
     def test_too_many_receivers_rejected(self, record):
         with pytest.raises(ValueError):
             build_reward_table(record, ARRAY, ARRAY, SchedulerParams(num_receivers=10))
+
+    def test_scene_without_any_path_scores_zero(self, record):
+        # no scheduled receiver has a path in scene 1: its rewards are all 0
+        dead = replace(
+            record.scenes[1], pairs=tuple(replace(p, rays=()) for p in record.scenes[1].pairs)
+        )
+        blanked = replace(record, scenes=(record.scenes[0], dead) + record.scenes[2:])
+        params = SchedulerParams(outage_after=3, outage_penalty=-3.0, num_receivers=2)
+        table = build_reward_table(blanked, ARRAY, ARRAY, params)
+        full = build_reward_table(record, ARRAY, ARRAY, params)
+        assert np.isneginf(table.raw_db[1]).all()
+        assert (table.normalized[1] == 0.0).all()
+        kept = [0, 2, 3]
+        assert np.array_equal(table.normalized[kept], full.normalized[kept])
+        # serving the dead scene earns 0; the outage rules are unchanged
+        assert _rollout([0, 1, 0, 1], [0] * 4, table, params)[1] == 0.0
+        assert _rollout([0, 0, 0, 1], [0] * 4, table, params)[2] == -3.0
+        assert episode_reward(dp_optimal(table, params), table, params) >= episode_reward(
+            greedy_agent(table, params), table, params
+        )
