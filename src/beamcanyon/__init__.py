@@ -16,7 +16,6 @@ from .scenario import (
     generate_episode,
     make_canyon_scenario,
     sample_vehicle_type,
-    step_traffic,
     vehicle_bounding_box,
 )
 from .raytrace import (
@@ -36,9 +35,6 @@ from .mimo import (
     compact_labels,
     compose_channel,
     dft_codebook,
-    pair_from_index,
-    pair_index,
-    quantize_angles,
     strongest_ray_angles,
     sweep,
     upa_steering,

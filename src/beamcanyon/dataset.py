@@ -274,24 +274,24 @@ def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) ->
 def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
     path = Path(path)
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(f"{path}: empty file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(f"{path}: bad header line: {e}") from e
-    if header.get("format") != FORMAT_NAME:
-        raise DatasetFormatError(f"{path}: not a {FORMAT_NAME} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
-    expected = header.get("episode_count")
-    records = []
-    for i, line in enumerate(lines[1:]):
+        first = f.readline()
+        if not first:
+            raise DatasetFormatError(f"{path}: empty file")
         try:
-            records.append(_record_from_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-            raise DatasetFormatError(f"{path}: record {i}: {e}") from e
+            header = json.loads(first.rstrip("\n"))
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"{path}: bad header line: {e}") from e
+        if header.get("format") != FORMAT_NAME:
+            raise DatasetFormatError(f"{path}: not a {FORMAT_NAME} file")
+        if header.get("version") != FORMAT_VERSION:
+            raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
+        expected = header.get("episode_count")
+        records = []
+        for i, line in enumerate(f):
+            try:
+                records.append(_record_from_obj(json.loads(line.rstrip("\n"))))
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+                raise DatasetFormatError(f"{path}: record {i}: {e}") from e
     if expected is not None and len(records) != expected:
         raise DatasetFormatError(
             f"{path}: truncated: header promises {expected} episode records, "

@@ -138,57 +138,12 @@ def sweep_rays(
         yield sweep(compose_channel(chunk, tx_spec, rx_spec), tx_codebook, rx_codebook)
 
 
-def pair_index(p: int, q: int, n_rx_beams: int, n_tx_beams: int | None = None) -> int:
-    if q < 0 or q >= n_rx_beams:
-        raise ValueError(f"receive beam {q} out of range [0, {n_rx_beams})")
-    if p < 0 or (n_tx_beams is not None and p >= n_tx_beams):
-        raise ValueError(f"transmit beam {p} out of range")
-    return p * n_rx_beams + q
-
-
-def pair_from_index(index: int, n_rx_beams: int, n_tx_beams: int | None = None) -> tuple[int, int]:
-    if index < 0:
-        raise ValueError("pair index must be non-negative")
-    if n_tx_beams is not None and index >= n_tx_beams * n_rx_beams:
-        raise ValueError(f"pair index {index} out of range")
-    return index // n_rx_beams, index % n_rx_beams
-
-
 def strongest_ray_angles(rays: Sequence[Ray]) -> tuple[float, float, float, float]:
     """Angles of the highest-amplitude ray; amplitude ties go to the earliest arrival."""
     if not rays:
         raise ValueError("empty ray list")
     best = min(rays, key=lambda r: (-abs(r.gain), r.delay))
     return (best.dep_azimuth, best.dep_elevation, best.arr_azimuth, best.arr_elevation)
-
-
-def angle_ranges(
-    angle_tuples: Iterable[tuple[float, float, float, float]]
-) -> tuple[tuple[float, float], ...]:
-    """Per-dimension (min, max) over a collection of 4-angle tuples."""
-    arr = np.array(list(angle_tuples), dtype=float)
-    if arr.size == 0:
-        raise ValueError("no angle tuples given")
-    return tuple((float(lo), float(hi)) for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
-
-
-def quantize_angles(
-    angles: Sequence[float],
-    n_bins: int,
-    ranges: Sequence[tuple[float, float]],
-) -> tuple[int, ...]:
-    """Uniform scalar quantization per dimension, clamping to the edge bins."""
-    if n_bins < 1:
-        raise ValueError("n_bins must be at least 1")
-    if len(angles) != len(ranges):
-        raise ValueError("angles and ranges must have the same length")
-    out = []
-    for value, (lo, hi) in zip(angles, ranges):
-        if lo >= hi:
-            raise ValueError(f"invalid range ({lo}, {hi})")
-        width = (hi - lo) / n_bins
-        out.append(max(0, min(n_bins - 1, int(math.floor((value - lo) / width)))))
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -226,11 +181,3 @@ def compact_labels(raw_keys: Iterable[Hashable]) -> LabelMap:
         raise ValueError("no raw keys to compact")
     return LabelMap(tuple(keys))
 
-
-def one_hot(label: int, num_classes: int) -> np.ndarray:
-    """Indicator vector over classes 0..num_classes (slot 0 is the unknown class)."""
-    if not 0 <= label <= num_classes:
-        raise ValueError(f"label {label} out of range 0..{num_classes}")
-    out = np.zeros(num_classes + 1, dtype=np.int8)
-    out[label] = 1
-    return out

@@ -7,7 +7,7 @@ Coordinates are metric: x runs along the street, y across it, z up.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -240,167 +240,139 @@ def vehicle_bounding_box(vehicle: Vehicle, ground_z: float) -> Box:
     )
 
 
-def _lane_index(scenario: Scenario, vehicle: Vehicle) -> int:
-    best = 0
-    best_d = math.inf
-    px, py = vehicle.position.x, vehicle.position.y
-    for i, lane in enumerate(scenario.lanes):
-        dx, dy = lane.direction
-        rx, ry = px - lane.start.x, py - lane.start.y
-        along = rx * dx + ry * dy
-        perp = math.hypot(rx - along * dx, ry - along * dy)
-        if perp < best_d:
-            best_d = perp
-            best = i
-    return best
-
-
-def _progress(lane: Lane, vehicle: Vehicle) -> float:
-    dx, dy = lane.direction
-    return vehicle.position.x * dx + vehicle.position.y * dy
-
-
-def _place(lane: Lane, progress: float, z: float) -> Vec3:
+def _place(lane: Lane, progress: float) -> tuple[float, float]:
     dx, dy = lane.direction
     s0 = lane.start.x * dx + lane.start.y * dy
-    return Vec3(lane.start.x + (progress - s0) * dx, lane.start.y + (progress - s0) * dy, z)
+    return lane.start.x + (progress - s0) * dx, lane.start.y + (progress - s0) * dy
 
 
 def _draw_speed(rng: np.random.Generator, avg_speed: float) -> float:
     return float((1.0 - SPEED_SPREAD + 2.0 * SPEED_SPREAD * rng.random()) * avg_speed)
 
 
-def step_traffic(
-    scene: Scene,
-    scenario: Scenario,
+@dataclass(slots=True)
+class LaneCar:
+    """Mutable traffic state of one vehicle; its lane is the list that holds it."""
+
+    id: int
+    type: VehicleType
+    speed: float  # target speed in m/s, fixed at spawn
+    x: float
+    y: float
+    z: float
+    receiver_index: int | None = None
+
+
+def step_lane(
+    cars: list[LaneCar],
+    lane: Lane,
     dt: float,
     rng: np.random.Generator,
     *,
     avg_speed: float = 8.2,
     min_gap: float = MIN_GAP_M,
-) -> Scene:
-    """Advance every vehicle along its lane by one time step.
+) -> None:
+    """Advance the cars of one lane, held in id order, by one time step in place.
 
-    Vehicles keep their spawn-time target speed but never close to less than
-    ``min_gap`` behind their leader. A vehicle reaching the end of its lane is
-    recycled at the entrance with a freshly drawn type and speed; vehicles
-    carrying a receiver keep their identity, type and speed so the receiver
-    set of an episode stays fixed.
+    Cars keep their spawn-time target speed but never close to less than
+    ``min_gap`` behind their leader. A car reaching the end of the lane is
+    recycled at the entrance with a freshly drawn type and speed, at most one
+    per lane and step; cars carrying a receiver keep their identity, type and
+    speed so the receiver set of an episode stays fixed.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-
-    by_lane: dict[int, list[Vehicle]] = {i: [] for i in range(len(scenario.lanes))}
-    for v in scene.vehicles:
-        by_lane[_lane_index(scenario, v)].append(v)
-
-    moved: list[Vehicle] = []
-    for li, lane in enumerate(scenario.lanes):
-        dx, dy = lane.direction
-        s0 = lane.start.x * dx + lane.start.y * dy
-        s1 = lane.end.x * dx + lane.end.y * dy
-        group = sorted(by_lane[li], key=lambda v: -_progress(lane, v))
-        prev_rear = math.inf
-        recycled_this_step = False
-        for idx, v in enumerate(group):
-            prog = _progress(lane, v)
-            half = v.type.length / 2.0
-            new = min(prog + v.speed * dt, prev_rear - min_gap - half)
-            new = max(new, prog)  # gap rule never pushes a vehicle backwards
-            if new + half > s1:
-                others = group[:idx] + group[idx + 1 :]
+    dx, dy = lane.direction
+    s0 = lane.start.x * dx + lane.start.y * dy
+    s1 = lane.end.x * dx + lane.end.y * dy
+    progress = [c.x * dx + c.y * dy for c in cars]
+    prev_rear = math.inf
+    recycled_this_step = False
+    for i in sorted(range(len(cars)), key=lambda i: -progress[i]):
+        car, prog = cars[i], progress[i]
+        half = car.type.length / 2.0
+        new = min(prog + car.speed * dt, prev_rear - min_gap - half)
+        new = max(new, prog)  # gap rule never pushes a car backwards
+        if new + half > s1:
+            if not recycled_this_step:
+                if car.receiver_index is None:
+                    new_type = sample_vehicle_type(float(rng.random()))
+                    new_speed = _draw_speed(rng, avg_speed)
+                else:
+                    new_type, new_speed = car.type, car.speed
+                entry = s0 + new_type.length / 2.0
                 rear_min = min(
-                    (_progress(lane, o) - o.type.length / 2.0 for o in others),
+                    (progress[j] - o.type.length / 2.0 for j, o in enumerate(cars) if j != i),
                     default=math.inf,
                 )
-                if not recycled_this_step:
-                    if v.receiver_index is None:
-                        new_type = sample_vehicle_type(float(rng.random()))
-                        new_speed = _draw_speed(rng, avg_speed)
-                    else:
-                        new_type, new_speed = v.type, v.speed
-                    entry = s0 + new_type.length / 2.0
-                    if entry + new_type.length / 2.0 <= rear_min - min_gap:
-                        moved.append(
-                            replace(
-                                v,
-                                type=new_type,
-                                speed=new_speed,
-                                position=_place(lane, entry, v.position.z),
-                            )
-                        )
-                        recycled_this_step = True
-                        continue
-                # entrance blocked (or one recycle already done): hold at the end
-                new = min(new, s1 - half)
-            moved.append(replace(v, position=_place(lane, new, v.position.z)))
-            prev_rear = new - half
-
-    moved.sort(key=lambda v: v.id)
-    return Scene(scene.time + dt, tuple(moved))
+                if entry + new_type.length / 2.0 <= rear_min - min_gap:
+                    car.type, car.speed = new_type, new_speed
+                    car.x, car.y = _place(lane, entry)
+                    recycled_this_step = True
+                    continue
+            # entrance blocked (or one recycle already done): hold at the end
+            new = min(new, s1 - half)
+        car.x, car.y = _place(lane, new)
+        prev_rear = new - half
 
 
 def _spawn(
-    scene: Scene,
+    lanes: list[list[LaneCar]],
     scenario: Scenario,
     dt: float,
     rng: np.random.Generator,
     avg_speed: float,
     next_id: int,
     min_gap: float = MIN_GAP_M,
-) -> tuple[Scene, int]:
-    vehicles = list(scene.vehicles)
-    for li, lane in enumerate(scenario.lanes):
+) -> int:
+    """Try one spawn at the entrance of each lane; return the next free id."""
+    for lane, cars in zip(scenario.lanes, lanes):
         if rng.random() >= dt / SPAWN_HEADWAY_S:
             continue
         vtype = sample_vehicle_type(float(rng.random()))
         dx, dy = lane.direction
         s0 = lane.start.x * dx + lane.start.y * dy
         rear_min = min(
-            (
-                _progress(lane, v) - v.type.length / 2.0
-                for v in vehicles
-                if _lane_index(scenario, v) == li
-            ),
-            default=math.inf,
+            (c.x * dx + c.y * dy - c.type.length / 2.0 for c in cars), default=math.inf
         )
         if s0 + vtype.length > rear_min - min_gap:
             continue  # entrance occupied, drop this attempt
-        vehicles.append(
-            Vehicle(
-                id=next_id,
-                type=vtype,
-                position=_place(lane, s0 + vtype.length / 2.0, scenario.ground_z),
-                heading=math.atan2(dy, dx),
-                speed=_draw_speed(rng, avg_speed),
-            )
-        )
+        x, y = _place(lane, s0 + vtype.length / 2.0)
+        cars.append(LaneCar(next_id, vtype, _draw_speed(rng, avg_speed), x, y, scenario.ground_z))
         next_id += 1
-    vehicles.sort(key=lambda v: v.id)
-    return Scene(scene.time, tuple(vehicles)), next_id
+    return next_id
 
 
-def _tag_receivers(scene: Scene, scenario: Scenario, count: int) -> Scene:
-    if len(scene.vehicles) < count:
-        raise ValueError(
-            f"only {len(scene.vehicles)} vehicles spawned, cannot tag {count} receivers"
+def _snapshot(scenario: Scenario, lanes: list[list[LaneCar]]) -> tuple[Vehicle, ...]:
+    vehicles = []
+    for lane, cars in zip(scenario.lanes, lanes):
+        heading = math.atan2(lane.direction[1], lane.direction[0])
+        vehicles.extend(
+            Vehicle(c.id, c.type, Vec3(c.x, c.y, c.z), heading, c.speed, c.receiver_index)
+            for c in cars
         )
+    vehicles.sort(key=lambda v: v.id)
+    return tuple(vehicles)
+
+
+def _tag_receivers(
+    vehicles: tuple[Vehicle, ...], scenario: Scenario, count: int
+) -> dict[int, int]:
+    """Receiver indices 1..count for the vehicles nearest the RSU, service strip first."""
+    if len(vehicles) < count:
+        raise ValueError(f"only {len(vehicles)} vehicles spawned, cannot tag {count} receivers")
     rsu = scenario.rsu_position
 
     def dist2(v: Vehicle) -> float:
         return (v.position.x - rsu.x) ** 2 + (v.position.y - rsu.y) ** 2
 
-    inside = [v for v in scene.vehicles if scenario.v2i_area.contains(v.position.x, v.position.y)]
+    inside = [v for v in vehicles if scenario.v2i_area.contains(v.position.x, v.position.y)]
     inside_ids = {v.id for v in inside}
-    outside = [v for v in scene.vehicles if v.id not in inside_ids]
+    outside = [v for v in vehicles if v.id not in inside_ids]
     ranked = sorted(inside, key=lambda v: (dist2(v), v.id)) + sorted(
         outside, key=lambda v: (dist2(v), v.id)
     )
-    mapping = {v.id: i + 1 for i, v in enumerate(ranked[:count])}
-    return Scene(
-        scene.time,
-        tuple(replace(v, receiver_index=mapping.get(v.id)) for v in scene.vehicles),
-    )
+    return {v.id: i + 1 for i, v in enumerate(ranked[:count])}
 
 
 def generate_episode(
@@ -418,17 +390,25 @@ def generate_episode(
 
     rng = np.random.default_rng(params.seed)
     dt = params.sample_period
-    scene = Scene(0.0, ())
+    lanes: list[list[LaneCar]] = [[] for _ in scenario.lanes]
+
+    def step() -> None:
+        for lane, cars in zip(scenario.lanes, lanes):
+            step_lane(cars, lane, dt, rng, avg_speed=params.avg_speed)
+
     next_id = 0
     for _ in range(int(round(WARMUP_S / dt))):
-        scene = step_traffic(scene, scenario, dt, rng, avg_speed=params.avg_speed)
-        scene, next_id = _spawn(scene, scenario, dt, rng, params.avg_speed, next_id)
+        step()
+        next_id = _spawn(lanes, scenario, dt, rng, params.avg_speed, next_id)
 
-    scene = _tag_receivers(scene, scenario, params.receiver_count)
+    receivers = _tag_receivers(_snapshot(scenario, lanes), scenario, params.receiver_count)
+    for cars in lanes:
+        for car in cars:
+            car.receiver_index = receivers.get(car.id)
 
     scenes: list[Scene] = []
     for k in range(params.scenes_per_episode):
         if k > 0:
-            scene = step_traffic(scene, scenario, dt, rng, avg_speed=params.avg_speed)
-        scenes.append(replace(scene, time=WARMUP_S + k * dt))
+            step()
+        scenes.append(Scene(WARMUP_S + k * dt, _snapshot(scenario, lanes)))
     return Episode(episode_id, WARMUP_S, params, tuple(scenes))

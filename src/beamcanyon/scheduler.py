@@ -217,12 +217,20 @@ def round_robin_agent(table: RewardTable, params: SchedulerParams) -> Allocation
 
 
 def _state_machinery(params: SchedulerParams):
-    """Enumerate capped starve vectors with transition and outage tables."""
+    """Enumerate capped starve vectors with transition and outage tables.
+
+    Refuses, before enumerating, a state space larger than MAX_DP_STATES.
+    """
     cap = _starve_cap(params)
     n_rec = params.num_receivers
+    n_states = (cap + 1) ** n_rec
+    if n_states > MAX_DP_STATES:
+        raise ValueError(
+            f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
+            "reduce num_receivers or outage_after"
+        )
     states = list(itertools.product(range(cap + 1), repeat=n_rec))
     index = {st: i for i, st in enumerate(states)}
-    n_states = len(states)
     transitions = np.empty((n_states, n_rec), dtype=np.int64)
     outage = np.zeros((n_states, n_rec), dtype=bool)
     for si, st in enumerate(states):
@@ -243,16 +251,11 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
     """
     if params.outage_after is None:
         return greedy_agent(table, params)  # no constraint: per-scene maximum is optimal
-    n_states = (params.outage_after + 1) ** params.num_receivers
-    if n_states > MAX_DP_STATES:
-        raise ValueError(
-            f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
-            "reduce num_receivers or outage_after"
-        )
     _, index, transitions, outage = _state_machinery(params)
     best_val, _ = _best_beams(table)
     n_scenes = table.n_scenes
     n_rec = params.num_receivers
+    n_states = transitions.shape[0]
 
     value = np.zeros(n_states)
     choice = np.zeros((n_scenes, n_states), dtype=np.int64)

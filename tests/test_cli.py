@@ -195,6 +195,13 @@ class TestSchedule:
         assert [e["episode_id"] for e in report["episodes"]] == [0, 1, 2]
         assert len((tmp_path / "rewards.csv").read_text().splitlines()) == 4
 
+    def test_oversized_state_space_fails_before_q_learning(self, tmp_path, capsys):
+        # 10 receivers with the default outage rule make 4**10 states, over the guard
+        path = _generate(tmp_path, episodes=2, scenes=2)
+        argv = ["--out", str(tmp_path), "schedule", str(path), "--n-rec", "10"]
+        assert main(argv + ["--agents", "tabular_q"]) == 1
+        assert "exceed the guard" in capsys.readouterr().err
+
     def test_unknown_agent_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=2, scenes=2)
         rc = main(["--out", str(tmp_path), "schedule", str(path), "--agents", "alphago"])

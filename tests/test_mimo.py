@@ -9,11 +9,6 @@ from beamcanyon.mimo import (
     compact_labels,
     compose_channel,
     dft_codebook,
-    one_hot,
-    pair_from_index,
-    pair_index,
-    quantize_angles,
-    angle_ranges,
     strongest_ray_angles,
     sweep,
     upa_steering,
@@ -211,30 +206,6 @@ class TestSweep:
             hits += 1
 
 
-class TestPairIndex:
-    def test_examples(self):
-        assert pair_index(0, 0, 16) == 0
-        assert pair_index(1, 2, 16) == 18
-
-    def test_round_trip(self):
-        assert pair_from_index(18, 16) == (1, 2)
-        for p in range(4):
-            for q in range(5):
-                assert pair_from_index(pair_index(p, q, 5), 5) == (p, q)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            pair_index(0, 16, 16)
-        with pytest.raises(ValueError):
-            pair_index(-1, 0, 16)
-        with pytest.raises(ValueError):
-            pair_index(4, 0, 4, n_tx_beams=4)
-        with pytest.raises(ValueError):
-            pair_from_index(-1, 16)
-        with pytest.raises(ValueError):
-            pair_from_index(16, 4, n_tx_beams=4)
-
-
 class TestStrongestRayAngles:
     def test_single_ray(self):
         ray = _ray(dep=(0.1, 0.2), arr=(0.3, 0.4))
@@ -279,35 +250,6 @@ class TestStrongestRayAngles:
             strongest_ray_angles([])
 
 
-class TestQuantizeAngles:
-    RANGES = [(-1.0, 1.0)] * 4
-
-    def test_low_edge(self):
-        assert quantize_angles([-1.0] * 4, 8, self.RANGES) == (0, 0, 0, 0)
-
-    def test_high_edge_clamps(self):
-        assert quantize_angles([1.0] * 4, 8, self.RANGES) == (7, 7, 7, 7)
-
-    def test_midpoint_four_bins(self):
-        # floor((0 - (-1)) / 0.5) = 2
-        assert quantize_angles([0.0] * 4, 4, self.RANGES) == (2, 2, 2, 2)
-
-    def test_out_of_range_clamps_to_edges(self):
-        assert quantize_angles([-5.0, 5.0, -5.0, 5.0], 4, self.RANGES) == (0, 3, 0, 3)
-
-    def test_invalid_range_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_angles([0.0] * 4, 4, [(1.0, 1.0)] * 4)
-
-    def test_invalid_bins_rejected(self):
-        with pytest.raises(ValueError):
-            quantize_angles([0.0] * 4, 0, self.RANGES)
-
-    def test_angle_ranges_helper(self):
-        tuples = [(0.0, 1.0, 2.0, 3.0), (-1.0, 4.0, 0.0, 3.5)]
-        assert angle_ranges(tuples) == ((-1.0, 0.0), (1.0, 4.0), (0.0, 2.0), (3.0, 3.5))
-
-
 class TestLabelMap:
     def test_distinct_keys_counted(self):
         lm = compact_labels([(0, 0), (1, 2), (0, 0)])
@@ -330,14 +272,3 @@ class TestLabelMap:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             compact_labels([])
-
-    def test_one_hot_single_indicator(self):
-        lm = compact_labels([7, 8, 9])
-        for label in range(0, lm.num_classes + 1):
-            vec = one_hot(label, lm.num_classes)
-            assert vec.sum() == 1
-            assert vec[label] == 1
-
-    def test_one_hot_out_of_range(self):
-        with pytest.raises(ValueError):
-            one_hot(5, 3)

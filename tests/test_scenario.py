@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from beamcanyon.scenario import (
     EpisodeParams,
-    Scene,
+    LaneCar,
     ScenarioConfig,
     Vehicle,
     VehicleKind,
@@ -13,7 +14,7 @@ from beamcanyon.scenario import (
     generate_episode,
     make_canyon_scenario,
     sample_vehicle_type,
-    step_traffic,
+    step_lane,
     vehicle_bounding_box,
 )
 
@@ -129,52 +130,105 @@ class TestBoundingBox:
         assert box.max.z == pytest.approx(1.5 + 1.59)
 
 
+def _lane_car(vid=0, x=100.0, y=6.25, speed=8.2):
+    return LaneCar(vid, DEFAULT_VEHICLE_TYPES[0], speed, x, y, 0.0)
+
+
 class TestStepTraffic:
+    """One traffic step, taken lane by lane with step_lane."""
+
     def test_free_vehicle_advances_speed_times_dt(self):
         sc = make_canyon_scenario()
-        scene = Scene(0.0, (_car(x=100.0, speed=8.2),))
-        rng = np.random.default_rng(0)
-        out = step_traffic(scene, sc, 0.1, rng)
-        assert out.vehicles[0].position.x - 100.0 == pytest.approx(0.82)
-        assert out.vehicles[0].position.y == 6.25
+        cars = [_lane_car(x=100.0, speed=8.2)]
+        step_lane(cars, sc.lanes[0], 0.1, np.random.default_rng(0))
+        assert cars[0].x - 100.0 == pytest.approx(0.82)
+        assert cars[0].y == 6.25
 
     def test_blocked_follower_does_not_move(self):
         sc = make_canyon_scenario()
         # leader stopped, follower's front 1 m behind the leader's rear
-        leader = _car(vid=1, x=120.0, speed=0.0)
+        leader = _lane_car(vid=1, x=120.0, speed=0.0)
         gap = 1.0
         follower_x = 120.0 - 4.645 / 2 - gap - 4.645 / 2
-        follower = _car(vid=2, x=follower_x, speed=8.2)
-        scene = Scene(0.0, (leader, follower))
-        out = step_traffic(scene, sc, 0.1, np.random.default_rng(0), min_gap=2.0)
-        moved_follower = [v for v in out.vehicles if v.id == 2][0]
-        assert moved_follower.position.x == pytest.approx(follower_x)
+        follower = _lane_car(vid=2, x=follower_x, speed=8.2)
+        cars = [leader, follower]
+        step_lane(cars, sc.lanes[0], 0.1, np.random.default_rng(0), min_gap=2.0)
+        assert follower.x == pytest.approx(follower_x)
 
     def test_follower_stops_exactly_at_gap(self):
         sc = make_canyon_scenario()
-        leader = _car(vid=1, x=120.0, speed=0.0)
-        follower = _car(vid=2, x=100.0, speed=8.2)
-        scene = Scene(0.0, (leader, follower))
+        leader = _lane_car(vid=1, x=120.0, speed=0.0)
+        follower = _lane_car(vid=2, x=100.0, speed=8.2)
+        cars = [leader, follower]
         rng = np.random.default_rng(0)
         for _ in range(200):
-            scene = step_traffic(scene, sc, 0.1, rng)
-        follower_now = [v for v in scene.vehicles if v.id == 2][0]
+            step_lane(cars, sc.lanes[0], 0.1, rng)
         expected_front = 120.0 - 4.645 / 2 - 2.0
-        assert follower_now.position.x + 4.645 / 2 == pytest.approx(expected_front)
+        assert follower.x + 4.645 / 2 == pytest.approx(expected_front)
 
     def test_nonpositive_dt_rejected(self):
         sc = make_canyon_scenario()
-        scene = Scene(0.0, (_car(),))
+        cars = [_lane_car()]
         with pytest.raises(ValueError):
-            step_traffic(scene, sc, 0.0, np.random.default_rng(0))
+            step_lane(cars, sc.lanes[0], 0.0, np.random.default_rng(0))
         with pytest.raises(ValueError):
-            step_traffic(scene, sc, -0.1, np.random.default_rng(0))
+            step_lane(cars, sc.lanes[0], -0.1, np.random.default_rng(0))
 
     def test_westbound_lane_moves_negative_x(self):
         sc = make_canyon_scenario()
-        scene = Scene(0.0, (_car(x=100.0, y=16.75, heading=math.pi),))
-        out = step_traffic(scene, sc, 0.1, np.random.default_rng(0))
-        assert out.vehicles[0].position.x == pytest.approx(100.0 - 0.82)
+        cars = [_lane_car(x=100.0, y=16.75)]
+        step_lane(cars, sc.lanes[3], 0.1, np.random.default_rng(0))
+        assert cars[0].x == pytest.approx(100.0 - 0.82)
+
+
+def _recycles(episode, scenario):
+    """Count vehicles that jump back to a lane entrance between sampled scenes."""
+    count = 0
+    for before, after in zip(episode.scenes, episode.scenes[1:]):
+        prev = {v.id: v.position.x for v in before.vehicles}
+        count += sum(
+            abs(v.position.x - prev[v.id]) > scenario.rt_area.x_extent / 2 for v in after.vehicles
+        )
+    return count
+
+
+class TestMatchesOracle:
+    """generate_episode equals the frozen-scene traffic model it replaced, field for field."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_default_canyon(self, seed):
+        sc = make_canyon_scenario()
+        params = EpisodeParams(scenes_per_episode=10, receiver_count=10, seed=seed)
+        assert generate_episode(sc, params) == oracles.generate_episode(sc, params)
+
+    @pytest.mark.parametrize(
+        "lane_count, sample_period, avg_speed, receivers",
+        [
+            (1, 0.1, 8.2, 2),
+            (1, 0.3, 20.0, 2),
+            (3, 0.1, 8.2, 10),
+            (3, 0.05, 20.0, 2),
+            (4, 0.05, 8.2, 10),
+            (4, 0.3, 8.2, 2),
+            (4, 0.1, 2.0, 10),
+            (4, 0.1, 20.0, 10),
+            (6, 0.1, 20.0, 2),
+            (6, 0.3, 2.0, 10),
+        ],
+    )
+    def test_varied_configs(self, lane_count, sample_period, avg_speed, receivers):
+        sc = make_canyon_scenario(ScenarioConfig(lane_count=lane_count))
+        params = EpisodeParams(
+            sample_period=sample_period,
+            scenes_per_episode=20,
+            receiver_count=receivers,
+            seed=lane_count * 100 + receivers,
+            avg_speed=avg_speed,
+        )
+        expected = oracles.generate_episode(sc, params)
+        assert generate_episode(sc, params) == expected
+        if avg_speed == 20.0:  # fast traffic reaches the lane ends inside the window
+            assert _recycles(expected, sc) > 0
 
 
 class TestGenerateEpisode:

@@ -215,11 +215,12 @@ class TestDpOptimal:
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_state_space_guard(self):
-        with pytest.raises(ValueError, match="state"):
-            dp_optimal(
-                _table(np.random.default_rng(0).random((2, 4, 2))),
-                SchedulerParams(outage_after=100, num_receivers=4),
-            )
+        # both users of the state space refuse it before enumerating 101**4 states
+        table = _table(np.random.default_rng(0).random((2, 4, 2)))
+        params = SchedulerParams(outage_after=100, num_receivers=4)
+        for agent in (dp_optimal, tabular_q_agent):
+            with pytest.raises(ValueError, match="state"):
+                agent(table, params)
 
 
 class TestAgents:
