@@ -158,12 +158,12 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for record in pool.map(_generate_one, tasks):
                 records.append(record)
-                print(f"episode {record.episode_id}: {len(record.scenes)} scenes traced")
+                log.info("episode %d: %d scenes traced", record.episode_id, len(record.scenes))
     else:
         for task in tasks:
             record = _generate_one(task)
             records.append(record)
-            print(f"episode {record.episode_id}: {len(record.scenes)} scenes traced")
+            log.info("episode %d: %d scenes traced", record.episode_id, len(record.scenes))
     records.sort(key=lambda r: r.episode_id)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_episodes(records, out_path)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .features import GridSpec, encode_for_receiver, encode_scene
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
-from .raytrace import LosStatus, PairRecord, Ray, TraceConfig, classify_los, trace_paths
+from .raytrace import LosStatus, PairRecord, Ray, TraceConfig, classify_los, trace_scene
 from .scenario import (
     Episode,
     EpisodeParams,
@@ -86,14 +86,10 @@ def build_episode_record(
     receiver_vehicles = {
         v.receiver_index: v.id for v in first.vehicles if v.receiver_index is not None
     }
-    scene_records = []
-    for scene in episode.scenes:
-        receivers = sorted(
-            (v for v in scene.vehicles if v.receiver_index is not None),
-            key=lambda v: v.receiver_index,
-        )
-        pairs = tuple(trace_paths(scenario, scene, v, cfg) for v in receivers)
-        scene_records.append(SceneRecord(scene.time, scene.vehicles, pairs))
+    scene_records = [
+        SceneRecord(scene.time, scene.vehicles, trace_scene(scenario, scene, cfg))
+        for scene in episode.scenes
+    ]
     return EpisodeRecord(
         episode_id=episode.id,
         start_time=episode.start_time,

@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .scenario import Box, Scenario, Scene, Vec3, Vehicle, vehicle_bounding_box
+from .scenario import Box, Scenario, Scene, Vec3, vehicle_bounding_box
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -102,24 +102,30 @@ def segment_intersects_box(p0, p1, box: Box) -> bool:
     b = p1.to_array() if isinstance(p1, Vec3) else np.asarray(p1, float)
     lo = box.min.to_array()[None, :]
     hi = box.max.to_array()[None, :]
-    return bool(_segments_hit_boxes(a, b, lo, hi)[0])
+    return bool(_slab_hits(a[None, :], b[None, :], lo, hi)[0, 0])
 
 
-def _segments_hit_boxes(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Strict-interior slab test of one segment against n boxes (lo/hi: (n, 3))."""
+def _slab_hits(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Strict-interior slab test of s segments (p0/p1: (s, 3)) against n boxes (lo/hi: (n, 3)).
+
+    Returns (s, n) booleans. A segment parallel to an axis must start strictly
+    between that axis's two box faces; the other axes clip the segment's
+    parameter interval [0, 1], which must stay non-empty.
+    """
     d = p1 - p0
-    n = lo.shape[0]
-    enter = np.zeros(n)
-    leave = np.ones(n)
-    ok = np.ones(n, dtype=bool)
+    shape = (p0.shape[0], lo.shape[0])
+    enter = np.zeros(shape)
+    leave = np.ones(shape)
+    ok = np.ones(shape, dtype=bool)
     for ax in range(3):
-        if d[ax] == 0.0:
-            ok &= (p0[ax] > lo[:, ax]) & (p0[ax] < hi[:, ax])
-        else:
-            t1 = (lo[:, ax] - p0[ax]) / d[ax]
-            t2 = (hi[:, ax] - p0[ax]) / d[ax]
-            enter = np.maximum(enter, np.minimum(t1, t2))
-            leave = np.minimum(leave, np.maximum(t1, t2))
+        start = p0[:, ax, None]
+        flat = (d[:, ax] == 0.0)[:, None]
+        ok &= ~flat | ((start > lo[:, ax]) & (start < hi[:, ax]))
+        step = np.where(flat, 1.0, d[:, ax, None])  # flat rows are masked below
+        t1 = (lo[:, ax] - start) / step
+        t2 = (hi[:, ax] - start) / step
+        enter = np.where(flat, enter, np.maximum(enter, np.minimum(t1, t2)))
+        leave = np.where(flat, leave, np.minimum(leave, np.maximum(t1, t2)))
     return ok & (leave > enter)
 
 
@@ -140,57 +146,60 @@ def _mirror(point: np.ndarray, plane: ReflectorPlane) -> np.ndarray:
     return out
 
 
-def specular_paths(
+def mirror_paths(
     tx: np.ndarray,
     rx: np.ndarray,
     planes: tuple[ReflectorPlane, ...],
     max_reflections: int,
-) -> list[tuple[np.ndarray, tuple[ReflectorPlane, ...]]]:
-    """Enumerate geometrically valid mirror paths from tx to rx.
+) -> list[tuple[tuple[ReflectorPlane, ...], np.ndarray, np.ndarray]]:
+    """Enumerate the mirror paths from tx to each of r receivers (rx: (r, 3)).
 
-    Returns (points, bounce_planes) per candidate, where points has shape
-    (bounces + 2, 3) including both endpoints. The direct path comes first.
-    Candidates whose bounce points fall outside a reflecting segment
-    (intersection parameter not strictly inside) are dropped; blockage and
-    reflector-extent checks are the caller's job.
+    Returns (bounce_planes, points, valid) per bounce sequence: the direct
+    path first, then sequences by bounce count, never repeating the plane
+    just left. points has shape (r, bounces + 2, 3) including both
+    endpoints; valid marks the receivers whose every bounce point lies
+    strictly inside its reflecting segment. Blockage and reflector-extent
+    checks are the caller's job.
     """
-    candidates: list[tuple[np.ndarray, tuple[ReflectorPlane, ...]]] = [
-        (np.stack([tx, rx]), ())
-    ]
+    n = rx.shape[0]
+    paths = [((), np.stack([np.broadcast_to(tx, rx.shape), rx], axis=1), np.ones(n, dtype=bool))]
     sequences: list[tuple[ReflectorPlane, ...]] = [()]
     for _ in range(max_reflections):
-        # extend by one bounce, never repeating the plane just left
         sequences = [
             seq + (p,) for seq in sequences for p in planes if not seq or seq[-1] != p
         ]
         for seq in sequences:
-            points = _bounce_points(tx, rx, seq)
-            if points is not None:
-                candidates.append((points, seq))
-    return candidates
+            paths.append((seq, *_unfold(tx, rx, seq)))
+    return paths
 
 
-def _bounce_points(
+def _unfold(
     tx: np.ndarray, rx: np.ndarray, seq: tuple[ReflectorPlane, ...]
-) -> np.ndarray | None:
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bounce points of one sequence for every receiver, walking back from rx."""
     images = [tx]
     for plane in seq:
         images.append(_mirror(images[-1], plane))
+    valid = np.ones(rx.shape[0], dtype=bool)
     points = [rx]
     current = rx
     for j in range(len(seq), 0, -1):
         target = images[j]
         plane = seq[j - 1]
-        denom = target[plane.axis] - current[plane.axis]
-        if denom == 0.0:
-            return None
-        t = (plane.offset - current[plane.axis]) / denom
-        if not 0.0 < t < 1.0:
-            return None
-        current = current + t * (target - current)
+        denom = target[plane.axis] - current[:, plane.axis]
+        crossing = denom != 0.0
+        t = np.divide(
+            plane.offset - current[:, plane.axis],
+            denom,
+            out=np.zeros_like(denom),
+            where=crossing,
+        )
+        valid &= crossing & (0.0 < t) & (t < 1.0)
+        t[~valid] = 0.0  # invalid rows stay put, finite
+        current = current + t[:, None] * (target - current)
         points.append(current)
-    points.append(tx)
-    return np.stack(points[::-1])
+    points.append(np.broadcast_to(tx, rx.shape))
+    return np.stack(points[::-1], axis=1), valid
 
 
 def _azimuth_elevation(direction: np.ndarray) -> tuple[float, float]:
@@ -214,85 +223,112 @@ def _wall_planes(scenario: Scenario) -> list[ReflectorPlane]:
     return [ReflectorPlane(1, o, "wall") for o in sorted(offsets)]
 
 
-def _on_wall_face(point: np.ndarray, plane: ReflectorPlane, buildings: tuple[Box, ...]) -> bool:
-    for box in buildings:
-        if abs(box.min.y - plane.offset) > _FACE_TOL and abs(box.max.y - plane.offset) > _FACE_TOL:
-            continue
-        if (
-            box.min.x - _FACE_TOL <= point[0] <= box.max.x + _FACE_TOL
-            and box.min.z - _FACE_TOL <= point[2] <= box.max.z + _FACE_TOL
-        ):
-            return True
-    return False
+def _wall_faces(plane: ReflectorPlane, buildings: tuple[Box, ...]) -> np.ndarray:
+    """(4, n) x and z extents, widened by the tolerance, of the building faces on a wall plane."""
+    return np.array(
+        [
+            [b.min.x - _FACE_TOL, b.max.x + _FACE_TOL, b.min.z - _FACE_TOL, b.max.z + _FACE_TOL]
+            for b in buildings
+            if abs(b.min.y - plane.offset) <= _FACE_TOL or abs(b.max.y - plane.offset) <= _FACE_TOL
+        ]
+    ).reshape(-1, 4).T
 
 
-def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig) -> PairRecord:
-    """Synthesize the multipath set from the RSU to a receiving vehicle's roof.
+def _on_faces(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
+    """Which of the (r, 3) points lie on one of the faces from _wall_faces."""
+    x = points[:, 0, None]
+    z = points[:, 2, None]
+    return ((faces[0] <= x) & (x <= faces[1]) & (faces[2] <= z) & (z <= faces[3])).any(axis=1)
 
-    Every sub-segment of a candidate path must clear all building boxes and
-    all vehicle boxes except the receiver's own; full blockage yields a
-    record with an empty ray tuple rather than an error.
+
+def trace_scene(scenario: Scenario, scene: Scene, cfg: TraceConfig) -> tuple[PairRecord, ...]:
+    """Synthesize the multipath sets from the RSU to every receiving vehicle's roof.
+
+    Returns one record per vehicle with a receiver index, in receiver-index
+    order. Every sub-segment of a candidate path must clear all building
+    boxes and all vehicle boxes except the receiver's own; full blockage
+    yields a record with an empty ray tuple rather than an error.
     """
-    if rx.receiver_index is None:
-        raise ValueError("rx vehicle carries no receiver_index")
-
-    tx = scenario.rsu_position.to_array()
-    rx_point = np.array(
-        [rx.position.x, rx.position.y, scenario.ground_z + rx.type.height], dtype=float
+    receivers = sorted(
+        (v for v in scene.vehicles if v.receiver_index is not None),
+        key=lambda v: v.receiver_index,
     )
+    if not receivers:
+        return ()
 
-    planes = tuple(_wall_planes(scenario) + [ReflectorPlane(2, scenario.ground_z, "ground")])
+    g = scenario.ground_z
+    tx = scenario.rsu_position.to_array()
+    rx = np.array([[v.position.x, v.position.y, g + v.type.height] for v in receivers], dtype=float)
+    rx_ids = np.array([v.id for v in receivers])
+    planes = tuple(_wall_planes(scenario) + [ReflectorPlane(2, g, "ground")])
+    faces = {p: _wall_faces(p, scenario.buildings) for p in planes if p.kind == "wall"}
+    area = scenario.rt_area
 
-    blockers = list(scenario.buildings) + [
-        vehicle_bounding_box(v, scenario.ground_z)
-        for v in scene.vehicles
-        if v.id != rx.id
-    ]
+    blockers = list(scenario.buildings) + [vehicle_bounding_box(v, g) for v in scene.vehicles]
     lo = np.array([[b.min.x, b.min.y, b.min.z] for b in blockers])
     hi = np.array([[b.max.x, b.max.y, b.max.z] for b in blockers])
+    owners = np.array([-1] * len(scenario.buildings) + [v.id for v in scene.vehicles])
 
-    rays: list[Ray] = []
-    for points, seq in specular_paths(tx, rx_point, planes, cfg.max_reflections):
-        valid = True
-        for plane, bounce in zip(seq, points[1:-1]):
+    # geometric validity, then the segments of every valid candidate
+    paths = []
+    seg_start, seg_end, seg_owner, first_seg = [], [], [], []
+    n_segs = 0
+    for seq, points, valid in mirror_paths(tx, rx, planes, cfg.max_reflections):
+        for k, plane in enumerate(seq):
+            bounce = points[:, k + 1]
             if plane.kind == "wall":
-                valid = _on_wall_face(bounce, plane, scenario.buildings)
+                valid &= _on_faces(bounce, faces[plane])
             else:
-                valid = scenario.rt_area.contains(float(bounce[0]), float(bounce[1]))
-            if not valid:
-                break
-        if not valid:
-            continue
-        if any(
-            bool(_segments_hit_boxes(points[i], points[i + 1], lo, hi).any())
-            for i in range(len(points) - 1)
-        ):
-            continue
+                x, y = bounce[:, 0], bounce[:, 1]
+                valid &= (area.xmin <= x) & (x <= area.xmax) & (area.ymin <= y) & (y <= area.ymax)
+        rows = np.flatnonzero(valid)
+        paths.append((seq, points, rows))
+        hops = len(seq) + 1
+        seg_start.append(points[rows, :-1].reshape(-1, 3))
+        seg_end.append(points[rows, 1:].reshape(-1, 3))
+        seg_owner.append(np.repeat(rx_ids[rows], hops))
+        first_seg.append(n_segs + hops * np.arange(rows.size))
+        n_segs += hops * rows.size
 
-        lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
-        total = float(lengths.sum())
-        gain = free_space_gain(total, cfg.wavelength)
-        for plane in seq:
-            gain *= cfg.wall_reflection if plane.kind == "wall" else cfg.ground_reflection
-        dep_az, dep_el = _azimuth_elevation(points[1] - points[0])
-        arr_az, arr_el = _azimuth_elevation(points[-2] - points[-1])
-        interactions = (
-            "LOS"
-            if not seq
-            else "-".join("R" if p.kind == "wall" else "RG" for p in seq)
-        )
-        rays.append(
-            Ray(
-                gain=gain,
-                delay=total / SPEED_OF_LIGHT,
-                dep_azimuth=dep_az,
-                dep_elevation=dep_el,
-                arr_azimuth=arr_az,
-                arr_elevation=arr_el,
-                interactions=interactions,
+    # one slab test over every (segment, box) pair; a receiver never blocks itself
+    hit = _slab_hits(np.concatenate(seg_start), np.concatenate(seg_end), lo, hi)
+    hit &= np.concatenate(seg_owner)[:, None] != owners[None, :]
+    blocked = np.logical_or.reduceat(hit.any(axis=1), np.concatenate(first_seg))
+
+    rays: list[list[Ray]] = [[] for _ in receivers]
+    done = 0
+    for seq, points, rows in paths:
+        clear = rows[~blocked[done : done + rows.size]]
+        done += rows.size
+        if not clear.size:
+            continue
+        kept = points[clear]
+        totals = np.linalg.norm(np.diff(kept, axis=1), axis=2).sum(axis=1)
+        interactions = "-".join("R" if p.kind == "wall" else "RG" for p in seq) or "LOS"
+        for r, path, total in zip(clear, kept, totals.tolist()):
+            gain = free_space_gain(total, cfg.wavelength)
+            for plane in seq:
+                gain *= cfg.wall_reflection if plane.kind == "wall" else cfg.ground_reflection
+            dep_az, dep_el = _azimuth_elevation(path[1] - path[0])
+            arr_az, arr_el = _azimuth_elevation(path[-2] - path[-1])
+            rays[r].append(
+                Ray(
+                    gain=gain,
+                    delay=total / SPEED_OF_LIGHT,
+                    dep_azimuth=dep_az,
+                    dep_elevation=dep_el,
+                    arr_azimuth=arr_az,
+                    arr_elevation=arr_el,
+                    interactions=interactions,
+                )
             )
-        )
+    return tuple(
+        _pair_record(v.receiver_index, found, cfg) for v, found in zip(receivers, rays)
+    )
 
+
+def _pair_record(rx_id: int, rays: list[Ray], cfg: TraceConfig) -> PairRecord:
+    """Keep the max_rays strongest rays, ties broken by delay, and summarize them."""
     rays.sort(key=lambda r: (-abs(r.gain), r.delay))
     rays = rays[: cfg.max_rays]
 
@@ -306,7 +342,7 @@ def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig)
         p_rx = None
     return PairRecord(
         tx_id=0,
-        rx_id=rx.receiver_index,
+        rx_id=rx_id,
         rays=tuple(rays),
         mean_toa=mean_toa,
         p_tx_dbm=cfg.tx_power_dbm,

@@ -292,7 +292,9 @@ def tabular_q_agent(
 
     Trains on the episode's own reward table (the environment is fully
     known), then rolls out the greedy policy. Deterministic for a given
-    ``hyper.seed``.
+    ``hyper.seed``. Q, the transitions and the rewards are nested lists of
+    Python floats: the loop does one scalar update per step, which plain
+    Python does faster than numpy scalar indexing.
     """
     _, index, transitions, outage = _state_machinery(params)
     best_val, _ = _best_beams(table)
@@ -300,9 +302,16 @@ def tabular_q_agent(
     n_rec = params.num_receivers
     n_states = transitions.shape[0]
 
+    nxt_of = transitions.tolist()
+    penalized = outage.tolist()
+    reward = [
+        [[params.outage_penalty if out else v for out, v in zip(row, best)] for row in penalized]
+        for best in best_val.tolist()
+    ]
     rng = np.random.default_rng(hyper.seed)
-    q = np.zeros((n_scenes + 1, n_states, n_rec))
+    q = [[[0.0] * n_rec for _ in range(n_states)] for _ in range(n_scenes + 1)]
     start = index[(0,) * n_rec]
+    rate, discount = hyper.learning_rate, hyper.discount
     for episode in range(hyper.training_episodes):
         if hyper.training_episodes > 1:
             frac = episode / (hyper.training_episodes - 1)
@@ -311,20 +320,21 @@ def tabular_q_agent(
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
         si = start
         for s in range(n_scenes):
+            row = q[s][si]
             if rng.random() < epsilon:
                 a = int(rng.integers(n_rec))
             else:
-                a = int(np.argmax(q[s, si]))
-            r = params.outage_penalty if outage[si, a] else best_val[s, a]
-            nxt = int(transitions[si, a])
-            target = r + hyper.discount * float(q[s + 1, nxt].max())
-            q[s, si, a] += hyper.learning_rate * (target - q[s, si, a])
+                a = row.index(max(row))  # first maximum, as np.argmax
+            nxt = nxt_of[si][a]
+            target = reward[s][si][a] + discount * max(q[s + 1][nxt])
+            row[a] += rate * (target - row[a])
             si = nxt
 
     receivers = []
     si = start
     for s in range(n_scenes):
-        a = int(np.argmax(q[s, si]))
+        row = q[s][si]
+        a = row.index(max(row))
         receivers.append(a)
-        si = int(transitions[si, a])
+        si = nxt_of[si][a]
     return _make_plan(receivers, table, params)

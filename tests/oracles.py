@@ -1,9 +1,10 @@
 """Reference implementations of the rewritten production paths.
 
 These are the per-pair channel composition and beam sweep, the cell-by-cell
-CSV writer, and the traffic model that rebuilt a frozen scene on every step,
-exactly as they were before the rewrites. The production code must reproduce
-them bit for bit.
+CSV writer, the traffic model that rebuilt a frozen scene on every step, the
+per-pair tracer that enumerated and tested one candidate path at a time, and
+the numpy tabular Q-learning agent, exactly as they were before the
+rewrites. The production code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -16,11 +17,32 @@ import numpy as np
 
 from beamcanyon.dataset import CSV_FIXED_COLUMNS, Example
 from beamcanyon.mimo import ArraySpec
-from beamcanyon.raytrace import Ray
+from beamcanyon.raytrace import (
+    _FACE_TOL,
+    SPEED_OF_LIGHT,
+    PairRecord,
+    Ray,
+    ReflectorPlane,
+    TraceConfig,
+    _azimuth_elevation,
+    _mirror,
+    _wall_planes,
+    free_space_gain,
+)
+from beamcanyon.scheduler import (
+    AllocationPlan,
+    QLearningConfig,
+    RewardTable,
+    SchedulerParams,
+    _best_beams,
+    _make_plan,
+    _state_machinery,
+)
 from beamcanyon.scenario import (
     MIN_GAP_M,
     SPAWN_HEADWAY_S,
     WARMUP_S,
+    Box,
     Episode,
     EpisodeParams,
     Lane,
@@ -30,6 +52,7 @@ from beamcanyon.scenario import (
     Vehicle,
     _draw_speed,
     sample_vehicle_type,
+    vehicle_bounding_box,
 )
 
 
@@ -258,3 +281,221 @@ def generate_episode(
             scene = step_traffic(scene, scenario, dt, rng, avg_speed=params.avg_speed)
         scenes.append(replace(scene, time=WARMUP_S + k * dt))
     return Episode(episode_id, WARMUP_S, params, tuple(scenes))
+
+
+def _segments_hit_boxes(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Strict-interior slab test of one segment against n boxes (lo/hi: (n, 3))."""
+    d = p1 - p0
+    n = lo.shape[0]
+    enter = np.zeros(n)
+    leave = np.ones(n)
+    ok = np.ones(n, dtype=bool)
+    for ax in range(3):
+        if d[ax] == 0.0:
+            ok &= (p0[ax] > lo[:, ax]) & (p0[ax] < hi[:, ax])
+        else:
+            t1 = (lo[:, ax] - p0[ax]) / d[ax]
+            t2 = (hi[:, ax] - p0[ax]) / d[ax]
+            enter = np.maximum(enter, np.minimum(t1, t2))
+            leave = np.minimum(leave, np.maximum(t1, t2))
+    return ok & (leave > enter)
+
+
+def specular_paths(
+    tx: np.ndarray,
+    rx: np.ndarray,
+    planes: tuple[ReflectorPlane, ...],
+    max_reflections: int,
+) -> list[tuple[np.ndarray, tuple[ReflectorPlane, ...]]]:
+    """Enumerate geometrically valid mirror paths from tx to rx.
+
+    Returns (points, bounce_planes) per candidate, where points has shape
+    (bounces + 2, 3) including both endpoints. The direct path comes first.
+    Candidates whose bounce points fall outside a reflecting segment
+    (intersection parameter not strictly inside) are dropped; blockage and
+    reflector-extent checks are the caller's job.
+    """
+    candidates: list[tuple[np.ndarray, tuple[ReflectorPlane, ...]]] = [
+        (np.stack([tx, rx]), ())
+    ]
+    sequences: list[tuple[ReflectorPlane, ...]] = [()]
+    for _ in range(max_reflections):
+        # extend by one bounce, never repeating the plane just left
+        sequences = [
+            seq + (p,) for seq in sequences for p in planes if not seq or seq[-1] != p
+        ]
+        for seq in sequences:
+            points = _bounce_points(tx, rx, seq)
+            if points is not None:
+                candidates.append((points, seq))
+    return candidates
+
+
+def _bounce_points(
+    tx: np.ndarray, rx: np.ndarray, seq: tuple[ReflectorPlane, ...]
+) -> np.ndarray | None:
+    images = [tx]
+    for plane in seq:
+        images.append(_mirror(images[-1], plane))
+    points = [rx]
+    current = rx
+    for j in range(len(seq), 0, -1):
+        target = images[j]
+        plane = seq[j - 1]
+        denom = target[plane.axis] - current[plane.axis]
+        if denom == 0.0:
+            return None
+        t = (plane.offset - current[plane.axis]) / denom
+        if not 0.0 < t < 1.0:
+            return None
+        current = current + t * (target - current)
+        points.append(current)
+    points.append(tx)
+    return np.stack(points[::-1])
+
+
+def _on_wall_face(point: np.ndarray, plane: ReflectorPlane, buildings: tuple[Box, ...]) -> bool:
+    for box in buildings:
+        if abs(box.min.y - plane.offset) > _FACE_TOL and abs(box.max.y - plane.offset) > _FACE_TOL:
+            continue
+        if (
+            box.min.x - _FACE_TOL <= point[0] <= box.max.x + _FACE_TOL
+            and box.min.z - _FACE_TOL <= point[2] <= box.max.z + _FACE_TOL
+        ):
+            return True
+    return False
+
+
+def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig) -> PairRecord:
+    """Synthesize the multipath set from the RSU to a receiving vehicle's roof.
+
+    Every sub-segment of a candidate path must clear all building boxes and
+    all vehicle boxes except the receiver's own; full blockage yields a
+    record with an empty ray tuple rather than an error.
+    """
+    if rx.receiver_index is None:
+        raise ValueError("rx vehicle carries no receiver_index")
+
+    tx = scenario.rsu_position.to_array()
+    rx_point = np.array(
+        [rx.position.x, rx.position.y, scenario.ground_z + rx.type.height], dtype=float
+    )
+
+    planes = tuple(_wall_planes(scenario) + [ReflectorPlane(2, scenario.ground_z, "ground")])
+
+    blockers = list(scenario.buildings) + [
+        vehicle_bounding_box(v, scenario.ground_z)
+        for v in scene.vehicles
+        if v.id != rx.id
+    ]
+    lo = np.array([[b.min.x, b.min.y, b.min.z] for b in blockers])
+    hi = np.array([[b.max.x, b.max.y, b.max.z] for b in blockers])
+
+    rays: list[Ray] = []
+    for points, seq in specular_paths(tx, rx_point, planes, cfg.max_reflections):
+        valid = True
+        for plane, bounce in zip(seq, points[1:-1]):
+            if plane.kind == "wall":
+                valid = _on_wall_face(bounce, plane, scenario.buildings)
+            else:
+                valid = scenario.rt_area.contains(float(bounce[0]), float(bounce[1]))
+            if not valid:
+                break
+        if not valid:
+            continue
+        if any(
+            bool(_segments_hit_boxes(points[i], points[i + 1], lo, hi).any())
+            for i in range(len(points) - 1)
+        ):
+            continue
+
+        lengths = np.linalg.norm(np.diff(points, axis=0), axis=1)
+        total = float(lengths.sum())
+        gain = free_space_gain(total, cfg.wavelength)
+        for plane in seq:
+            gain *= cfg.wall_reflection if plane.kind == "wall" else cfg.ground_reflection
+        dep_az, dep_el = _azimuth_elevation(points[1] - points[0])
+        arr_az, arr_el = _azimuth_elevation(points[-2] - points[-1])
+        interactions = (
+            "LOS"
+            if not seq
+            else "-".join("R" if p.kind == "wall" else "RG" for p in seq)
+        )
+        rays.append(
+            Ray(
+                gain=gain,
+                delay=total / SPEED_OF_LIGHT,
+                dep_azimuth=dep_az,
+                dep_elevation=dep_el,
+                arr_azimuth=arr_az,
+                arr_elevation=arr_el,
+                interactions=interactions,
+            )
+        )
+
+    rays.sort(key=lambda r: (-abs(r.gain), r.delay))
+    rays = rays[: cfg.max_rays]
+
+    if rays:
+        powers = np.array([abs(r.gain) ** 2 for r in rays])
+        delays = np.array([r.delay for r in rays])
+        mean_toa = float((powers * delays).sum() / powers.sum())
+        p_rx = cfg.tx_power_dbm + 10.0 * math.log10(float(powers.sum()))
+    else:
+        mean_toa = None
+        p_rx = None
+    return PairRecord(
+        tx_id=0,
+        rx_id=rx.receiver_index,
+        rays=tuple(rays),
+        mean_toa=mean_toa,
+        p_tx_dbm=cfg.tx_power_dbm,
+        p_rx_dbm=p_rx,
+    )
+
+
+def tabular_q_agent(
+    table: RewardTable,
+    params: SchedulerParams,
+    hyper: QLearningConfig = QLearningConfig(),
+) -> AllocationPlan:
+    """Finite-horizon tabular Q-learning over (scene, starve vector) states.
+
+    Trains on the episode's own reward table (the environment is fully
+    known), then rolls out the greedy policy. Deterministic for a given
+    ``hyper.seed``.
+    """
+    _, index, transitions, outage = _state_machinery(params)
+    best_val, _ = _best_beams(table)
+    n_scenes = table.n_scenes
+    n_rec = params.num_receivers
+    n_states = transitions.shape[0]
+
+    rng = np.random.default_rng(hyper.seed)
+    q = np.zeros((n_scenes + 1, n_states, n_rec))
+    start = index[(0,) * n_rec]
+    for episode in range(hyper.training_episodes):
+        if hyper.training_episodes > 1:
+            frac = episode / (hyper.training_episodes - 1)
+        else:
+            frac = 1.0
+        epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
+        si = start
+        for s in range(n_scenes):
+            if rng.random() < epsilon:
+                a = int(rng.integers(n_rec))
+            else:
+                a = int(np.argmax(q[s, si]))
+            r = params.outage_penalty if outage[si, a] else best_val[s, a]
+            nxt = int(transitions[si, a])
+            target = r + hyper.discount * float(q[s + 1, nxt].max())
+            q[s, si, a] += hyper.learning_rate * (target - q[s, si, a])
+            si = nxt
+
+    receivers = []
+    si = start
+    for s in range(n_scenes):
+        a = int(np.argmax(q[s, si]))
+        receivers.append(a)
+        si = int(transitions[si, a])
+    return _make_plan(receivers, table, params)

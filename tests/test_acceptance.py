@@ -27,7 +27,7 @@ from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
     TraceConfig,
     segment_intersects_box,
-    trace_paths,
+    trace_scene,
 )
 from beamcanyon.scenario import (
     Box,
@@ -193,7 +193,7 @@ def test_criterion_04_ray_tracer_geometry():
         bounce = roof + t * (mirrored - roof)
         expected_length = float(np.linalg.norm(mirrored - roof))
 
-        record = trace_paths(scenario, Scene(0.0, (rx,)), rx, cfg)
+        (record,) = trace_scene(scenario, Scene(0.0, (rx,)), cfg)
         token_rays = [r for r in record.rays if r.interactions == token]
         matching = [
             r for r in token_rays if abs(r.delay * SPEED_OF_LIGHT - expected_length) < 1e-9

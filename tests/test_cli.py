@@ -64,6 +64,13 @@ class TestGenerate:
         b = _generate(tmp_path / "parallel", episodes=3, scenes=2, seed=5, jobs=2)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_progress_is_logged_and_stdout_carries_results(self, tmp_path, capsys, caplog):
+        caplog.set_level("INFO", logger="beamcanyon")
+        path = _generate(tmp_path, episodes=2, scenes=2)
+        assert capsys.readouterr().out == f"wrote 2 episodes to {path}\n"
+        progress = [r.getMessage() for r in caplog.records if r.name == "beamcanyon"]
+        assert progress == ["episode 0: 2 scenes traced", "episode 1: 2 scenes traced"]
+
     def test_bad_episode_count_fails(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "generate", "--episodes", "0"])
         assert rc == 1

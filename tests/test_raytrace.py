@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from beamcanyon.raytrace import (
     LosStatus,
     PairRecord,
@@ -12,14 +16,16 @@ from beamcanyon.raytrace import (
     TraceConfig,
     classify_los,
     free_space_gain,
+    mirror_paths,
     segment_intersects_box,
-    specular_paths,
-    trace_paths,
+    trace_scene,
 )
 from beamcanyon.scenario import (
     Box,
     DEFAULT_VEHICLE_TYPES,
     EpisodeParams,
+    Rect,
+    ScenarioConfig,
     Scene,
     Vec3,
     Vehicle,
@@ -37,6 +43,28 @@ def _vehicle(vid, x, y, kind=0, receiver=None, heading=0.0):
         speed=0.0,
         receiver_index=receiver,
     )
+
+
+def _paths(tx, rx, planes, max_reflections):
+    """(points, bounce planes) of the valid mirror paths from tx to the single point rx."""
+    return [
+        (points[0], seq)
+        for seq, points, valid in mirror_paths(tx, rx[None, :], planes, max_reflections)
+        if valid[0]
+    ]
+
+
+def _rays_with(record, interactions):
+    return [r for r in record.rays if r.interactions == interactions]
+
+
+def _oracle_scene(scenario, scene, cfg):
+    """The per-pair oracle over the scene's receivers, in receiver-index order."""
+    receivers = sorted(
+        (v for v in scene.vehicles if v.receiver_index is not None),
+        key=lambda v: v.receiver_index,
+    )
+    return tuple(oracles.trace_paths(scenario, scene, v, cfg) for v in receivers)
 
 
 class TestSegmentIntersectsBox:
@@ -111,30 +139,29 @@ def canyon():
 class TestTracePaths:
     def test_los_delay_is_distance_over_c(self, canyon):
         rx = _vehicle(0, 180.0, 9.75, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig())
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
         los = [r for r in rec.rays if r.interactions == "LOS"]
         assert len(los) == 1
         tx = canyon.rsu_position.to_array()
         roof = np.array([180.0, 9.75, rx.type.height])
         assert los[0].delay == pytest.approx(np.linalg.norm(roof - tx) / SPEED_OF_LIGHT, rel=1e-12)
 
-    def test_requires_receiver_index(self, canyon):
+    def test_scene_without_receivers_yields_nothing(self, canyon):
         v = _vehicle(0, 180.0, 9.75)
-        with pytest.raises(ValueError):
-            trace_paths(canyon, Scene(0.0, (v,)), v, TraceConfig())
+        assert trace_scene(canyon, Scene(0.0, (v,)), TraceConfig()) == ()
 
     def test_bus_blocks_line_of_sight(self, canyon):
         rx = _vehicle(0, 165.0, 16.75, receiver=1)  # straight across from the RSU
         # bus parked between the RSU and the receiver
         bus = _vehicle(1, 165.0, 9.75, kind=2)
-        rec = trace_paths(canyon, Scene(0.0, (rx, bus)), rx, TraceConfig())
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx, bus)), TraceConfig())
         assert all(r.interactions != "LOS" for r in rec.rays)
 
     def test_one_wall_reflection_matches_mirror_point(self, canyon):
         # oracle: path length via the explicitly mirrored source
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
         cfg = TraceConfig(max_reflections=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, cfg)
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), cfg)
         walls = [r for r in rec.rays if r.interactions == "R"]
         assert len(walls) == 2  # south wall at y=0, north wall at y=23
         tx = canyon.rsu_position.to_array()
@@ -148,12 +175,12 @@ class TestTracePaths:
 
     def test_ground_reflection_present(self, canyon):
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig(max_reflections=1))
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(max_reflections=1))
         assert any(r.interactions == "RG" for r in rec.rays)
 
     def test_rays_ranked_by_amplitude(self, canyon):
         rx = _vehicle(0, 220.0, 6.25, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig())
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
         mags = [abs(r.gain) for r in rec.rays]
         assert mags == sorted(mags, reverse=True)
 
@@ -162,24 +189,24 @@ class TestTracePaths:
         scene = Scene(0.0, (rx,))
         sets = []
         for k in (0, 1, 2):
-            rec = trace_paths(canyon, scene, rx, TraceConfig(max_reflections=k))
+            (rec,) = trace_scene(canyon, scene, TraceConfig(max_reflections=k))
             sets.append({(r.interactions, round(r.delay * 1e12, 3)) for r in rec.rays})
         assert sets[0] <= sets[1] <= sets[2]
 
     def test_truncates_to_max_rays(self, canyon):
         rx = _vehicle(0, 190.0, 9.75, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig(max_rays=3))
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(max_rays=3))
         assert len(rec.rays) == 3
 
     def test_received_power_consistent_with_ray_gains(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig(tx_power_dbm=0.0))
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(tx_power_dbm=0.0))
         total = sum(abs(r.gain) ** 2 for r in rec.rays)
         assert rec.p_rx_dbm == pytest.approx(10 * math.log10(total), abs=1e-6)
 
     def test_mean_toa_is_power_weighted(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig())
+        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
         weights = [abs(r.gain) ** 2 for r in rec.rays]
         expected = sum(w * r.delay for w, r in zip(weights, rec.rays)) / sum(weights)
         assert rec.mean_toa == pytest.approx(expected, rel=1e-12)
@@ -193,10 +220,105 @@ class TestTracePaths:
                 [(-7, 0, 0.0), (7, 0, 0.0), (0, 3.2, math.pi / 2), (0, -3.2, math.pi / 2)]
             )
         ]
-        rec = trace_paths(canyon, Scene(0.0, tuple([rx] + ring)), rx, TraceConfig(max_reflections=0))
+        (rec,) = trace_scene(canyon, Scene(0.0, tuple([rx] + ring)), TraceConfig(max_reflections=0))
         assert rec.rays == ()
         assert rec.p_rx_dbm is None and rec.mean_toa is None
         assert classify_los(rec) == LosStatus.NO_PATH
+
+
+class TestMatchesOracle:
+    """trace_scene equals the per-pair tracer it replaced, record for record."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_default_canyon(self, canyon, seed):
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=seed))
+        cfg = TraceConfig()
+        for scene in ep.scenes:
+            assert trace_scene(canyon, scene, cfg) == _oracle_scene(canyon, scene, cfg)
+
+    @pytest.mark.parametrize(
+        "lane_count, receivers, max_reflections, max_rays",
+        [
+            (1, 2, 0, 25),
+            (1, 4, 3, 7),
+            (4, 10, 1, 1),
+            (4, 10, 3, 25),
+            (6, 10, 0, 7),
+            (6, 2, 1, 25),
+            (6, 10, 3, 1),
+        ],
+    )
+    def test_varied_configs(self, lane_count, receivers, max_reflections, max_rays):
+        sc = make_canyon_scenario(ScenarioConfig(lane_count=lane_count))
+        params = EpisodeParams(
+            scenes_per_episode=3, receiver_count=receivers, seed=lane_count + max_rays
+        )
+        ep = generate_episode(sc, params)
+        cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
+        for scene in ep.scenes:
+            assert trace_scene(sc, scene, cfg) == _oracle_scene(sc, scene, cfg)
+
+    def test_gapped_walls_and_narrow_area(self, canyon):
+        # gaps between buildings reject wall bounces off the face; a narrowed
+        # tracing area rejects ground bounces outside it
+        sc = replace(
+            canyon,
+            buildings=tuple(b for i, b in enumerate(canyon.buildings) if i % 3 != 2),
+            rt_area=Rect(150.0, -20.0, 180.0, 43.0),
+        )
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=3, receiver_count=10, seed=3))
+        cfg = TraceConfig()
+        counts = {"R": [0, 0], "RG": [0, 0]}
+        for scene in ep.scenes:
+            records = trace_scene(sc, scene, cfg)
+            assert records == _oracle_scene(sc, scene, cfg)
+            for i, recs in enumerate((trace_scene(canyon, scene, cfg), records)):
+                for kind in counts:
+                    counts[kind][i] += sum(len(_rays_with(r, kind)) for r in recs)
+        assert counts["R"][1] < counts["R"][0]
+        assert counts["RG"][1] < counts["RG"][0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 330.0),
+                st.floats(0.5, 22.5),
+                st.integers(0, 2),
+                st.sampled_from([0.0, math.pi / 2, math.pi / 4, math.pi, 2.0]),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(0, 3),
+        st.integers(1, 25),
+    )
+    def test_random_placements(self, placements, max_reflections, max_rays):
+        canyon = make_canyon_scenario()
+        receivers = iter(range(1, len(placements) + 1))
+        scene = Scene(
+            0.0,
+            tuple(
+                _vehicle(i, x, y, kind, next(receivers) if tagged else None, heading)
+                for i, (x, y, kind, heading, tagged) in enumerate(placements)
+            ),
+        )
+        cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
+        assert trace_scene(canyon, scene, cfg) == _oracle_scene(canyon, scene, cfg)
+
+    def test_receiver_blocks_another_but_not_itself(self, canyon):
+        # receiver 2's bus stands on receiver 1's line of sight to the RSU
+        rx1 = _vehicle(0, 165.0, 16.75, receiver=1)
+        rx2 = _vehicle(1, 165.0, 9.75, kind=2, receiver=2)
+        scene = Scene(0.0, (rx1, rx2))
+        rec1, rec2 = trace_scene(canyon, scene, TraceConfig())
+        assert (rec1.rx_id, rec2.rx_id) == (1, 2)
+        assert _rays_with(rec1, "LOS") == []
+        assert _rays_with(rec2, "LOS") != []
+        # a last ground bounce rises to the roof through the bus's own box
+        assert _rays_with(rec2, "RG") != []
+        assert (rec1, rec2) == _oracle_scene(canyon, scene, TraceConfig())
 
 
 class TestSpecularGeometry:
@@ -213,7 +335,7 @@ class TestSpecularGeometry:
         for _ in range(300):
             tx = np.array([rng.uniform(0, 300), rng.uniform(1, 22), rng.uniform(2, 8)])
             rx = np.array([rng.uniform(0, 300), rng.uniform(1, 22), rng.uniform(1, 5)])
-            for points, seq in specular_paths(tx, rx, self.PLANES, 2):
+            for points, seq in _paths(tx, rx, self.PLANES, 2):
                 for k, plane in enumerate(seq):
                     b = points[k + 1]
                     d_in = b - points[k]
@@ -233,11 +355,11 @@ class TestSpecularGeometry:
         tx = canyon.rsu_position.to_array()
         for _ in range(100):
             rx = _vehicle(0, float(rng.uniform(60, 270)), 9.75, receiver=1)
-            rec = trace_paths(canyon, Scene(0.0, (rx,)), rx, TraceConfig())
+            (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
             roof = np.array([rx.position.x, rx.position.y, rx.type.height])
             lengths = sorted(
                 float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
-                for points, _ in specular_paths(tx, roof, self.PLANES, 2)
+                for points, _ in _paths(tx, roof, self.PLANES, 2)
             )
             got = sorted(r.delay * SPEED_OF_LIGHT for r in rec.rays)
             # open scene: every mirror candidate survives validation
@@ -249,8 +371,8 @@ class TestSpecularGeometry:
         for _ in range(50):
             tx = np.array([rng.uniform(0, 300), rng.uniform(1, 22), rng.uniform(2, 8)])
             rx = np.array([rng.uniform(0, 300), rng.uniform(1, 22), rng.uniform(1, 5)])
-            fwd = specular_paths(tx, rx, self.PLANES, 2)
-            bwd = specular_paths(rx, tx, self.PLANES, 2)
+            fwd = _paths(tx, rx, self.PLANES, 2)
+            bwd = _paths(rx, tx, self.PLANES, 2)
 
             def summary(paths, flip):
                 out = []

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from beamcanyon.dataset import build_episode_record
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
@@ -262,6 +263,25 @@ class TestAgents:
         table = _table(rng.random((8, 2, 2)))
         hyper = QLearningConfig(training_episodes=100, seed=9)
         assert tabular_q_agent(table, PARAMS, hyper) == tabular_q_agent(table, PARAMS, hyper)
+
+
+class TestTabularQMatchesOracle:
+    """tabular_q_agent plans exactly as the numpy version it replaced."""
+
+    @pytest.mark.parametrize("outage_after", [None, 1, 3])
+    @pytest.mark.parametrize("num_receivers", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equal_plans(self, seed, num_receivers, outage_after):
+        rng = np.random.default_rng(100 + seed)
+        # values on a coarse grid, so that argmax ties are common
+        table = _table(rng.integers(0, 3, size=(12, num_receivers, 3)) / 2.0)
+        params = SchedulerParams(outage_after=outage_after, num_receivers=num_receivers)
+        for hyper in (
+            QLearningConfig(training_episodes=1, seed=seed),
+            QLearningConfig(training_episodes=150, learning_rate=0.3, discount=0.9, seed=seed),
+        ):
+            expected = oracles.tabular_q_agent(table, params, hyper)
+            assert tabular_q_agent(table, params, hyper) == expected
 
 
 @pytest.fixture(scope="module")
