@@ -39,11 +39,11 @@ from .mimo import (
     sweep,
     upa_steering,
 )
-from .features import GridSpec, encode_for_receiver, encode_scene
+from .features import GridSpec, encode_scene, receiver_view
 from .dataset import (
     DatasetFormatError,
     EpisodeRecord,
-    Example,
+    Examples,
     SceneRecord,
     Split,
     build_episode_record,

@@ -8,11 +8,11 @@ check (k-nearest neighbours on the flattened occupancy grids).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import Example
+from .dataset import Examples
+from .features import receiver_view
 from .raytrace import LosStatus
 
 
@@ -38,12 +38,11 @@ class EvalReport:
     n_examples: int
 
 
-def examples_to_arrays(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, labels, nlos mask) matrices for a list of examples."""
-    x = np.stack([ex.features.reshape(-1) for ex in examples]).astype(np.float64)
-    y = np.array([ex.label for ex in examples], dtype=np.int64)
-    nlos = np.array([ex.los == LosStatus.NLOS for ex in examples], dtype=bool)
-    return x, y, nlos
+def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, labels, nlos mask) matrices for a table of examples."""
+    views = receiver_view(examples.grids[examples.grid_row], examples.receiver)
+    x = views.reshape(len(examples), -1).astype(np.float64)
+    return x, examples.label, examples.los == LosStatus.NLOS.value
 
 
 def majority_classifier(features: np.ndarray, labels: np.ndarray) -> MajorityModel:

@@ -9,6 +9,7 @@ seed is reproducible byte for byte.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -22,6 +23,7 @@ import numpy as np
 from . import classify as clf
 from .dataset import (
     EpisodeRecord,
+    Examples,
     Split,
     build_episode_record,
     export_csv,
@@ -32,7 +34,7 @@ from .dataset import (
     write_episodes,
 )
 from .features import GridSpec
-from .mimo import ArraySpec
+from .mimo import ArraySpec, LabelMap
 from .raytrace import LosStatus, TraceConfig
 from .scenario import EpisodeParams, ScenarioConfig, generate_episode, make_canyon_scenario
 from .scheduler import (
@@ -153,18 +155,11 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
         )
         for i in range(n_episodes)
     ]
-    records: list[EpisodeRecord] = []
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for record in pool.map(_generate_one, tasks):
-                records.append(record)
-                log.info("episode %d: %d scenes traced", record.episode_id, len(record.scenes))
-    else:
-        for task in tasks:
-            record = _generate_one(task)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        records = []
+        for record in (pool.map if pool else map)(_generate_one, tasks):
             records.append(record)
             log.info("episode %d: %d scenes traced", record.episode_id, len(record.scenes))
-    records.sort(key=lambda r: r.episode_id)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_episodes(records, out_path)
     print(f"wrote {len(records)} episodes to {out_path}")
@@ -172,7 +167,7 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
 
 def _load_split_examples(
     config: RunConfig, episodes_path: Path
-) -> tuple[Split, list, list, object]:
+) -> tuple[Split, Examples, Examples, LabelMap]:
     records = read_episodes(episodes_path)
     split = split_episodes(
         [r.episode_id for r in records],
@@ -188,12 +183,8 @@ def _load_split_examples(
     grid = GridSpec.from_area(records[0].v2i_area, config.grid_cell)
     train_records = [by_id[i] for i in split.train_episode_ids]
     test_records = [by_id[i] for i in split.test_episode_ids]
-    train, label_map = extract_examples(
-        train_records, grid, config.tx_array, config.rx_array, mode="fit"
-    )
-    test, _ = extract_examples(
-        test_records, grid, config.tx_array, config.rx_array, mode="apply", label_map=label_map
-    )
+    train, label_map = extract_examples(train_records, grid, config.tx_array, config.rx_array)
+    test, _ = extract_examples(test_records, grid, config.tx_array, config.rx_array, label_map)
     return split, train, test, label_map
 
 
@@ -213,8 +204,9 @@ def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
             sort_keys=True,
             indent=2,
         )
-    n_los = sum(1 for ex in train + test if ex.los == LosStatus.LOS)
-    n_nlos = sum(1 for ex in train + test if ex.los == LosStatus.NLOS)
+    los = np.concatenate([train.los, test.los])
+    n_los = int(np.count_nonzero(los == LosStatus.LOS.value))
+    n_nlos = int(np.count_nonzero(los == LosStatus.NLOS.value))
     print(f"episodes: {len(split.train_episode_ids)} train / {len(split.test_episode_ids)} test")
     print(f"classes: {label_map.num_classes}")
     print(f"examples: {len(train)} train / {len(test)} test (LOS {n_los}, NLOS {n_nlos})")

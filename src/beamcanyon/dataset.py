@@ -17,9 +17,9 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .features import GridSpec, encode_for_receiver, encode_scene
+from .features import GridSpec, encode_scene, receiver_view
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
-from .raytrace import LosStatus, PairRecord, Ray, TraceConfig, classify_los, trace_scene
+from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scene
 from .scenario import (
     Episode,
     EpisodeParams,
@@ -61,15 +61,25 @@ class EpisodeRecord:
 
 
 @dataclass(frozen=True)
-class Example:
-    episode_id: int
-    scene_index: int
-    receiver_index: int
-    features: np.ndarray
-    label: int
-    los: LosStatus
-    in_service_area: bool
-    target_angles: tuple[float, float, float, float]
+class Examples:
+    """One row per (scene, receiver) example, over one occupancy grid per scene.
+
+    ``grids`` stacks the ``encode_scene`` matrices; every other field is a
+    column with one entry per example. An example's features are
+    ``receiver_view(grids[grid_row], receiver)``.
+    """
+
+    grids: np.ndarray     # (scenes, rows, cols) int16
+    grid_row: np.ndarray  # index into grids
+    receiver: np.ndarray
+    label: np.ndarray
+    los: np.ndarray       # LosStatus values, "LOS" or "NLOS"
+    episode: np.ndarray
+    scene: np.ndarray
+    angles: np.ndarray    # (n, 4): dep_azimuth, dep_elevation, arr_azimuth, arr_elevation
+
+    def __len__(self) -> int:
+        return len(self.label)
 
 
 @dataclass(frozen=True)
@@ -288,6 +298,8 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
                 records.append(_record_from_obj(json.loads(line.rstrip("\n"))))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
                 raise DatasetFormatError(f"{path}: record {i}: {e}") from e
+    if not records:
+        raise DatasetFormatError(f"{path}: no episode records")
     if expected is not None and len(records) != expected:
         raise DatasetFormatError(
             f"{path}: truncated: header promises {expected} episode records, "
@@ -316,59 +328,41 @@ def extract_examples(
     grid: GridSpec,
     tx_spec: ArraySpec,
     rx_spec: ArraySpec,
-    mode: str = "fit",
     label_map: LabelMap | None = None,
-) -> tuple[list[Example], LabelMap]:
+) -> tuple[Examples, LabelMap]:
     """One example per (scene, receiver) with a beam-sweep label.
 
-    ``mode="fit"`` builds the label map from these records; ``mode="apply"``
-    requires an already-fitted map and sends unseen beam pairs to class 0.
-    Pairs with no rays are dropped. Receivers outside the service strip keep
-    their label but get an all-zero feature grid and a cleared flag.
+    Without ``label_map`` the map is fitted on these records; a given map
+    sends unseen beam pairs to class 0. Pairs with no rays are dropped.
+    Receivers outside the service strip keep their label and get an all-zero
+    view.
     """
-    if mode not in ("fit", "apply"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "apply" and label_map is None:
-        raise ValueError("apply mode requires a fitted label map")
-
+    scenes = [(rec.episode_id, i, s) for rec in records for i, s in enumerate(rec.scenes)]
+    kept = [
+        (k, pair) for k, (_, _, scene_rec) in enumerate(scenes) for pair in scene_rec.pairs if pair.rays
+    ]
     # sweep before encoding any grid, so that the sweep's scratch arrays are freed before the
-    # grids accumulate and add nothing to peak memory
-    records = list(records)
-    ray_lists = [
-        pair.rays for rec in records for scene_rec in rec.scenes for pair in scene_rec.pairs if pair.rays
-    ]
+    # grids are written and add nothing to peak memory
     raw_keys = [
-        key for result in sweep_rays(ray_lists, tx_spec, rx_spec) for key in result.best_index.tolist()
+        key
+        for result in sweep_rays([p.rays for _, p in kept], tx_spec, rx_spec)
+        for key in result.best_index.tolist()
     ]
-    if mode == "fit":
+    if label_map is None:
         label_map = compact_labels(raw_keys)
-    assert label_map is not None
-    keys = iter(raw_keys)
-    examples = []
-    for rec in records:
-        for scene_index, scene_rec in enumerate(rec.scenes):
-            grid_values = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
-            for pair in scene_rec.pairs:
-                if not pair.rays:
-                    continue
-                present = bool(np.any(grid_values == pair.rx_id))
-                features = (
-                    encode_for_receiver(grid_values, pair.rx_id)
-                    if present
-                    else np.zeros_like(grid_values)
-                )
-                examples.append(
-                    Example(
-                        episode_id=rec.episode_id,
-                        scene_index=scene_index,
-                        receiver_index=pair.rx_id,
-                        features=features,
-                        label=label_map.apply(next(keys)),
-                        los=classify_los(pair),
-                        in_service_area=present,
-                        target_angles=strongest_ray_angles(pair.rays),
-                    )
-                )
+    grids = np.empty((len(scenes), grid.rows, grid.cols), dtype=np.int16)
+    for k, (_, _, scene_rec) in enumerate(scenes):
+        grids[k] = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
+    examples = Examples(
+        grids=grids,
+        grid_row=np.array([k for k, _ in kept], dtype=np.intp),
+        receiver=np.array([p.rx_id for _, p in kept], dtype=np.int64),
+        label=np.array([label_map.apply(key) for key in raw_keys], dtype=np.int64),
+        los=np.array([classify_los(p).value for _, p in kept], dtype=str),
+        episode=np.array([scenes[k][0] for k, _ in kept], dtype=np.int64),
+        scene=np.array([scenes[k][1] for k, _ in kept], dtype=np.int64),
+        angles=np.array([strongest_ray_angles(p.rays) for _, p in kept], dtype=np.float64).reshape(-1, 4),
+    )
     return examples, label_map
 
 
@@ -384,32 +378,35 @@ CSV_FIXED_COLUMNS = (
 )
 
 
-def export_csv(examples: Sequence[Example], path: str | os.PathLike) -> None:
-    """Flattened row-major grids plus the fixed label/metadata columns, atomically.
+def export_csv(examples: Examples, path: str | os.PathLike) -> None:
+    """Flattened row-major per-receiver views plus the fixed label/metadata columns, atomically.
 
-    Each cell is written as ``int(c)``. The bytes come from a table of
-    ``"<code>,"`` for every integer between the smallest and the largest
-    cell, padded to one width, so a row is one table lookup with the padding
-    dropped.
+    Each row's view is built from its scene grid as the row is written, and
+    each cell is written as an integer. The bytes come from a table of
+    ``"<code>,"`` for every integer a view can hold, padded to one width, so a
+    row is one table lookup with the padding dropped.
     """
-    if not examples:
+    if not len(examples):
         raise ValueError("no examples to export")
-    n_cells = examples[0].features.size
-    if any(ex.features.size != n_cells for ex in examples):
-        raise ValueError("examples have inconsistent grid sizes")
-    # int() truncates toward zero, which is monotone, so the extremes convert alone
-    lo = min(int(ex.features.min()) for ex in examples)
-    hi = max(int(ex.features.max()) for ex in examples)
-    table = np.array([f"{code}," for code in range(lo, hi + 1)], dtype=bytes)
-    header = [f"g{i}" for i in range(n_cells)] + list(CSV_FIXED_COLUMNS)
+    # a view holds its grid's codes up to 0, -1 for other receivers and +1 for the target
+    lo = min(int(examples.grids.min()), -1)
+    table = np.array([f"{code}," for code in range(lo, 2)], dtype=bytes)
+    header = [f"g{i}" for i in range(examples.grids[0].size)] + list(CSV_FIXED_COLUMNS)
+    rows = zip(
+        examples.grid_row.tolist(),
+        examples.receiver.tolist(),
+        examples.label.tolist(),
+        examples.los.tolist(),
+        examples.episode.tolist(),
+        examples.scene.tolist(),
+        examples.angles.tolist(),
+    )
     try:
         with open_atomic(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
-            for ex in examples:
-                cells = ex.features.reshape(-1).astype(np.intp)
+            for grid_row, receiver, *fixed, angles in rows:
+                cells = receiver_view(examples.grids[grid_row], receiver).reshape(-1).astype(np.intp)
                 f.write(table[cells - lo].tobytes().replace(b"\0", b""))
-                fixed = [str(ex.label), ex.los.value, str(ex.episode_id), str(ex.scene_index)]
-                fixed.extend(repr(float(a)) for a in ex.target_angles)
-                f.write((",".join(fixed) + "\n").encode())
+                f.write((",".join([*map(str, fixed), *map(repr, angles)]) + "\n").encode())
     except OSError as e:
         raise OSError(f"failed writing {path}: {e}") from e

@@ -2,8 +2,9 @@
 
 A scene becomes an integer matrix over the service strip: 0 for free cells,
 a negative height-class code for blocker vehicles (car -1, truck -2, bus -3)
-and the positive receiver index for receiver vehicles. A per-receiver view
-rewrites the target receiver to +1 and every other receiver to -1.
+and the positive receiver index for receiver vehicles. The receivers of a
+scene share its matrix; a per-receiver view of it rewrites the target
+receiver to +1 and every other receiver to -1.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario, Scene, VehicleKind, vehicle_bounding_box
+from .scenario import Scene, VehicleKind, vehicle_bounding_box
 
 HEIGHT_CODES = {VehicleKind.CAR: -1, VehicleKind.TRUCK: -2, VehicleKind.BUS: -3}
 
@@ -34,20 +35,13 @@ class GridSpec:
 
     @classmethod
     def from_area(cls, area, cell: float = 1.0) -> "GridSpec":
-        """Grid covering a service-strip rectangle, anchored at its (xmin, ymin) corner."""
+        """Grid covering a service-strip rectangle, anchored at its (xmin, ymin) corner.
+
+        Rows run across the street (+y), columns along it (+x).
+        """
         rows = int(round(area.y_extent / cell))
         cols = int(round(area.x_extent / cell))
         return cls(origin=(area.xmin, area.ymin), rows=rows, cols=cols, cell=cell)
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario, cell: float = 1.0) -> "GridSpec":
-        """Grid covering the service strip, anchored at the corner nearest the RSU.
-
-        The default canyon puts the RSU on the low-y side, so the anchor is
-        the (xmin, ymin) corner; rows run across the street (+y), columns
-        along it (+x). Corner-distance ties also resolve to (xmin, ymin).
-        """
-        return cls.from_area(scenario.v2i_area, cell)
 
 
 def _cell_range(lo: float, hi: float, origin: float, cell: float, count: int) -> range:
@@ -90,15 +84,18 @@ def encode_scene(scene: Scene, grid: GridSpec) -> np.ndarray:
     return out
 
 
-def encode_for_receiver(grid_values: np.ndarray, receiver_index: int) -> np.ndarray:
-    """Per-receiver view: the target becomes +1, all other receivers -1."""
-    if receiver_index < 1:
+def receiver_view(grids: np.ndarray, receivers) -> np.ndarray:
+    """Per-receiver views of scene grids: the target becomes +1, all other receivers -1.
+
+    ``grids`` is one (rows, cols) grid or a stack of them, and ``receivers``
+    one receiver index per grid. A receiver absent from its grid (off the
+    service strip) gets an all-zero view.
+    """
+    receivers = np.asarray(receivers)
+    if np.any(receivers < 1):
         raise ValueError("receiver_index must be positive")
-    if not np.any(grid_values == receiver_index):
-        raise ValueError(f"receiver {receiver_index} does not appear in the grid")
-    out = grid_values.copy()
-    others = (out > 0) & (out != receiver_index)
-    target = out == receiver_index
-    out[others] = -1
-    out[target] = 1
-    return out
+    target = grids == receivers[..., None, None]
+    view = np.where(grids > 0, -1, grids)
+    view[target] = 1
+    view *= target.any(axis=(-2, -1), keepdims=True)
+    return view

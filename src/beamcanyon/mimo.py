@@ -168,11 +168,6 @@ class LabelMap:
     def apply(self, key: Hashable) -> int:
         return self._index.get(key, UNKNOWN_CLASS)
 
-    def key_for(self, label: int) -> Hashable:
-        if not 1 <= label <= self.num_classes:
-            raise ValueError(f"label {label} out of range 1..{self.num_classes}")
-        return self.ordered_keys[label - 1]
-
 
 def compact_labels(raw_keys: Iterable[Hashable]) -> LabelMap:
     """Assign classes 1..M to the distinct keys, in canonical sorted order."""

@@ -1,7 +1,8 @@
 """Reference implementations of the rewritten production paths.
 
 These are the per-pair channel composition and beam sweep, the cell-by-cell
-CSV writer, the traffic model that rebuilt a frozen scene on every step, the
+CSV writer, the example extraction that kept one feature grid per example
+with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time, and
 the numpy tabular Q-learning agent, exactly as they were before the
 rewrites. The production code must reproduce them bit for bit.
@@ -10,16 +11,19 @@ rewrites. The production code must reproduce them bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-from typing import Sequence
+import os
+from dataclasses import dataclass, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from beamcanyon.dataset import CSV_FIXED_COLUMNS, Example
-from beamcanyon.mimo import ArraySpec
+from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, open_atomic
+from beamcanyon.features import GridSpec, encode_scene
+from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
     _FACE_TOL,
     SPEED_OF_LIGHT,
+    LosStatus,
     PairRecord,
     Ray,
     ReflectorPlane,
@@ -27,6 +31,7 @@ from beamcanyon.raytrace import (
     _azimuth_elevation,
     _mirror,
     _wall_planes,
+    classify_los,
     free_space_gain,
 )
 from beamcanyon.scheduler import (
@@ -84,7 +89,125 @@ def sweep(h: np.ndarray, tx_codebook: np.ndarray, rx_codebook: np.ndarray) -> tu
     return outputs, int(np.argmax(np.abs(outputs)))
 
 
-def export_csv(examples: Sequence[Example], path) -> None:
+@dataclass(frozen=True)
+class Example:
+    episode_id: int
+    scene_index: int
+    receiver_index: int
+    features: np.ndarray
+    label: int
+    los: LosStatus
+    in_service_area: bool
+    target_angles: tuple[float, float, float, float]
+
+
+def encode_for_receiver(grid_values: np.ndarray, receiver_index: int) -> np.ndarray:
+    """Per-receiver view: the target becomes +1, all other receivers -1."""
+    if receiver_index < 1:
+        raise ValueError("receiver_index must be positive")
+    if not np.any(grid_values == receiver_index):
+        raise ValueError(f"receiver {receiver_index} does not appear in the grid")
+    out = grid_values.copy()
+    others = (out > 0) & (out != receiver_index)
+    target = out == receiver_index
+    out[others] = -1
+    out[target] = 1
+    return out
+
+
+def extract_examples(
+    records: Iterable[EpisodeRecord],
+    grid: GridSpec,
+    tx_spec: ArraySpec,
+    rx_spec: ArraySpec,
+    mode: str = "fit",
+    label_map: LabelMap | None = None,
+) -> tuple[list[Example], LabelMap]:
+    """One example per (scene, receiver) with a beam-sweep label.
+
+    ``mode="fit"`` builds the label map from these records; ``mode="apply"``
+    requires an already-fitted map and sends unseen beam pairs to class 0.
+    Pairs with no rays are dropped. Receivers outside the service strip keep
+    their label but get an all-zero feature grid and a cleared flag.
+    """
+    if mode not in ("fit", "apply"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "apply" and label_map is None:
+        raise ValueError("apply mode requires a fitted label map")
+
+    # sweep before encoding any grid, so that the sweep's scratch arrays are freed before the
+    # grids accumulate and add nothing to peak memory
+    records = list(records)
+    ray_lists = [
+        pair.rays for rec in records for scene_rec in rec.scenes for pair in scene_rec.pairs if pair.rays
+    ]
+    raw_keys = [
+        key for result in sweep_rays(ray_lists, tx_spec, rx_spec) for key in result.best_index.tolist()
+    ]
+    if mode == "fit":
+        label_map = compact_labels(raw_keys)
+    assert label_map is not None
+    keys = iter(raw_keys)
+    examples = []
+    for rec in records:
+        for scene_index, scene_rec in enumerate(rec.scenes):
+            grid_values = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
+            for pair in scene_rec.pairs:
+                if not pair.rays:
+                    continue
+                present = bool(np.any(grid_values == pair.rx_id))
+                features = (
+                    encode_for_receiver(grid_values, pair.rx_id)
+                    if present
+                    else np.zeros_like(grid_values)
+                )
+                examples.append(
+                    Example(
+                        episode_id=rec.episode_id,
+                        scene_index=scene_index,
+                        receiver_index=pair.rx_id,
+                        features=features,
+                        label=label_map.apply(next(keys)),
+                        los=classify_los(pair),
+                        in_service_area=present,
+                        target_angles=strongest_ray_angles(pair.rays),
+                    )
+                )
+    return examples, label_map
+
+
+def export_csv(examples: Sequence[Example], path: str | os.PathLike) -> None:
+    """Flattened row-major grids plus the fixed label/metadata columns, atomically.
+
+    Each cell is written as ``int(c)``. The bytes come from a table of
+    ``"<code>,"`` for every integer between the smallest and the largest
+    cell, padded to one width, so a row is one table lookup with the padding
+    dropped.
+    """
+    if not examples:
+        raise ValueError("no examples to export")
+    n_cells = examples[0].features.size
+    if any(ex.features.size != n_cells for ex in examples):
+        raise ValueError("examples have inconsistent grid sizes")
+    # int() truncates toward zero, which is monotone, so the extremes convert alone
+    lo = min(int(ex.features.min()) for ex in examples)
+    hi = max(int(ex.features.max()) for ex in examples)
+    table = np.array([f"{code}," for code in range(lo, hi + 1)], dtype=bytes)
+    header = [f"g{i}" for i in range(n_cells)] + list(CSV_FIXED_COLUMNS)
+    try:
+        with open_atomic(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for ex in examples:
+                cells = ex.features.reshape(-1).astype(np.intp)
+                f.write(table[cells - lo].tobytes().replace(b"\0", b""))
+                fixed = [str(ex.label), ex.los.value, str(ex.episode_id), str(ex.scene_index)]
+                fixed.extend(repr(float(a)) for a in ex.target_angles)
+                f.write((",".join(fixed) + "\n").encode())
+    except OSError as e:
+        raise OSError(f"failed writing {path}: {e}") from e
+
+
+def export_csv_by_cell(examples: Sequence[Example], path) -> None:
     """Write each cell with str(int(c)), one example per line."""
     if not examples:
         raise ValueError("no examples to export")

@@ -21,7 +21,7 @@ from beamcanyon.dataset import (
     split_episodes,
     write_episodes,
 )
-from beamcanyon.features import GridSpec, encode_scene
+from beamcanyon.features import GridSpec, encode_scene, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
 from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
@@ -88,7 +88,7 @@ def desk_dataset(tmp_path_factory):
 def test_criterion_01_structural_constants():
     started = time.monotonic()
     scenario = make_canyon_scenario()
-    grid = GridSpec.from_scenario(scenario)
+    grid = GridSpec.from_area(scenario.v2i_area)
     assert (grid.rows, grid.cols) == (23, 250)
     params = EpisodeParams()
     assert params.sample_period == 0.1
@@ -313,10 +313,8 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     by_id = {r.episode_id: r for r in records}
     train_records = [by_id[i] for i in split.train_episode_ids]
     test_records = [by_id[i] for i in split.test_episode_ids]
-    train, label_map = extract_examples(train_records, grid, ARRAY, ARRAY, mode="fit")
-    test, _ = extract_examples(
-        test_records, grid, ARRAY, ARRAY, mode="apply", label_map=label_map
-    )
+    train, label_map = extract_examples(train_records, grid, ARRAY, ARRAY)
+    test, _ = extract_examples(test_records, grid, ARRAY, ARRAY, label_map)
     codebook = dft_codebook(ARRAY)
     pairs = {
         (r.episode_id, s, p.rx_id): p
@@ -324,10 +322,13 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
         for s, scene_rec in enumerate(r.scenes)
         for p in scene_rec.pairs
     }
-    for ex in train + test:
-        pair = pairs[(ex.episode_id, ex.scene_index, ex.receiver_index)]
-        reswept = sweep(compose_channel([pair.rays], ARRAY, ARRAY), codebook, codebook).best_index[0]
-        assert label_map.apply(reswept) == ex.label
+    for examples in (train, test):
+        for episode, scene, receiver, label in zip(
+            examples.episode, examples.scene, examples.receiver, examples.label
+        ):
+            pair = pairs[(episode, scene, receiver)]
+            reswept = sweep(compose_channel([pair.rays], ARRAY, ARRAY), codebook, codebook).best_index[0]
+            assert label_map.apply(reswept) == label
     _report(
         8,
         started,
@@ -403,9 +404,7 @@ def test_criterion_10_end_to_end_desk_run(desk_dataset):
                 ),
             ),
         )
-        from beamcanyon.features import encode_for_receiver
-
-        return encode_for_receiver(encode_scene(scene, grid), 1).reshape(-1)
+        return receiver_view(encode_scene(scene, grid), 1).reshape(-1)
 
     labels = np.array([1, 2] * 30)
     feats = np.stack([fixture_example(int(lab)) for lab in labels]).astype(float)

@@ -1,5 +1,6 @@
-"""The batched sweep and the table-driven CSV writer against their scalar oracles."""
+"""The batched sweep, the per-receiver view and the table-driven CSV writer against their oracles."""
 
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -12,7 +13,10 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from beamcanyon import mimo
-from beamcanyon.dataset import Example, export_csv
+from beamcanyon.classify import examples_to_arrays
+from beamcanyon.cli import main
+from beamcanyon.dataset import Examples, export_csv, extract_examples, read_episodes
+from beamcanyon.features import GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep, sweep_rays, upa_steering
 from beamcanyon.raytrace import LosStatus, Ray, TraceConfig
 
@@ -109,17 +113,63 @@ def test_sweep_rays_of_nothing_yields_nothing():
     assert list(sweep_rays([], TX, RX)) == []
 
 
-def _example(features, i=0):
-    return Example(
-        episode_id=i // 3,
-        scene_index=i,
-        receiver_index=1,
-        features=features,
-        label=i % 4,
-        los=LosStatus.LOS if i % 2 else LosStatus.NLOS,
-        in_service_area=True,
-        target_angles=(0.1 * i, 2.0, -math.pi, 1e-17),
+def _oracle_view(grid_values, receiver):
+    """The per-receiver features as the old per-example extraction built them."""
+    if np.any(grid_values == receiver):
+        return oracles.encode_for_receiver(grid_values, receiver)
+    return np.zeros_like(grid_values)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_receiver_view_matches_oracle(data):
+    n_receivers = data.draw(st.integers(1, 10))
+    grids = data.draw(
+        hnp.arrays(
+            np.int16,
+            st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 6)),
+            elements=st.integers(-3, n_receivers),
+        )
     )
+    # receivers 1..R, each present in its grid or not
+    receivers = data.draw(hnp.arrays(np.int64, len(grids), elements=st.integers(1, n_receivers)))
+    stacked = receiver_view(grids, receivers)
+    assert stacked.dtype == grids.dtype
+    for grid_values, receiver, view in zip(grids, receivers, stacked):
+        expected = _oracle_view(grid_values, int(receiver))
+        assert np.array_equal(view, expected)
+        assert np.array_equal(receiver_view(grid_values, receiver), expected)
+
+
+def _table(grids, receivers=None):
+    n = len(grids)
+    rows = np.arange(n)
+    return Examples(
+        grids=np.stack(grids),
+        grid_row=rows,
+        receiver=np.ones(n, dtype=np.int64) if receivers is None else np.array(receivers),
+        label=rows % 4,
+        los=np.where(rows % 2 == 1, LosStatus.LOS.value, LosStatus.NLOS.value),
+        episode=rows // 3,
+        scene=rows,
+        angles=np.array([(0.1 * i, 2.0, -math.pi, 1e-17) for i in range(n)]),
+    )
+
+
+def _oracle_examples(table):
+    return [
+        oracles.Example(
+            episode_id=int(table.episode[i]),
+            scene_index=int(table.scene[i]),
+            receiver_index=int(table.receiver[i]),
+            features=_oracle_view(table.grids[table.grid_row[i]], int(table.receiver[i])),
+            label=int(table.label[i]),
+            los=LosStatus(table.los[i]),
+            in_service_area=True,
+            target_angles=tuple(table.angles[i].tolist()),
+        )
+        for i in range(len(table))
+    ]
 
 
 def _csv_bytes(writer, examples):
@@ -129,9 +179,9 @@ def _csv_bytes(writer, examples):
         return path.read_bytes()
 
 
-def _assert_same_csv(grids):
-    examples = [_example(g, i) for i, g in enumerate(grids)]
-    assert _csv_bytes(export_csv, examples) == _csv_bytes(oracles.export_csv, examples)
+def _assert_same_csv(grids, receivers=None):
+    table = _table(grids, receivers)
+    assert _csv_bytes(export_csv, table) == _csv_bytes(oracles.export_csv_by_cell, _oracle_examples(table))
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -141,9 +191,15 @@ def test_csv_matches_oracle_on_occupancy_codes(grids):
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(hnp.arrays(np.int16, (2, 4), elements=st.integers(-40, 40)), min_size=1, max_size=5))
-def test_csv_matches_oracle_on_wider_int16_codes(grids):
-    _assert_same_csv(grids)
+@given(
+    st.lists(
+        st.tuples(hnp.arrays(np.int16, (2, 4), elements=st.integers(-40, 40)), st.integers(1, 40)),
+        min_size=1,
+        max_size=5,
+    )
+)
+def test_csv_matches_oracle_on_wider_int16_codes(rows):
+    _assert_same_csv([grid for grid, _ in rows], [receiver for _, receiver in rows])
 
 
 def test_csv_matches_oracle_on_all_zero_grids():
@@ -151,16 +207,31 @@ def test_csv_matches_oracle_on_all_zero_grids():
 
 
 def test_csv_matches_oracle_outside_occupancy_codes():
-    _assert_same_csv([np.array([[7, -12, 0], [1, -3, 7]], dtype=np.int16), np.full((2, 3), -12, np.int16)])
+    _assert_same_csv(
+        [np.array([[7, -12, 0], [1, -3, 7]], dtype=np.int16), np.full((2, 3), -12, np.int16)], [7, 1]
+    )
 
 
-def test_csv_matches_oracle_on_float_features():
-    # int() truncates toward zero: 2.7 -> 2, -2.7 -> -2, -0.5 -> 0
-    _assert_same_csv([np.array([[2.7, -2.7, -0.5], [0.0, -12.9, 0.99]]), np.array([[1.0, 3.5, -1.5], [7.2, 0.4, -0.4]])])
-
-
-def test_inconsistent_grid_sizes_rejected(tmp_path):
-    examples = [_example(np.zeros((2, 3), np.int16)), _example(np.zeros((2, 4), np.int16), 1)]
-    with pytest.raises(ValueError, match="inconsistent grid sizes"):
-        export_csv(examples, tmp_path / "x.csv")
-    assert list(tmp_path.iterdir()) == []
+def test_csv_matches_oracle_extraction_on_seed_7_records(tmp_path, capsys):
+    # 3 s between scenes, so that receivers drive off the service strip within an episode
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"episode": {"sample_period": 3.0}}))
+    argv = ["--config", str(config), "--seed", "7", "--out", str(tmp_path)]
+    assert main(argv + ["generate", "--episodes", "3", "--scenes", "10"]) == 0
+    capsys.readouterr()
+    records = read_episodes(tmp_path / "episodes.jsonl")
+    grid = GridSpec.from_area(records[0].v2i_area)
+    train, label_map = extract_examples(records[:2], grid, TX, RX)
+    test, _ = extract_examples(records[2:], grid, TX, RX, label_map)
+    old_train, old_map = oracles.extract_examples(records[:2], grid, TX, RX, mode="fit")
+    old_test, _ = oracles.extract_examples(records[2:], grid, TX, RX, mode="apply", label_map=old_map)
+    assert label_map == old_map
+    for examples, old in ((train, old_train), (test, old_test)):
+        off_strip = sum(not ex.in_service_area for ex in old)
+        assert 0 < off_strip < len(old)
+        assert len(examples) == len(old)
+        assert _csv_bytes(export_csv, examples) == _csv_bytes(oracles.export_csv, old)
+        x, y, nlos = examples_to_arrays(examples)
+        assert np.array_equal(x, np.stack([ex.features.reshape(-1) for ex in old]).astype(np.float64))
+        assert np.array_equal(y, [ex.label for ex in old])
+        assert np.array_equal(nlos, [ex.los == LosStatus.NLOS for ex in old])

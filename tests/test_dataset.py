@@ -1,12 +1,13 @@
 import csv
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from beamcanyon.dataset import (
     DatasetFormatError,
+    Examples,
     build_episode_record,
     export_csv,
     extract_examples,
@@ -14,7 +15,7 @@ from beamcanyon.dataset import (
     split_episodes,
     write_episodes,
 )
-from beamcanyon.features import GridSpec
+from beamcanyon.features import GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
 from beamcanyon.raytrace import LosStatus, TraceConfig
 from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
@@ -39,7 +40,18 @@ def records(canyon):
 
 @pytest.fixture(scope="module")
 def grid(canyon):
-    return GridSpec.from_scenario(canyon)
+    return GridSpec.from_area(canyon.v2i_area)
+
+
+def _rows(examples, rows):
+    """The examples at ``rows``, over the same scene grids."""
+    return replace(
+        examples, **{f.name: getattr(examples, f.name)[rows] for f in fields(Examples) if f.name != "grids"}
+    )
+
+
+def _views(examples):
+    return receiver_view(examples.grids[examples.grid_row], examples.receiver)
 
 
 class TestRoundTrip:
@@ -74,6 +86,14 @@ class TestRoundTrip:
         path = tmp_path / "bogus.jsonl"
         path.write_text(json.dumps({"format": "something-else", "version": 1}) + "\n")
         with pytest.raises(DatasetFormatError, match="not a"):
+            read_episodes(path)
+
+    def test_header_without_records_rejected(self, tmp_path):
+        path = tmp_path / "none.jsonl"
+        path.write_text(
+            json.dumps({"episode_count": 0, "format": "beamcanyon-episodes", "version": 1}) + "\n"
+        )
+        with pytest.raises(DatasetFormatError, match="no episode records"):
             read_episodes(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -140,101 +160,100 @@ class TestSplitEpisodes:
 
 class TestExtractExamples:
     def test_example_count_bounded(self, records, grid):
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY, mode="fit")
+        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
         assert 0 < len(examples) <= sum(len(r.scenes) for r in records) * 5
+        assert {len(getattr(examples, f.name)) for f in fields(Examples) if f.name != "grids"} == {
+            len(examples)
+        }
 
     def test_train_labels_one_based(self, records, grid):
-        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY, mode="fit")
-        assert all(1 <= ex.label <= label_map.num_classes for ex in examples)
+        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY)
+        assert ((1 <= examples.label) & (examples.label <= label_map.num_classes)).all()
 
     def test_apply_mode_may_produce_unknown(self, records, grid):
-        _, label_map = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
-        test_examples, _ = extract_examples(
-            records[1:], grid, ARRAY, ARRAY, mode="apply", label_map=label_map
-        )
-        assert all(0 <= ex.label <= label_map.num_classes for ex in test_examples)
-
-    def test_apply_without_map_rejected(self, records, grid):
-        with pytest.raises(ValueError):
-            extract_examples(records, grid, ARRAY, ARRAY, mode="apply")
-
-    def test_unknown_mode_rejected(self, records, grid):
-        with pytest.raises(ValueError):
-            extract_examples(records, grid, ARRAY, ARRAY, mode="both")
+        _, label_map = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        test_examples, applied = extract_examples(records[1:], grid, ARRAY, ARRAY, label_map)
+        assert applied is label_map
+        assert ((0 <= test_examples.label) & (test_examples.label <= label_map.num_classes)).all()
 
     def test_labels_match_relooked_sweeps(self, records, grid):
         # stored label reproduces when the stored rays are swept again
-        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY, mode="fit")
+        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY)
         cb = dft_codebook(ARRAY)
         by_key = {(r.episode_id, s, p.rx_id): p for r in records for s, sr in enumerate(r.scenes) for p in sr.pairs}
-        for ex in examples:
-            pair = by_key[(ex.episode_id, ex.scene_index, ex.receiver_index)]
+        for episode, scene, receiver, label in zip(
+            examples.episode, examples.scene, examples.receiver, examples.label
+        ):
+            pair = by_key[(episode, scene, receiver)]
             raw = sweep(compose_channel([pair.rays], ARRAY, ARRAY), cb, cb).best_index[0]
-            assert label_map.apply(raw) == ex.label
+            assert label_map.apply(raw) == label
 
     def test_outside_strip_receiver_flagged_with_zero_grid(self, records, grid):
         # receivers in the study area but off the service strip keep a label
         # and carry the all-zero sentinel grid
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY, mode="fit")
-        outside = [ex for ex in examples if not ex.in_service_area]
-        inside = [ex for ex in examples if ex.in_service_area]
-        assert inside, "expected at least some receivers on the service strip"
-        for ex in outside:
-            assert not ex.features.any()
-            assert ex.label >= 0
-        for ex in inside[:10]:
-            assert (ex.features == 1).any()
+        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
+        present = (examples.grids[examples.grid_row] == examples.receiver[:, None, None]).any(axis=(1, 2))
+        assert present.any(), "expected at least some receivers on the service strip"
+        views = _views(examples)
+        assert not views[~present].any()
+        assert (examples.label[~present] >= 0).all()
+        assert (views[present] == 1).any(axis=(1, 2)).all()
 
     def test_features_shape_matches_grid(self, records, grid):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
-        assert examples[0].features.shape == (grid.rows, grid.cols)
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        assert examples.grids.shape == (len(records[0].scenes), grid.rows, grid.cols)
+        assert _views(examples).shape == (len(examples), grid.rows, grid.cols)
 
     def test_los_flags_recorded(self, records, grid):
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY, mode="fit")
-        assert {ex.los for ex in examples} <= {LosStatus.LOS, LosStatus.NLOS}
+        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
+        assert set(examples.los.tolist()) <= {LosStatus.LOS.value, LosStatus.NLOS.value}
 
 
 class TestExportCsv:
     def test_row_and_column_counts(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
         path = tmp_path / "examples.csv"
-        export_csv(examples[:3], path)
+        export_csv(_rows(examples, slice(3)), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 4
         assert all(len(line.split(",")) == 23 * 250 + 8 for line in lines)
 
     def test_reimport_reproduces_labels(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
         path = tmp_path / "examples.csv"
         export_csv(examples, path)
         with open(path) as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == len(examples)
-        for row, ex in zip(rows, examples):
-            assert int(row["label"]) == ex.label
-            assert row["los"] == ex.los.value
-            assert int(row["episode"]) == ex.episode_id
-            assert int(row["scene"]) == ex.scene_index
-            assert float(row["dep_azimuth"]) == ex.target_angles[0]
+        views = _views(examples).reshape(len(examples), -1)
+        for i, row in enumerate(rows):
+            assert int(row["label"]) == examples.label[i]
+            assert row["los"] == examples.los[i]
+            assert int(row["episode"]) == examples.episode[i]
+            assert int(row["scene"]) == examples.scene[i]
+            assert float(row["dep_azimuth"]) == examples.angles[i, 0]
             grid_back = np.array([int(row[f"g{i}"]) for i in range(10)])
-            assert (grid_back == ex.features.reshape(-1)[:10]).all()
+            assert (grid_back == views[i, :10]).all()
 
-    def test_empty_examples_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            export_csv([], tmp_path / "x.csv")
+    def test_empty_examples_rejected(self, records, grid, tmp_path):
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        with pytest.raises(ValueError, match="no examples"):
+            export_csv(_rows(examples, slice(0)), tmp_path / "x.csv")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_export_leaves_no_partial_or_temp_file(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY, mode="fit")
-        # the third row cannot be formatted, after two rows have been written
-        broken = examples[:2] + [replace(examples[2], los=None)]
+        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        # the third row points past the scene grids, after two rows have been written
+        first = _rows(examples, slice(3))
+        broken = replace(first, grid_row=np.array([0, 0, len(examples.grids)]))
         path = tmp_path / "examples.csv"
-        with pytest.raises(AttributeError):
+        with pytest.raises(IndexError):
             export_csv(broken, path)
         assert list(tmp_path.iterdir()) == []
         # a file already at the path survives a failed rewrite unchanged
-        export_csv(examples[:2], path)
+        export_csv(first, path)
         before = path.read_bytes()
-        with pytest.raises(AttributeError):
+        with pytest.raises(IndexError):
             export_csv(broken, path)
         assert path.read_bytes() == before
         assert list(tmp_path.iterdir()) == [path]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from beamcanyon.features import GridSpec, encode_for_receiver, encode_scene
+from beamcanyon.features import GridSpec, encode_scene, receiver_view
 from beamcanyon.scenario import (
     DEFAULT_VEHICLE_TYPES,
     Scene,
@@ -30,7 +30,7 @@ GRID = GridSpec(origin=(0.0, 0.0), rows=23, cols=250, cell=1.0)
 class TestGridSpec:
     def test_from_scenario_matches_service_strip(self):
         sc = make_canyon_scenario()
-        grid = GridSpec.from_scenario(sc)
+        grid = GridSpec.from_area(sc.v2i_area)
         assert (grid.rows, grid.cols) == (23, 250)
         assert grid.origin == (sc.v2i_area.xmin, sc.v2i_area.ymin)
 
@@ -115,10 +115,12 @@ class TestEncodeScene:
 
 
 class TestEncodeForReceiver:
+    """The per-receiver view of a scene grid."""
+
     def test_target_and_other_receivers(self):
         scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=1), _vehicle(1, 120.0, 10.0, receiver=2)))
         base = encode_scene(scene, GRID)
-        out = encode_for_receiver(base, 1)
+        out = receiver_view(base, 1)
         assert (out[base == 1] == 1).all()
         assert (out[base == 2] == -1).all()
         assert out.max() <= 1
@@ -126,22 +128,35 @@ class TestEncodeForReceiver:
     def test_blockers_and_empty_cells_unchanged(self):
         scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=1), _vehicle(1, 130.0, 6.0, kind=1)))
         base = encode_scene(scene, GRID)
-        out = encode_for_receiver(base, 1)
+        out = receiver_view(base, 1)
         assert (out[base == -2] == -2).all()
         assert (out[base == 0] == 0).all()
 
-    def test_missing_receiver_rejected(self):
+    def test_missing_receiver_gets_zero_view(self):
         base = encode_scene(Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=1),)), GRID)
-        with pytest.raises(ValueError):
-            encode_for_receiver(base, 5)
+        out = receiver_view(base, 5)
+        assert out.shape == base.shape and out.dtype == base.dtype
+        assert not out.any()
 
     def test_idempotent_for_receiver_one(self):
         scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=1), _vehicle(1, 120.0, 10.0, receiver=2)))
-        once = encode_for_receiver(encode_scene(scene, GRID), 1)
-        twice = encode_for_receiver(once, 1)
+        once = receiver_view(encode_scene(scene, GRID), 1)
+        twice = receiver_view(once, 1)
         assert (once == twice).all()
 
     def test_invalid_index_rejected(self):
         base = np.zeros((4, 4), dtype=np.int16)
         with pytest.raises(ValueError):
-            encode_for_receiver(base, 0)
+            receiver_view(base, 0)
+        with pytest.raises(ValueError):
+            receiver_view(np.stack([base, base]), np.array([1, 0]))
+
+    def test_stack_matches_one_grid_at_a_time(self):
+        scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=1), _vehicle(1, 120.0, 10.0, receiver=2)))
+        base = encode_scene(scene, GRID)
+        grids = np.stack([base, base, np.zeros_like(base)])
+        receivers = np.array([1, 2, 1])
+        stacked = receiver_view(grids, receivers)
+        for grid_values, receiver, view in zip(grids, receivers, stacked):
+            assert np.array_equal(view, receiver_view(grid_values, receiver))
+        assert not stacked[2].any()

@@ -259,7 +259,7 @@ class TestLabelMap:
         keys = [5, 3, 9, 3]
         lm = compact_labels(keys)
         for key in set(keys):
-            assert lm.key_for(lm.apply(key)) == key
+            assert lm.ordered_keys[lm.apply(key) - 1] == key
 
     def test_unseen_maps_to_zero(self):
         lm = compact_labels([1, 2, 3])
