@@ -7,6 +7,7 @@ only with a CHANGES.md entry saying why; never re-pin one to make a change pass.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,24 +28,55 @@ GOLDEN = {
     "rewards.csv": "0a0ab78d1c6bb7e6530531e433a5ce2a45f88d0fe152f77baf5125ddb4e40ed7",
 }
 
+# the same run with two receivers per episode and half-metre grid cells, so the
+# occupancy grid is 46 x 500 and a scene grid can hold receiver codes 1 and 2
+TWO_RECEIVER_CONFIG = {"episode": {"receiver_count": 2}, "grid_cell": 0.5}
+GOLDEN_TWO_RECEIVERS = {
+    "train.csv": "80fc04414a8515da6b8462a2612cfc67638fb9011b55f904d7f2e6f3c0ab46fc",
+    "test.csv": "5ef190f595422573b91eb47dd49bb8e15eb8bf86ae54001ddf4d4213fa75e8ff",
+    "labelmap.json": "cf4ebf641cb906de35fae5d3d84faaf8fbb63f8545b6dd9eb81ca46a5eb4b353",
+    "classify_report.json": "7b495051f355dd26295b9fbaa6762fb3ae12c38ed2bd74dba0a911b9c9682b92",
+}
 
-@pytest.mark.skipif(
+pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"golden digests were pinned with numpy {PINNED_NUMPY}, found {np.__version__}",
 )
+
+
+def _run(tmp_path, stages, names, config=None):
+    common = ["--seed", "7", "--out", str(tmp_path)]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        common += ["--config", str(config_path)]
+    for argv in stages:
+        assert main(common + argv) == 0, argv[0]
+    return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in names}
+
+
+@pinned_numpy
 def test_pipeline_outputs_match_golden_digests(tmp_path, capsys):
     episodes = str(tmp_path / "episodes.jsonl")
-    common = ["--seed", "7", "--out", str(tmp_path)]
     stages = [
         ["generate", "--episodes", "6", "--scenes", "10"],
         ["export", episodes, "--test-fraction", "0.3"],
         ["classify", episodes, "--test-fraction", "0.3"],
         ["schedule", episodes, "--n-rec", "2"],
     ]
-    for argv in stages:
-        assert main(common + argv) == 0, argv[0]
+    digests = _run(tmp_path, stages, GOLDEN)
     capsys.readouterr()
-    digests = {
-        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in GOLDEN
-    }
     assert digests == GOLDEN
+
+
+@pinned_numpy
+def test_two_receiver_half_metre_grid_matches_golden_digests(tmp_path, capsys):
+    episodes = str(tmp_path / "episodes.jsonl")
+    stages = [
+        ["generate", "--episodes", "6", "--scenes", "10"],
+        ["export", episodes, "--test-fraction", "0.3"],
+        ["classify", episodes, "--test-fraction", "0.3"],
+    ]
+    digests = _run(tmp_path, stages, GOLDEN_TWO_RECEIVERS, TWO_RECEIVER_CONFIG)
+    capsys.readouterr()
+    assert digests == GOLDEN_TWO_RECEIVERS
