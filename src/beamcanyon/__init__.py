@@ -39,7 +39,7 @@ from .mimo import (
     sweep,
     upa_steering,
 )
-from .features import GridSpec, encode_scene, receiver_view
+from .features import GridSpec, encode_scenes, receiver_view
 from .dataset import (
     DatasetFormatError,
     EpisodeRecord,

@@ -17,7 +17,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .features import GridSpec, encode_scene, receiver_view
+from .features import GridSpec, encode_scenes, receiver_view
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scene
 from .scenario import (
@@ -25,7 +25,6 @@ from .scenario import (
     EpisodeParams,
     Rect,
     Scenario,
-    Scene,
     Vec3,
     Vehicle,
     VehicleKind,
@@ -64,9 +63,9 @@ class EpisodeRecord:
 class Examples:
     """One row per (scene, receiver) example, over one occupancy grid per scene.
 
-    ``grids`` stacks the ``encode_scene`` matrices; every other field is a
-    column with one entry per example. An example's features are
-    ``receiver_view(grids[grid_row], receiver)``.
+    ``grids`` is the ``encode_scenes`` stack of all scenes, in record order;
+    every other field is a column with one entry per example. An example's
+    features are ``receiver_view(grids[grid_row], receiver)``.
     """
 
     grids: np.ndarray     # (scenes, rows, cols) int16
@@ -311,6 +310,9 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
 def split_episodes(ids: Sequence[int], test_fraction: float, seed: int) -> Split:
     """Shuffle whole episodes (never scenes) into disjoint train and test sides."""
     ids = sorted(ids)
+    repeated = sorted({a for a, b in zip(ids, ids[1:]) if a == b})
+    if repeated:
+        raise ValueError(f"episode ids must be unique; repeated: {repeated}")
     if len(ids) < 2:
         raise ValueError("need at least 2 episodes to split")
     if not 0.0 < test_fraction < 1.0:
@@ -350,11 +352,8 @@ def extract_examples(
     ]
     if label_map is None:
         label_map = compact_labels(raw_keys)
-    grids = np.empty((len(scenes), grid.rows, grid.cols), dtype=np.int16)
-    for k, (_, _, scene_rec) in enumerate(scenes):
-        grids[k] = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
     examples = Examples(
-        grids=grids,
+        grids=encode_scenes([scene_rec for _, _, scene_rec in scenes], grid),
         grid_row=np.array([k for k, _ in kept], dtype=np.intp),
         receiver=np.array([p.rx_id for _, p in kept], dtype=np.int64),
         label=np.array([label_map.apply(key) for key in raw_keys], dtype=np.int64),

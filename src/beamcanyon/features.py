@@ -2,14 +2,16 @@
 
 A scene becomes an integer matrix over the service strip: 0 for free cells,
 a negative height-class code for blocker vehicles (car -1, truck -2, bus -3)
-and the positive receiver index for receiver vehicles. The receivers of a
-scene share its matrix; a per-receiver view of it rewrites the target
-receiver to +1 and every other receiver to -1.
+and the positive receiver index for receiver vehicles. ``encode_scenes``
+rasterizes a whole list of scenes into one int16 stack in a single array
+pass. The receivers of a scene share its matrix; a per-receiver view of it
+rewrites the target receiver to +1 and every other receiver to -1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +20,9 @@ from .scenario import Scene, VehicleKind, vehicle_bounding_box
 HEIGHT_CODES = {VehicleKind.CAR: -1, VehicleKind.TRUCK: -2, VehicleKind.BUS: -3}
 
 OVERLAP_FRACTION = 0.01  # a cell is occupied once this share of its area is covered
+
+# receiver index r is rasterized as RECEIVER_KEY + r, below every blocker code
+RECEIVER_KEY = int(np.iinfo(np.int16).min)
 
 
 @dataclass(frozen=True)
@@ -39,48 +44,48 @@ class GridSpec:
 
         Rows run across the street (+y), columns along it (+x).
         """
+        if cell <= 0:
+            raise ValueError("cell size must be positive")
         rows = int(round(area.y_extent / cell))
         cols = int(round(area.x_extent / cell))
         return cls(origin=(area.xmin, area.ymin), rows=rows, cols=cols, cell=cell)
 
 
-def _cell_range(lo: float, hi: float, origin: float, cell: float, count: int) -> range:
-    first = int(np.floor((lo - origin) / cell))
-    last = int(np.floor((hi - origin) / cell))
-    return range(max(0, first), min(count - 1, last) + 1)
+def _windows(lo: np.ndarray, hi: np.ndarray, origin: float, count: int, cell: float):
+    """Per window offset along one axis: each box's cell index and overlap length, 0 past the box."""
+    first = np.maximum(0, np.floor((lo - origin) / cell).astype(np.intp))
+    last = np.minimum(count - 1, np.floor((hi - origin) / cell).astype(np.intp))
+    for offset in range(int((last - first).max(initial=-1)) + 1):
+        index = first + offset
+        overlap = np.minimum(hi, origin + (index + 1) * cell) - np.maximum(lo, origin + index * cell)
+        yield index, np.where(index <= last, overlap, 0.0)
 
 
-def encode_scene(scene: Scene, grid: GridSpec) -> np.ndarray:
-    """Rasterize vehicle footprints into the occupancy matrix.
+def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
+    """Rasterize the vehicle footprints of every scene into one (scenes, rows, cols) stack.
 
     Cell conflicts: a receiver index always wins over a blocker code; between
     blockers the more negative (taller) code wins; between receivers the
-    smaller index wins.
+    smaller index wins. No rule depends on vehicle order, so all boxes are laid
+    at once and each cell keeps the smallest key, receivers keyed below blockers.
     """
-    out = np.zeros((grid.rows, grid.cols), dtype=np.int16)
-    ox, oy = grid.origin
+    out = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
+    boxes = np.fromiter(
+        (
+            (k, HEIGHT_CODES[v.type.kind] if v.receiver_index is None else RECEIVER_KEY + v.receiver_index,
+             b.min.x, b.min.y, b.max.x, b.max.y)
+            for k, scene in enumerate(scenes) for v in scene.vehicles for b in (vehicle_bounding_box(v, 0.0),)
+        ),
+        dtype=np.dtype((np.float64, 6)),
+    )
+    key, base = boxes[:, 1].astype(np.int16), boxes[:, 0].astype(np.intp) * grid.rows
     threshold = OVERLAP_FRACTION * grid.cell * grid.cell
-    for vehicle in scene.vehicles:
-        box = vehicle_bounding_box(vehicle, 0.0)
-        value = (
-            vehicle.receiver_index
-            if vehicle.receiver_index is not None
-            else HEIGHT_CODES[vehicle.type.kind]
-        )
-        for i in _cell_range(box.min.y, box.max.y, oy, grid.cell, grid.rows):
-            overlap_y = min(box.max.y, oy + (i + 1) * grid.cell) - max(box.min.y, oy + i * grid.cell)
-            for j in _cell_range(box.min.x, box.max.x, ox, grid.cell, grid.cols):
-                overlap_x = min(box.max.x, ox + (j + 1) * grid.cell) - max(
-                    box.min.x, ox + j * grid.cell
-                )
-                if overlap_x * overlap_y < threshold:
-                    continue
-                current = out[i, j]
-                if value > 0:
-                    if current <= 0 or value < current:
-                        out[i, j] = value
-                elif current <= 0 and value < current:
-                    out[i, j] = value
+    rows = list(_windows(boxes[:, 3], boxes[:, 5], grid.origin[1], grid.rows, grid.cell))
+    for j, overlap_x in _windows(boxes[:, 2], boxes[:, 4], grid.origin[0], grid.cols, grid.cell):
+        for i, overlap_y in rows:
+            hit = np.flatnonzero(overlap_x * overlap_y >= threshold)
+            np.minimum.at(out.reshape(-1), (base[hit] + i[hit]) * grid.cols + j[hit], key[hit])
+    np.subtract(out, RECEIVER_KEY, out=out, where=out < min(HEIGHT_CODES.values()))
     return out
 
 

@@ -1,8 +1,8 @@
 """Reference implementations of the rewritten production paths.
 
-These are the per-pair channel composition and beam sweep, the cell-by-cell
-CSV writer, the example extraction that kept one feature grid per example
-with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
+These are the per-pair channel composition and beam sweep, the scene-by-scene
+occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
+that kept one feature grid per example with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time, and
 the numpy tabular Q-learning agent, exactly as they were before the
 rewrites. The production code must reproduce them bit for bit.
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, open_atomic
-from beamcanyon.features import GridSpec, encode_scene
+from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec
 from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
     _FACE_TOL,
@@ -87,6 +87,46 @@ def sweep(h: np.ndarray, tx_codebook: np.ndarray, rx_codebook: np.ndarray) -> tu
     per_pair = rx_codebook.conj().T @ h @ tx_codebook
     outputs = per_pair.T.reshape(-1)
     return outputs, int(np.argmax(np.abs(outputs)))
+
+
+def _cell_range(lo: float, hi: float, origin: float, cell: float, count: int) -> range:
+    first = int(np.floor((lo - origin) / cell))
+    last = int(np.floor((hi - origin) / cell))
+    return range(max(0, first), min(count - 1, last) + 1)
+
+
+def encode_scene(scene: Scene, grid: GridSpec) -> np.ndarray:
+    """Rasterize vehicle footprints into the occupancy matrix.
+
+    Cell conflicts: a receiver index always wins over a blocker code; between
+    blockers the more negative (taller) code wins; between receivers the
+    smaller index wins.
+    """
+    out = np.zeros((grid.rows, grid.cols), dtype=np.int16)
+    ox, oy = grid.origin
+    threshold = OVERLAP_FRACTION * grid.cell * grid.cell
+    for vehicle in scene.vehicles:
+        box = vehicle_bounding_box(vehicle, 0.0)
+        value = (
+            vehicle.receiver_index
+            if vehicle.receiver_index is not None
+            else HEIGHT_CODES[vehicle.type.kind]
+        )
+        for i in _cell_range(box.min.y, box.max.y, oy, grid.cell, grid.rows):
+            overlap_y = min(box.max.y, oy + (i + 1) * grid.cell) - max(box.min.y, oy + i * grid.cell)
+            for j in _cell_range(box.min.x, box.max.x, ox, grid.cell, grid.cols):
+                overlap_x = min(box.max.x, ox + (j + 1) * grid.cell) - max(
+                    box.min.x, ox + j * grid.cell
+                )
+                if overlap_x * overlap_y < threshold:
+                    continue
+                current = out[i, j]
+                if value > 0:
+                    if current <= 0 or value < current:
+                        out[i, j] = value
+                elif current <= 0 and value < current:
+                    out[i, j] = value
+    return out
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from beamcanyon.dataset import (
     split_episodes,
     write_episodes,
 )
-from beamcanyon.features import GridSpec, encode_scene, receiver_view
+from beamcanyon.features import GridSpec, encode_scenes, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
 from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
@@ -404,7 +404,7 @@ def test_criterion_10_end_to_end_desk_run(desk_dataset):
                 ),
             ),
         )
-        return receiver_view(encode_scene(scene, grid), 1).reshape(-1)
+        return receiver_view(encode_scenes([scene], grid)[0], 1).reshape(-1)
 
     labels = np.array([1, 2] * 30)
     feats = np.stack([fixture_example(int(lab)) for lab in labels]).astype(float)

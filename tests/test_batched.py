@@ -1,4 +1,5 @@
-"""The batched sweep, the per-receiver view and the table-driven CSV writer against their oracles."""
+"""The batched sweep, the scene rasterizer, the per-receiver view and the table-driven CSV writer
+against their oracles."""
 
 import json
 import math
@@ -16,9 +17,10 @@ from beamcanyon import mimo
 from beamcanyon.classify import examples_to_arrays
 from beamcanyon.cli import main
 from beamcanyon.dataset import Examples, export_csv, extract_examples, read_episodes
-from beamcanyon.features import GridSpec, receiver_view
+from beamcanyon.features import GridSpec, encode_scenes, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep, sweep_rays, upa_steering
 from beamcanyon.raytrace import LosStatus, Ray, TraceConfig
+from beamcanyon.scenario import DEFAULT_VEHICLE_TYPES, Scene, Vec3, Vehicle
 
 MAX_RAYS = TraceConfig().max_rays
 TX = ArraySpec(4, 4)
@@ -139,6 +141,56 @@ def test_receiver_view_matches_oracle(data):
         expected = _oracle_view(grid_values, int(receiver))
         assert np.array_equal(view, expected)
         assert np.array_equal(receiver_view(grid_values, receiver), expected)
+
+
+LANE_HEADINGS = (0.0, math.pi / 2, math.pi, -math.pi / 2, 3 * math.pi / 2)
+
+
+def _draw_vehicle(data, vid, grid):
+    """A vehicle of any kind, placed freely, with a box edge or corner on a cell edge, or off the grid."""
+    ox, oy = grid.origin
+    c = grid.cell
+    vtype = DEFAULT_VEHICLE_TYPES[data.draw(st.integers(0, 2))]
+    heading = data.draw(st.one_of(st.sampled_from(LANE_HEADINGS), st.floats(-2 * math.pi, 2 * math.pi)))
+    # half extents of a lane-aligned box, for the edge- and corner-snapped placements
+    half_x, half_y = vtype.length / 2, vtype.width / 2
+    if round(math.cos(heading), 9) == 0:
+        half_x, half_y = half_y, half_x
+    col = data.draw(st.integers(-2, grid.cols + 2))
+    row = data.draw(st.integers(-2, grid.rows + 2))
+    side = data.draw(st.sampled_from((-1, 1)))
+    free_x = st.floats(ox - 15, ox + grid.cols * c + 15)
+    free_y = st.floats(oy - 15, oy + grid.rows * c + 15)
+    placement = data.draw(st.sampled_from(("free", "edge", "corner", "off")))
+    if placement == "free":
+        x, y = data.draw(free_x), data.draw(free_y)
+    elif placement == "edge":
+        # left or right box edge on a column edge
+        x, y = ox + col * c - side * half_x, data.draw(free_y)
+    elif placement == "corner":
+        # one box corner on a cell corner: only that corner touches the neighbouring cell
+        x, y = ox + col * c - side * half_x, oy + row * c - side * half_y
+    else:
+        x = data.draw(st.sampled_from((ox - 40 - grid.cols * c, ox + 2 * grid.cols * c + 40)))
+        y = data.draw(free_y)
+    receiver = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+    return Vehicle(vid, vtype, Vec3(x, y, 0.0), heading, 0.0, receiver)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_encode_scenes_matches_oracle(data):
+    cell = data.draw(st.sampled_from((0.25, 0.5, 1.0, 2.0)) | st.floats(0.25, 2.0))
+    origin = (data.draw(st.floats(-60.0, 60.0)), data.draw(st.floats(-60.0, 60.0)))
+    grid = GridSpec(origin, rows=data.draw(st.integers(1, 24)), cols=data.draw(st.integers(1, 60)), cell=cell)
+    scenes = [
+        Scene(0.1 * k, tuple(_draw_vehicle(data, v, grid) for v in range(data.draw(st.integers(0, 8)))))
+        for k in range(data.draw(st.integers(1, 4)))
+    ]
+    out = encode_scenes(scenes, grid)
+    expected = np.stack([oracles.encode_scene(scene, grid) for scene in scenes])
+    assert out.dtype == expected.dtype
+    assert np.array_equal(out, expected)
 
 
 def _table(grids, receivers=None):

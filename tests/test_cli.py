@@ -130,6 +130,28 @@ class TestExport:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", [0, -1])
+    def test_non_positive_grid_cell_fails(self, tmp_path, capsys, cell):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"grid_cell": cell}))
+        rc = main(["--config", str(config), "--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
+        assert rc == 1
+        assert "error: cell size must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
+    def test_repeated_episode_ids_fail(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        header, *records = path.read_text().splitlines(keepends=True)
+        doubled = tmp_path / "doubled.jsonl"
+        head = json.loads(header)
+        head["episode_count"] *= 2
+        doubled.write_text(json.dumps(head) + "\n" + "".join(records * 2))
+        rc = main(["--out", str(tmp_path), "export", str(doubled), "--test-fraction", "0.3"])
+        assert rc == 1
+        assert "episode ids must be unique; repeated: [0, 1, 2]" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestClassify:
     def test_prints_table_and_writes_report(self, tmp_path, capsys):

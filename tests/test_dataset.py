@@ -151,6 +151,10 @@ class TestSplitEpisodes:
         with pytest.raises(ValueError):
             split_episodes([1], 0.5, seed=0)
 
+    def test_repeated_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"repeated: \[2, 5\]"):
+            split_episodes([1, 2, 5, 2, 3, 5, 5], 0.3, seed=0)
+
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError):
             split_episodes([1, 2, 3], 0.0, seed=0)
