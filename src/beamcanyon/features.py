@@ -52,7 +52,10 @@ class GridSpec:
 
 
 def _windows(lo: np.ndarray, hi: np.ndarray, origin: float, count: int, cell: float):
-    """Per window offset along one axis: each box's cell index and overlap length, 0 past the box."""
+    """Yield, per window offset along one axis, each box's cell index and overlap length.
+
+    The overlap is 0 where the offset lies past the box's last cell on the grid.
+    """
     first = np.maximum(0, np.floor((lo - origin) / cell).astype(np.intp))
     last = np.minimum(count - 1, np.floor((hi - origin) / cell).astype(np.intp))
     for offset in range(int((last - first).max(initial=-1)) + 1):
@@ -70,16 +73,19 @@ def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
     at once and each cell keeps the smallest key, receivers keyed below blockers.
     """
     out = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
-    boxes = np.fromiter(
+    boxes = np.fromiter(  # (scene, key, xmin, ymin, xmax, ymax) per vehicle
         (
             (k, HEIGHT_CODES[v.type.kind] if v.receiver_index is None else RECEIVER_KEY + v.receiver_index,
              b.min.x, b.min.y, b.max.x, b.max.y)
-            for k, scene in enumerate(scenes) for v in scene.vehicles for b in (vehicle_bounding_box(v, 0.0),)
+            for k, scene in enumerate(scenes)
+            for v in scene.vehicles
+            for b in (vehicle_bounding_box(v, 0.0),)
         ),
         dtype=np.dtype((np.float64, 6)),
     )
     key, base = boxes[:, 1].astype(np.int16), boxes[:, 0].astype(np.intp) * grid.rows
     threshold = OVERLAP_FRACTION * grid.cell * grid.cell
+    # the few row windows are kept; column windows are built one offset at a time to bound memory
     rows = list(_windows(boxes[:, 3], boxes[:, 5], grid.origin[1], grid.rows, grid.cell))
     for j, overlap_x in _windows(boxes[:, 2], boxes[:, 4], grid.origin[0], grid.cols, grid.cell):
         for i, overlap_y in rows:
