@@ -38,6 +38,14 @@ GOLDEN_TWO_RECEIVERS = {
     "classify_report.json": "7b495051f355dd26295b9fbaa6762fb3ae12c38ed2bd74dba0a911b9c9682b92",
 }
 
+# the first case's episodes scheduled over three receivers with a two-scene
+# outage threshold and a -2.5 penalty, so DP and Q-learning plan over 27 states
+SCHEDULE_THREE_RECEIVERS = ["--n-rec", "3", "--n-out", "2", "--r-out", "-2.5"]
+GOLDEN_SCHEDULE_THREE_RECEIVERS = {
+    "schedule_report.json": "0c9fa282c71f69eb9674cbcbf9523176bcc0e6c3ee0b4b0351636edbd64b8f17",
+    "rewards.csv": "cd310be9f7c03daf35b78121e5079eb3b71b999bb08f00c3e3b83db7c117e8a1",
+}
+
 pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"golden digests were pinned with numpy {PINNED_NUMPY}, found {np.__version__}",
@@ -80,3 +88,15 @@ def test_two_receiver_half_metre_grid_matches_golden_digests(tmp_path, capsys):
     digests = _run(tmp_path, stages, GOLDEN_TWO_RECEIVERS, TWO_RECEIVER_CONFIG)
     capsys.readouterr()
     assert digests == GOLDEN_TWO_RECEIVERS
+
+
+@pinned_numpy
+def test_three_receiver_schedule_matches_golden_digests(tmp_path, capsys):
+    episodes = str(tmp_path / "episodes.jsonl")
+    stages = [
+        ["generate", "--episodes", "6", "--scenes", "10"],
+        ["schedule", episodes] + SCHEDULE_THREE_RECEIVERS,
+    ]
+    digests = _run(tmp_path, stages, GOLDEN_SCHEDULE_THREE_RECEIVERS)
+    capsys.readouterr()
+    assert digests == GOLDEN_SCHEDULE_THREE_RECEIVERS
