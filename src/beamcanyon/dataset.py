@@ -218,6 +218,8 @@ def _record_to_obj(rec: EpisodeRecord) -> dict:
 
 
 def _record_from_obj(o: dict) -> EpisodeRecord:
+    if not o["scenes"]:
+        raise ValueError("no scenes")
     params = o["params"]
     return EpisodeRecord(
         episode_id=o["episode_id"],
@@ -286,7 +288,7 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
             header = json.loads(first.rstrip("\n"))
         except json.JSONDecodeError as e:
             raise DatasetFormatError(f"{path}: bad header line: {e}") from e
-        if header.get("format") != FORMAT_NAME:
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
             raise DatasetFormatError(f"{path}: not a {FORMAT_NAME} file")
         if header.get("version") != FORMAT_VERSION:
             raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
@@ -295,7 +297,7 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
         for i, line in enumerate(f):
             try:
                 records.append(_record_from_obj(json.loads(line.rstrip("\n"))))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
                 raise DatasetFormatError(f"{path}: record {i}: {e}") from e
     if not records:
         raise DatasetFormatError(f"{path}: no episode records")

@@ -23,6 +23,7 @@ OVERLAP_FRACTION = 0.01  # a cell is occupied once this share of its area is cov
 
 # receiver index r is rasterized as RECEIVER_KEY + r, below every blocker code
 RECEIVER_KEY = int(np.iinfo(np.int16).min)
+MAX_RECEIVER_INDEX = min(HEIGHT_CODES.values()) - 1 - RECEIVER_KEY
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,12 @@ def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
     blockers the more negative (taller) code wins; between receivers the
     smaller index wins. No rule depends on vehicle order, so all boxes are laid
     at once and each cell keeps the smallest key, receivers keyed below blockers.
+    Receiver indices must lie in 1..MAX_RECEIVER_INDEX.
     """
+    for scene in scenes:
+        for v in scene.vehicles:
+            if v.receiver_index is not None and not 1 <= v.receiver_index <= MAX_RECEIVER_INDEX:
+                raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
     out = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
     boxes = np.fromiter(  # (scene, key, xmin, ymin, xmax, ymax) per vehicle
         (

@@ -39,8 +39,7 @@ class ArraySpec:
 @dataclass(frozen=True)
 class SweepResult:
     outputs: np.ndarray  # complex, leading axes of the channel, then one entry per beam pair
-    best_index: np.ndarray  # int, one per channel
-    best_pair: tuple[np.ndarray, np.ndarray]  # (transmit beam, receive beam)
+    best_index: np.ndarray  # int, one per channel: transmit beam * n_rx_beams + receive beam
 
 
 def upa_steering(
@@ -118,9 +117,7 @@ def sweep(h: np.ndarray, tx_codebook: np.ndarray, rx_codebook: np.ndarray) -> Sw
         )
     per_pair = rx_codebook.conj().T @ h @ tx_codebook  # [..., receive beam, transmit beam]
     outputs = np.swapaxes(per_pair, -1, -2).reshape(*h.shape[:-2], -1)
-    best = np.argmax(np.abs(outputs), axis=-1)
-    n_rx_beams = rx_codebook.shape[1]
-    return SweepResult(outputs=outputs, best_index=best, best_pair=(best // n_rx_beams, best % n_rx_beams))
+    return SweepResult(outputs=outputs, best_index=np.argmax(np.abs(outputs), axis=-1))
 
 
 def sweep_rays(

@@ -11,7 +11,6 @@ the exact optimum to benchmark agents against.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,10 +47,6 @@ class RewardTable:
     @property
     def n_scenes(self) -> int:
         return self.normalized.shape[0]
-
-    @property
-    def n_receivers(self) -> int:
-        return self.normalized.shape[1]
 
     @property
     def n_pairs(self) -> int:
@@ -216,9 +211,11 @@ def round_robin_agent(table: RewardTable, params: SchedulerParams) -> Allocation
     return _make_plan(receivers, table, params)
 
 
-def _state_machinery(params: SchedulerParams):
-    """Enumerate capped starve vectors with transition and outage tables.
+def _state_machinery(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """The scheduling MDP over capped starve vectors: transitions, outages, start state.
 
+    ``transitions[i, a]`` is the state reached from state i by serving
+    receiver a, and ``outage[i, a]`` says whether that step is an outage.
     Refuses, before enumerating, a state space larger than MAX_DP_STATES.
     """
     cap = _starve_cap(params)
@@ -238,7 +235,12 @@ def _state_machinery(params: SchedulerParams):
             nxt = _advance(st, a, cap)
             transitions[si, a] = index[nxt]
             outage[si, a] = params.outage_after is not None and max(nxt) >= params.outage_after
-    return states, index, transitions, outage
+    return transitions, outage, index[(0,) * n_rec]
+
+
+def _step_rewards(best_val_of_scene: np.ndarray, outage: np.ndarray, params: SchedulerParams) -> np.ndarray:
+    """Per (state, receiver) reward in one scene: the outage penalty, else the strongest beam value."""
+    return np.where(outage, params.outage_penalty, best_val_of_scene)
 
 
 def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
@@ -246,40 +248,25 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
 
     The beam pair per scene is fixed to the strongest pair of the served
     receiver (lossless: the pair affects the reward only through its power
-    and never the starvation state). Value ties break toward the smaller
-    receiver index, scene by scene.
+    and never the starvation state). Backward induction runs over all states
+    of one scene at a time; value ties break toward the smaller receiver
+    index, scene by scene.
     """
     if params.outage_after is None:
         return greedy_agent(table, params)  # no constraint: per-scene maximum is optimal
-    _, index, transitions, outage = _state_machinery(params)
+    transitions, outage, si = _state_machinery(params)
     best_val, _ = _best_beams(table)
-    n_scenes = table.n_scenes
-    n_rec = params.num_receivers
-    n_states = transitions.shape[0]
-
-    value = np.zeros(n_states)
-    choice = np.zeros((n_scenes, n_states), dtype=np.int64)
-    for s in range(n_scenes - 1, -1, -1):
-        new_value = np.full(n_states, -math.inf)
-        for si in range(n_states):
-            best_v = -math.inf
-            best_a = 0
-            for a in range(n_rec):
-                r = params.outage_penalty if outage[si, a] else best_val[s, a]
-                v = r + value[transitions[si, a]]
-                if v > best_v:
-                    best_v = v
-                    best_a = a
-            new_value[si] = best_v
-            choice[s, si] = best_a
-        value = new_value
+    value = np.zeros(transitions.shape[0])
+    choice = np.empty((table.n_scenes, transitions.shape[0]), dtype=np.int64)
+    for s in range(table.n_scenes - 1, -1, -1):
+        q = _step_rewards(best_val[s], outage, params) + value[transitions]
+        choice[s] = q.argmax(axis=1)  # first maximum: ties go to the smaller receiver
+        value = q.max(axis=1)
 
     receivers = []
-    si = index[(0,) * n_rec]
-    for s in range(n_scenes):
-        a = int(choice[s, si])
-        receivers.append(a)
-        si = int(transitions[si, a])
+    for s in range(table.n_scenes):
+        receivers.append(int(choice[s, si]))
+        si = int(transitions[si, receivers[-1]])
     return _make_plan(receivers, table, params)
 
 
@@ -296,21 +283,16 @@ def tabular_q_agent(
     Python floats: the loop does one scalar update per step, which plain
     Python does faster than numpy scalar indexing.
     """
-    _, index, transitions, outage = _state_machinery(params)
+    transitions, outage, start = _state_machinery(params)
     best_val, _ = _best_beams(table)
     n_scenes = table.n_scenes
     n_rec = params.num_receivers
     n_states = transitions.shape[0]
 
     nxt_of = transitions.tolist()
-    penalized = outage.tolist()
-    reward = [
-        [[params.outage_penalty if out else v for out, v in zip(row, best)] for row in penalized]
-        for best in best_val.tolist()
-    ]
+    reward = [_step_rewards(row, outage, params).tolist() for row in best_val]
     rng = np.random.default_rng(hyper.seed)
     q = [[[0.0] * n_rec for _ in range(n_states)] for _ in range(n_scenes + 1)]
-    start = index[(0,) * n_rec]
     rate, discount = hyper.learning_rate, hyper.discount
     for episode in range(hyper.training_episodes):
         if hyper.training_episodes > 1:

@@ -3,13 +3,15 @@
 These are the per-pair channel composition and beam sweep, the scene-by-scene
 occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
 that kept one feature grid per example with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
-per-pair tracer that enumerated and tested one candidate path at a time, and
-the numpy tabular Q-learning agent, exactly as they were before the
+per-pair tracer that enumerated and tested one candidate path at a time, the
+dynamic-programming optimum that scanned states and receivers one at a time,
+and the numpy tabular Q-learning agent, exactly as they were before the
 rewrites. The production code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -35,13 +37,16 @@ from beamcanyon.raytrace import (
     free_space_gain,
 )
 from beamcanyon.scheduler import (
+    MAX_DP_STATES,
     AllocationPlan,
     QLearningConfig,
     RewardTable,
     SchedulerParams,
+    _advance,
     _best_beams,
     _make_plan,
-    _state_machinery,
+    _starve_cap,
+    greedy_agent,
 )
 from beamcanyon.scenario import (
     MIN_GAP_M,
@@ -615,6 +620,73 @@ def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig)
         p_tx_dbm=cfg.tx_power_dbm,
         p_rx_dbm=p_rx,
     )
+
+
+def _state_machinery(params: SchedulerParams):
+    """Enumerate capped starve vectors with transition and outage tables.
+
+    Refuses, before enumerating, a state space larger than MAX_DP_STATES.
+    """
+    cap = _starve_cap(params)
+    n_rec = params.num_receivers
+    n_states = (cap + 1) ** n_rec
+    if n_states > MAX_DP_STATES:
+        raise ValueError(
+            f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
+            "reduce num_receivers or outage_after"
+        )
+    states = list(itertools.product(range(cap + 1), repeat=n_rec))
+    index = {st: i for i, st in enumerate(states)}
+    transitions = np.empty((n_states, n_rec), dtype=np.int64)
+    outage = np.zeros((n_states, n_rec), dtype=bool)
+    for si, st in enumerate(states):
+        for a in range(n_rec):
+            nxt = _advance(st, a, cap)
+            transitions[si, a] = index[nxt]
+            outage[si, a] = params.outage_after is not None and max(nxt) >= params.outage_after
+    return states, index, transitions, outage
+
+
+def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
+    """Exact maximizer of the mean episode reward over receiver sequences.
+
+    The beam pair per scene is fixed to the strongest pair of the served
+    receiver (lossless: the pair affects the reward only through its power
+    and never the starvation state). Value ties break toward the smaller
+    receiver index, scene by scene.
+    """
+    if params.outage_after is None:
+        return greedy_agent(table, params)  # no constraint: per-scene maximum is optimal
+    _, index, transitions, outage = _state_machinery(params)
+    best_val, _ = _best_beams(table)
+    n_scenes = table.n_scenes
+    n_rec = params.num_receivers
+    n_states = transitions.shape[0]
+
+    value = np.zeros(n_states)
+    choice = np.zeros((n_scenes, n_states), dtype=np.int64)
+    for s in range(n_scenes - 1, -1, -1):
+        new_value = np.full(n_states, -math.inf)
+        for si in range(n_states):
+            best_v = -math.inf
+            best_a = 0
+            for a in range(n_rec):
+                r = params.outage_penalty if outage[si, a] else best_val[s, a]
+                v = r + value[transitions[si, a]]
+                if v > best_v:
+                    best_v = v
+                    best_a = a
+            new_value[si] = best_v
+            choice[s, si] = best_a
+        value = new_value
+
+    receivers = []
+    si = index[(0,) * n_rec]
+    for s in range(n_scenes):
+        a = int(choice[s, si])
+        receivers.append(a)
+        si = int(transitions[si, a])
+    return _make_plan(receivers, table, params)
 
 
 def tabular_q_agent(

@@ -147,7 +147,7 @@ def test_criterion_03_channel_sweep_consistency():
         )
         h = compose_channel([[ray]], ARRAY, ARRAY)[0]
         result = sweep(h, codebook, codebook)
-        assert result.best_pair == (px * ARRAY.ny + py, qx * ARRAY.ny + qy)
+        assert divmod(int(result.best_index), codebook.shape[1]) == (px * ARRAY.ny + py, qx * ARRAY.ny + qy)
         checked += 1
 
     h = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))

@@ -152,6 +152,29 @@ class TestExport:
         assert "episode ids must be unique; repeated: [0, 1, 2]" in capsys.readouterr().err
         assert not (tmp_path / "train.csv").exists()
 
+    def test_receiver_index_beyond_grid_range_fails(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        header, *records = path.read_text().splitlines()
+        renumbered = []
+        for line in records:
+            obj = json.loads(line)
+            obj["receiver_vehicles"]["40000"] = obj["receiver_vehicles"].pop("1")
+            for scene in obj["scenes"]:
+                for v in scene["vehicles"]:
+                    if v["receiver_index"] == 1:
+                        v["receiver_index"] = 40000
+                for pair in scene["pairs"]:
+                    if pair["rx_id"] == 1:
+                        pair["rx_id"] = 40000
+            renumbered.append(json.dumps(obj))
+        path.write_text("\n".join([header] + renumbered) + "\n")
+        capsys.readouterr()
+        rc = main(["--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: receiver index 40000 outside 1..32764"]
+        assert not (tmp_path / "train.csv").exists()
+
 
 class TestClassify:
     def test_prints_table_and_writes_report(self, tmp_path, capsys):

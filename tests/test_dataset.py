@@ -50,6 +50,10 @@ def _rows(examples, rows):
     )
 
 
+def _first_ray(record_obj):
+    return next(r for s in record_obj["scenes"] for p in s["pairs"] for r in p["rays"])
+
+
 def _views(examples):
     return receiver_view(examples.grids[examples.grid_row], examples.receiver)
 
@@ -94,6 +98,24 @@ class TestRoundTrip:
             json.dumps({"episode_count": 0, "format": "beamcanyon-episodes", "version": 1}) + "\n"
         )
         with pytest.raises(DatasetFormatError, match="no episode records"):
+            read_episodes(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, match",
+        [
+            pytest.param(lambda objs: _first_ray(objs[2]).update(gain=[0.1]), "record 1: ", id="one-part-ray-gain"),
+            pytest.param(lambda objs: objs[2].update(receiver_vehicles=[]), "record 1: ", id="receivers-as-list"),
+            pytest.param(lambda objs: objs[2].update(scenes=[]), "record 1: no scenes", id="no-scenes"),
+            pytest.param(lambda objs: objs.__setitem__(0, [1, 2]), "not a beamcanyon-episodes file", id="list-header"),
+        ],
+    )
+    def test_malformed_line_rejected(self, records, tmp_path, corrupt, match):
+        path = tmp_path / "episodes.jsonl"
+        write_episodes(records[:2], path)
+        objs = [json.loads(line) for line in path.read_text().splitlines()]
+        corrupt(objs)
+        path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+        with pytest.raises(DatasetFormatError, match=match):
             read_episodes(path)
 
     def test_empty_file_rejected(self, tmp_path):

@@ -150,6 +150,17 @@ class TestEncodeScenes:
         assert np.array_equal(out[2], encode_scenes([second], GRID)[0])
         assert set(np.unique(out[0])) == {0, 1} and set(np.unique(out[2])) == {-3, 0}
 
+    @pytest.mark.parametrize("receiver", [0, 32765, 40000])
+    def test_receiver_index_out_of_range_rejected(self, receiver):
+        # the int16 grid would draw 32765 as a bus and drop 0 and 40000
+        scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=receiver),))
+        with pytest.raises(ValueError, match=f"receiver index {receiver} outside 1..32764"):
+            encode_scenes([scene], GRID)
+
+    def test_largest_receiver_index_encodes(self):
+        scene = Scene(0.0, (_vehicle(0, 100.0, 10.0, receiver=32764), _vehicle(1, 50.0, 6.0, kind=2)))
+        assert set(np.unique(encode_scenes([scene], GRID)[0])) == {-3, 0, 32764}
+
 
 class TestEncodeForReceiver:
     """The per-receiver view of a scene grid."""

@@ -265,6 +265,24 @@ class TestAgents:
         assert tabular_q_agent(table, PARAMS, hyper) == tabular_q_agent(table, PARAMS, hyper)
 
 
+class TestDpMatchesOracle:
+    """dp_optimal plans exactly as the state-by-state loop it replaced."""
+
+    @pytest.mark.parametrize("outage_penalty", [-1, -3.0, 0.0])
+    @pytest.mark.parametrize("outage_after", [1, 2, 3, 4])
+    @pytest.mark.parametrize("num_receivers", [1, 2, 3, 4])
+    def test_equal_plans(self, num_receivers, outage_after, outage_penalty):
+        params = SchedulerParams(
+            outage_after=outage_after, outage_penalty=outage_penalty, num_receivers=num_receivers
+        )
+        for seed in range(3):
+            rng = np.random.default_rng(200 + seed)
+            # values on a coarse grid, so that value ties are common; a zero
+            # penalty also ties an outage with a zero reward
+            table = _table(rng.integers(0, 3, size=(10, num_receivers, 3)) / 2.0)
+            assert dp_optimal(table, params) == oracles.dp_optimal(table, params)
+
+
 class TestTabularQMatchesOracle:
     """tabular_q_agent plans exactly as the numpy version it replaced."""
 
