@@ -46,6 +46,13 @@ GOLDEN_SCHEDULE_THREE_RECEIVERS = {
     "rewards.csv": "cd310be9f7c03daf35b78121e5079eb3b71b999bb08f00c3e3b83db7c117e8a1",
 }
 
+# the first case's episodes classified at --knn-k 1 and at --knn-k 25; both cut the
+# neighbour list through equidistant train rows on about half the test rows
+GOLDEN_KNN_K = {
+    "1": "8f11a582db1d36e9c2f9abca64bb6e5fa30bd5b3fb4dd4ccc9e323f5a0ffd1f5",
+    "25": "933f70cd024df4951e7f05f009c0ee690cbf2261fe826f97eeecb6b57e398b7a",
+}
+
 pinned_numpy = pytest.mark.skipif(
     np.__version__ != PINNED_NUMPY,
     reason=f"golden digests were pinned with numpy {PINNED_NUMPY}, found {np.__version__}",
@@ -100,3 +107,16 @@ def test_three_receiver_schedule_matches_golden_digests(tmp_path, capsys):
     digests = _run(tmp_path, stages, GOLDEN_SCHEDULE_THREE_RECEIVERS)
     capsys.readouterr()
     assert digests == GOLDEN_SCHEDULE_THREE_RECEIVERS
+
+
+@pinned_numpy
+def test_knn_k_one_and_twenty_five_match_golden_digests(tmp_path, capsys):
+    episodes = str(tmp_path / "episodes.jsonl")
+    _run(tmp_path, [["generate", "--episodes", "6", "--scenes", "10"]], [])
+    digests = {
+        k: _run(tmp_path / k, [["classify", episodes, "--test-fraction", "0.3", "--knn-k", k]],
+                ["classify_report.json"])["classify_report.json"]
+        for k in GOLDEN_KNN_K
+    }
+    capsys.readouterr()
+    assert digests == GOLDEN_KNN_K
