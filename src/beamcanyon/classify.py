@@ -3,6 +3,15 @@
 Heavier learners stay outside this package; the CSV export is the bridge.
 These baselines give a floor (majority class) and a geometry-aware sanity
 check (k-nearest neighbours on the flattened occupancy grids).
+
+kNN distances over integer features are exact. When the training
+features' largest magnitude m satisfies 4 * d * m**2 < 2**24 (d features
+per row), every term of |x|^2 + |y|^2 - 2 x.y is an integer below 2**24, so
+the model computes in float32 and gets the float64 distances whatever the
+summation order; it then accepts only query rows within the same bound. The
+per-receiver grid codes (-3..1) are such features. All other features are
+computed in float64. Test rows go through CHUNK at a time, and equidistant
+neighbours resolve to the lower train index.
 """
 
 from __future__ import annotations
@@ -14,6 +23,8 @@ import numpy as np
 from .dataset import Examples
 from .features import receiver_view
 from .raytrace import LosStatus
+
+CHUNK = 512  # rows per block of feature stacking and of kNN distances
 
 
 @dataclass(frozen=True)
@@ -39,9 +50,12 @@ class EvalReport:
 
 
 def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, labels, nlos mask) matrices for a table of examples."""
-    views = receiver_view(examples.grids[examples.grid_row], examples.receiver)
-    x = views.reshape(len(examples), -1).astype(np.float64)
+    """(features, labels, nlos mask) for a table of examples; one int8 feature row per example."""
+    x = np.empty((len(examples), int(np.prod(examples.grids.shape[1:]))), dtype=np.int8)
+    for start in range(0, len(examples), CHUNK):
+        rows = slice(start, start + CHUNK)
+        views = receiver_view(examples.grids[examples.grid_row[rows]], examples.receiver[rows])
+        x[rows] = views.reshape(len(views), -1)
     return x, examples.label, examples.los == LosStatus.NLOS.value
 
 
@@ -54,19 +68,58 @@ def majority_classifier(features: np.ndarray, labels: np.ndarray) -> MajorityMod
     return MajorityModel(label=int(np.argmax(counts)), num_classes=int(labels.max()))
 
 
+def _matmul_dtype(features: np.ndarray) -> type:
+    """float32 when distances over these features are exact in float32, else float64.
+
+    Non-finite features have no defined distances and are rejected.
+    """
+    if features.dtype.kind in "biu":
+        m = max(-int(features.min(initial=0)), int(features.max(initial=0)))
+        return np.float32 if 4 * features.shape[-1] * m**2 < 2**24 else np.float64
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
+    return np.float64
+
+
 def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel:
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
         raise ValueError("features must be (n, d) with one label per row")
     if not 1 <= k <= labels.shape[0]:
         raise ValueError("k must lie in [1, n_train]")
+    if labels.min() < 0:
+        raise ValueError("labels must be non-negative")
+    features = features.astype(_matmul_dtype(features), copy=False)
     return KnnModel(features=features, labels=labels, k=k, num_classes=int(labels.max()))
+
+
+def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
+    """Majority label of each row's k nearest train rows (ties: smallest label).
+
+    The neighbours are every train row closer than the k-th smallest
+    distance, then the lowest-indexed rows at exactly that distance: the
+    first k of a stable sort.
+    """
+    k = model.k
+    d2 = x @ model.features.T
+    d2 *= -2
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += train_norms
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    closer = d2 < kth
+    tied = d2 == kth
+    del d2
+    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= k - closer.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(closer | tied)
+    width = model.num_classes + 1
+    counts = np.bincount(rows * width + model.labels[cols], minlength=len(x) * width)
+    return counts.reshape(len(x), width).argmax(axis=1)
 
 
 def predict(model, features: np.ndarray) -> np.ndarray:
     """Batch prediction; accepts a single vector or an (n, d) matrix."""
-    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    x = np.atleast_2d(np.asarray(features))
     if isinstance(model, MajorityModel):
         return np.full(x.shape[0], model.label, dtype=np.int64)
     if isinstance(model, KnnModel):
@@ -75,15 +128,15 @@ def predict(model, features: np.ndarray) -> np.ndarray:
                 f"feature dimension {x.shape[1]} does not match training dimension "
                 f"{model.features.shape[1]}"
             )
-        d2 = (
-            (x**2).sum(axis=1)[:, None]
-            + (model.features**2).sum(axis=1)[None, :]
-            - 2.0 * x @ model.features.T
-        )
-        # stable argsort: equidistant neighbours resolve to the lower train index
-        nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
-        votes = model.labels[nearest]
-        return np.array([int(np.argmax(np.bincount(row))) for row in votes], dtype=np.int64)
+        query_dtype = _matmul_dtype(x)  # rejects non-finite rows
+        dtype = model.features.dtype
+        if dtype == np.float32 and query_dtype != np.float32:
+            raise ValueError("query rows must be integers in the exact range of the model's float32 features")
+        train_norms = np.einsum("ij,ij->i", model.features, model.features)
+        out = np.empty(len(x), dtype=np.int64)
+        for start in range(0, len(x), CHUNK):
+            out[start:start + CHUNK] = _knn_votes(model, x[start:start + CHUNK].astype(dtype), train_norms)
+        return out
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

@@ -224,13 +224,15 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     """Run the in-repo baselines on an episode-wise split and print the table."""
     _, train, test, _ = _load_split_examples(config, episodes_path)
     x_train, y_train, _ = clf.examples_to_arrays(train)
-    x_test, y_test, nlos = clf.examples_to_arrays(test)
     models = {
         "majority": clf.majority_classifier(x_train, y_train),
         f"knn(k={config.knn_k})": clf.knn_classifier(
             x_train, y_train, min(config.knn_k, len(y_train))
         ),
     }
+    del train, x_train  # the kNN model holds its own copy of the features
+    x_test, y_test, nlos = clf.examples_to_arrays(test)
+    del test
     reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}
     print(_classifier_table(reports))
     out_dir.mkdir(parents=True, exist_ok=True)

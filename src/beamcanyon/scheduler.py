@@ -10,7 +10,6 @@ the exact optimum to benchmark agents against.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,16 +225,19 @@ def _state_machinery(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray, i
             f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
             "reduce num_receivers or outage_after"
         )
-    states = list(itertools.product(range(cap + 1), repeat=n_rec))
-    index = {st: i for i, st in enumerate(states)}
-    transitions = np.empty((n_states, n_rec), dtype=np.int64)
-    outage = np.zeros((n_states, n_rec), dtype=bool)
-    for si, st in enumerate(states):
-        for a in range(n_rec):
-            nxt = _advance(st, a, cap)
-            transitions[si, a] = index[nxt]
-            outage[si, a] = params.outage_after is not None and max(nxt) >= params.outage_after
-    return transitions, outage, index[(0,) * n_rec]
+    # state i is its starve vector read as mixed-radix digits in base cap + 1,
+    # receiver 0 most significant: the order of itertools.product
+    digits = np.indices((cap + 1,) * n_rec).reshape(n_rec, n_states).T.copy()
+    place = (cap + 1) ** np.arange(n_rec - 1, -1, -1)
+    aged = np.minimum(digits + 1, cap)  # every receiver unserved for one more scene
+    # serving receiver a resets its digit to 0
+    transitions = (aged @ place)[:, None] - aged * place
+    # an outage when a receiver other than the served one reaches the threshold;
+    # without outages the threshold is cap + 1, which no counter reaches
+    threshold = cap + 1 if params.outage_after is None else params.outage_after
+    starved = aged >= threshold
+    outage = starved.sum(axis=1, keepdims=True) - starved > 0
+    return transitions, outage, 0
 
 
 def _step_rewards(best_val_of_scene: np.ndarray, outage: np.ndarray, params: SchedulerParams) -> np.ndarray:

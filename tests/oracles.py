@@ -4,9 +4,11 @@ These are the per-pair channel composition and beam sweep, the scene-by-scene
 occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
 that kept one feature grid per example with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time, the
-dynamic-programming optimum that scanned states and receivers one at a time,
-and the numpy tabular Q-learning agent, exactly as they were before the
-rewrites. The production code must reproduce them bit for bit.
+dynamic-programming optimum that scanned states and receivers one at a time
+over state tables enumerated in Python loops, the numpy tabular Q-learning
+agent, the float64 feature matrix and the kNN prediction that sorted every
+float64 distance row, exactly as they were before the rewrites. The
+production code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, open_atomic
-from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec
+from beamcanyon.classify import KnnModel
+from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, Examples, open_atomic
+from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
     _FACE_TOL,
@@ -734,3 +737,29 @@ def tabular_q_agent(
         receivers.append(a)
         si = int(transitions[si, a])
     return _make_plan(receivers, table, params)
+
+
+def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, labels, nlos mask) matrices for a table of examples."""
+    views = receiver_view(examples.grids[examples.grid_row], examples.receiver)
+    x = views.reshape(len(examples), -1).astype(np.float64)
+    return x, examples.label, examples.los == LosStatus.NLOS.value
+
+
+def predict_knn(model: KnnModel, features: np.ndarray) -> np.ndarray:
+    """Batch kNN prediction; accepts a single vector or an (n, d) matrix."""
+    x = np.atleast_2d(np.asarray(features, dtype=np.float64))
+    if x.shape[1] != model.features.shape[1]:
+        raise ValueError(
+            f"feature dimension {x.shape[1]} does not match training dimension "
+            f"{model.features.shape[1]}"
+        )
+    d2 = (
+        (x**2).sum(axis=1)[:, None]
+        + (model.features**2).sum(axis=1)[None, :]
+        - 2.0 * x @ model.features.T
+    )
+    # stable argsort: equidistant neighbours resolve to the lower train index
+    nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
+    votes = model.labels[nearest]
+    return np.array([int(np.argmax(np.bincount(row))) for row in votes], dtype=np.int64)

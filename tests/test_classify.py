@@ -1,12 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from beamcanyon.classify import (
+    CHUNK,
+    KnnModel,
     evaluate,
+    examples_to_arrays,
     knn_classifier,
     majority_classifier,
     predict,
 )
+from beamcanyon.dataset import Examples
 
 
 class TestMajorityClassifier:
@@ -85,6 +92,127 @@ class TestKnnClassifier:
             knn_classifier(np.zeros((3, 2)), np.array([1, 2, 3]), k=0)
         with pytest.raises(ValueError):
             knn_classifier(np.zeros((3, 2)), np.array([1, 2, 3]), k=4)
+
+
+    def test_non_finite_query_rejected(self):
+        model = knn_classifier(np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]]), np.array([1, 2, 3]), k=1)
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                predict(model, np.array([bad, 10.0]))
+
+    def test_non_finite_train_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                knn_classifier(np.array([[0.0, 0.0], [bad, 5.0]]), np.array([1, 2]), k=1)
+
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            knn_classifier(np.zeros((2, 2)), np.array([1, -1]), k=1)
+
+
+def _oracle_predict(train, labels, k, queries):
+    labels = np.asarray(labels, dtype=np.int64)
+    model = KnnModel(np.asarray(train, dtype=np.float64), labels, k, int(labels.max()))
+    return oracles.predict_knn(model, queries)
+
+
+# test sets of one row, of one full chunk and of one chunk plus a row
+N_TEST = st.sampled_from([1, CHUNK, CHUNK + 1])
+
+
+class TestKnnMatchesStableSortOracle:
+    """predict picks the neighbours and votes exactly as the float64 full-argsort kNN it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 40),
+        d=st.integers(1, 12),
+        distinct=st.integers(1, 4),
+        n_test=N_TEST,
+        data=st.data(),
+    )
+    def test_grid_codes_with_ties(self, seed, n_train, d, distinct, n_test, data):
+        # train rows drawn from a few distinct code rows, so many train rows
+        # share the k-th distance of a query
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-3, 2, size=(distinct, d)).astype(np.int8)
+        train = pool[rng.integers(distinct, size=n_train)]
+        queries = rng.integers(-3, 2, size=(n_test, d)).astype(np.int8)
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        assert model.features.dtype == np.float32
+        assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 30),
+        d=st.integers(1, 8),
+        distinct=st.integers(1, 4),
+        n_test=N_TEST,
+        large_integers=st.booleans(),
+        data=st.data(),
+    )
+    def test_float64_features_with_ties(self, seed, n_train, d, distinct, n_test, large_integers, data):
+        # quarter steps keep float64 arithmetic exact; integers reaching 2048 break
+        # the float32 bound 4 * d * m**2 < 2**24 for every d
+        rng = np.random.default_rng(seed)
+        if large_integers:
+            pool = rng.integers(-2048, 2049, size=(distinct, d))
+            pool[0, 0] = 2048
+        else:
+            pool = rng.integers(-16, 17, size=(distinct, d)) / 4.0
+        train = pool[rng.integers(distinct, size=n_train)]
+        train[0] = pool[0]
+        queries = pool[rng.integers(distinct, size=n_test)] + rng.integers(-1, 2, size=(n_test, d))
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        assert model.features.dtype == np.float64
+        assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+
+    def test_float32_at_the_exactness_bound(self):
+        # 4 * 1 * 2047**2 < 2**24: the largest distance, 4094**2, is still exact in float32
+        train = np.array([[-2047], [2047], [0], [2047], [-2047], [1]])
+        labels = np.array([1, 2, 3, 4, 5, 6])
+        queries = np.array([[2047], [-2047], [0], [1024], [-1024], [2], [-1]])
+        for k in range(1, len(train) + 1):
+            model = knn_classifier(train, labels, k)
+            assert model.features.dtype == np.float32
+            assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+
+    def test_query_outside_the_exact_range_rejected(self):
+        model = knn_classifier(np.array([[0, 1], [-3, 1]], dtype=np.int8), np.array([1, 2]), k=1)
+        for query in (np.array([[0.5, 1.0]]), np.array([[3000, 0]])):
+            with pytest.raises(ValueError, match="exact range"):
+                predict(model, query)
+
+
+def test_examples_to_arrays_is_int8_and_equal_to_the_oracle():
+    # several chunks of examples over grids with two receivers per scene, some
+    # receivers absent from their grid
+    rng = np.random.default_rng(17)
+    n_scenes, n = 40, 2 * CHUNK + 3
+    grids = rng.integers(-3, 1, size=(n_scenes, 5, 7)).astype(np.int16)
+    grids[:, 0, 0], grids[:30, 4, 6] = 1, 2
+    examples = Examples(
+        grids=grids,
+        grid_row=rng.integers(n_scenes, size=n),
+        receiver=rng.integers(1, 3, size=n),
+        label=rng.integers(0, 9, size=n),
+        los=rng.choice(["LOS", "NLOS"], size=n),
+        episode=np.zeros(n, dtype=np.int64),
+        scene=np.zeros(n, dtype=np.int64),
+        angles=np.zeros((n, 4)),
+    )
+    x, y, nlos = examples_to_arrays(examples)
+    old_x, old_y, old_nlos = oracles.examples_to_arrays(examples)
+    assert x.dtype == np.int8
+    assert np.array_equal(x, old_x)
+    assert np.array_equal(y, old_y)
+    assert np.array_equal(nlos, old_nlos)
 
 
 class TestEvaluate:

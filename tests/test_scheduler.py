@@ -15,6 +15,7 @@ from beamcanyon.scheduler import (
     QLearningConfig,
     RewardTable,
     SchedulerParams,
+    _state_machinery,
     build_reward_table,
     dp_optimal,
     env_reset,
@@ -263,6 +264,22 @@ class TestAgents:
         table = _table(rng.random((8, 2, 2)))
         hyper = QLearningConfig(training_episodes=100, seed=9)
         assert tabular_q_agent(table, PARAMS, hyper) == tabular_q_agent(table, PARAMS, hyper)
+
+
+class TestStateTablesMatchOracle:
+    """The array-built transitions, outages and start state equal the Python-loop tables."""
+
+    @pytest.mark.parametrize("outage_after", [None, 1, 2, 3, 4])
+    @pytest.mark.parametrize("num_receivers", [1, 2, 3, 4, 5])
+    def test_equal_tables(self, num_receivers, outage_after):
+        params = SchedulerParams(outage_after=outage_after, num_receivers=num_receivers)
+        transitions, outage, start = _state_machinery(params)
+        _, index, expected_transitions, expected_outage = oracles._state_machinery(params)
+        cap = 1 if outage_after is None else outage_after
+        assert transitions.shape == ((cap + 1) ** num_receivers, num_receivers)
+        assert np.array_equal(transitions, expected_transitions)
+        assert np.array_equal(outage, expected_outage)
+        assert start == index[(0,) * num_receivers]
 
 
 class TestDpMatchesOracle:
