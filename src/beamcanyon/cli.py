@@ -90,10 +90,31 @@ class RunConfig:
 
 
 def _section(data: dict, name: str) -> dict:
-    value = data.get(name, {})
+    """Take section ``name`` out of ``data``, so that only unknown keys stay behind."""
+    value = data.pop(name, {})
     if not isinstance(value, dict):
         raise ValueError(f"config section {name!r} must be an object")
     return value
+
+
+def _reject_leftover(data: dict, where: str) -> None:
+    if data:
+        raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, data))}")
+
+
+def _parse_outage_after(value: int | str | None) -> int | None:
+    """The outage threshold from ``--n-out`` or the config file.
+
+    "inf" and "none", in any case, disable outages; other strings must be integers.
+    """
+    if not isinstance(value, str):
+        return value
+    if value.lower() in ("inf", "none"):
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"outage threshold must be an integer, 'inf' or 'none'; got {value!r}") from None
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -101,6 +122,8 @@ def load_run_config(path: str | None) -> RunConfig:
         return RunConfig()
     with open(path, "r", encoding="utf-8") as f:
         data = json.load(f)
+    if not isinstance(data, dict):
+        raise ValueError("config must be a JSON object")
     scenario = ScenarioConfig(**_section(data, "scenario"))
     episode = EpisodeParams(**_section(data, "episode"))
     trace_raw = _section(data, "trace")
@@ -109,28 +132,31 @@ def load_run_config(path: str | None) -> RunConfig:
             trace_raw[key] = complex(*trace_raw[key])
     trace = TraceConfig(**trace_raw)
     arrays = _section(data, "arrays")
-    spacing = arrays.get("spacing_wavelengths", 0.5)
-    tx_array = ArraySpec(*arrays.get("tx", (4, 4)), spacing_wavelengths=spacing)
-    rx_array = ArraySpec(*arrays.get("rx", (4, 4)), spacing_wavelengths=spacing)
+    spacing = arrays.pop("spacing_wavelengths", 0.5)
+    tx_array = ArraySpec(*arrays.pop("tx", (4, 4)), spacing_wavelengths=spacing)
+    rx_array = ArraySpec(*arrays.pop("rx", (4, 4)), spacing_wavelengths=spacing)
+    _reject_leftover(arrays, "config section 'arrays'")
     sched_raw = _section(data, "scheduler")
-    if sched_raw.get("outage_after") == "inf":
-        sched_raw["outage_after"] = None
+    if "outage_after" in sched_raw:
+        sched_raw["outage_after"] = _parse_outage_after(sched_raw["outage_after"])
     scheduler = SchedulerParams(**sched_raw)
     qlearn = QLearningConfig(**_section(data, "qlearn"))
-    return RunConfig(
-        seed=data.get("seed", 0),
-        output_dir=data.get("output_dir", "out"),
+    config = RunConfig(
+        seed=data.pop("seed", 0),
+        output_dir=data.pop("output_dir", "out"),
         scenario=scenario,
         episode=episode,
         trace=trace,
         tx_array=tx_array,
         rx_array=rx_array,
-        grid_cell=data.get("grid_cell", 1.0),
+        grid_cell=data.pop("grid_cell", 1.0),
         scheduler=scheduler,
-        test_fraction=data.get("test_fraction", 0.25),
-        knn_k=data.get("knn_k", 5),
+        test_fraction=data.pop("test_fraction", 0.25),
+        knn_k=data.pop("knn_k", 5),
         qlearn=qlearn,
     )
+    _reject_leftover(data, "config")
+    return config
 
 
 def _generate_one(args: tuple) -> EpisodeRecord:
@@ -332,11 +358,21 @@ def cmd_report(classify_report: Path | None, rewards_csv: Path | None) -> None:
             raise ValueError(f"cannot read report {rewards_csv}: {e}") from e
         if not lines:
             raise ValueError(f"cannot read report {rewards_csv}: empty file")
-        names = lines[0].split(",")[1:]
-        values = [line.split(",")[1:] for line in lines[1:]]
-        print(f"per-episode rewards: {rewards_csv} ({len(values)} episodes)")
-        for col, name in enumerate(names):
-            mean = sum(float(row[col]) for row in values) / max(1, len(values))
+        header, *rows = (line.split(",") for line in lines)
+        if not rows:
+            raise ValueError(f"cannot read report {rewards_csv}: no episode rows")
+        for n, row in enumerate(rows, start=2):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"cannot read report {rewards_csv}: line {n} has {len(row)} columns, "
+                    f"the header {len(header)}"
+                )
+        try:
+            means = [sum(map(float, column)) / len(rows) for column in list(zip(*rows))[1:]]
+        except ValueError as e:
+            raise ValueError(f"cannot read report {rewards_csv}: {e}") from e
+        print(f"per-episode rewards: {rewards_csv} ({len(rows)} episodes)")
+        for name, mean in zip(header[1:], means):
             print(f"  {name}: mean {mean:.4f}")
 
 
@@ -372,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schedule", help="run scheduling agents and the DP optimum")
     p.add_argument("episodes_file", type=str)
     p.add_argument("--agents", type=str, default="greedy,round_robin,tabular_q,dp")
-    p.add_argument("--n-out", type=str, default=None, help="outage threshold (int or 'inf')")
+    p.add_argument("--n-out", type=str, default=None, help="outage threshold (int, 'inf' or 'none')")
     p.add_argument("--r-out", type=float, default=None, help="outage penalty")
     p.add_argument("--n-rec", type=int, default=None, help="number of scheduled receivers")
 
@@ -397,8 +433,7 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
         config = replace(config, knn_k=args.knn_k)
     scheduler = config.scheduler
     if getattr(args, "n_out", None) is not None:
-        outage = None if args.n_out.lower() in ("inf", "none") else int(args.n_out)
-        scheduler = replace(scheduler, outage_after=outage)
+        scheduler = replace(scheduler, outage_after=_parse_outage_after(args.n_out))
     if getattr(args, "r_out", None) is not None:
         scheduler = replace(scheduler, outage_penalty=args.r_out)
     if getattr(args, "n_rec", None) is not None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
 
@@ -112,138 +113,90 @@ def build_episode_record(
     )
 
 
-def _vehicle_to_obj(v: Vehicle) -> dict:
-    return {
-        "id": v.id,
-        "kind": v.type.kind.value,
-        "length": v.type.length,
-        "width": v.type.width,
-        "height": v.type.height,
-        "probability": v.type.probability,
-        "position": [v.position.x, v.position.y, v.position.z],
-        "heading": v.heading,
-        "speed": v.speed,
-        "receiver_index": v.receiver_index,
-    }
+# The JSON keys of each record type's plain fields, in the order of its constructor,
+# so that the reader builds the record positionally. They are the fields' names, so
+# the writer stores a record by copying its fields. The other fields are converted
+# by name: a ray's complex gain is stored as [re, im], a pair's rays as a list of
+# objects, a vehicle's position as [x, y, z] and its type flat in the vehicle's
+# object.
+RAY_KEYS = ("delay", "dep_azimuth", "dep_elevation", "arr_azimuth", "arr_elevation", "interactions")
+PAIR_KEYS = ("tx_id", "rx_id", "mean_toa", "p_tx_dbm", "p_rx_dbm")
+VEHICLE_KEYS = ("id", "heading", "speed", "receiver_index")
+VEHICLE_TYPE_KEYS = ("kind", "length", "width", "height", "probability")
+PARAMS_KEYS = ("sample_period", "scenes_per_episode", "receiver_count", "seed", "avg_speed")
 
-
-def _vehicle_from_obj(o: dict) -> Vehicle:
-    return Vehicle(
-        id=o["id"],
-        type=VehicleType(
-            VehicleKind(o["kind"]), o["length"], o["width"], o["height"], o["probability"]
-        ),
-        position=Vec3(*o["position"]),
-        heading=o["heading"],
-        speed=o["speed"],
-        receiver_index=o["receiver_index"],
-    )
-
-
-def _ray_to_obj(r: Ray) -> dict:
-    return {
-        "gain": [r.gain.real, r.gain.imag],
-        "delay": r.delay,
-        "dep_azimuth": r.dep_azimuth,
-        "dep_elevation": r.dep_elevation,
-        "arr_azimuth": r.arr_azimuth,
-        "arr_elevation": r.arr_elevation,
-        "interactions": r.interactions,
-    }
-
-
-def _ray_from_obj(o: dict) -> Ray:
-    return Ray(
-        gain=complex(o["gain"][0], o["gain"][1]),
-        delay=o["delay"],
-        dep_azimuth=o["dep_azimuth"],
-        dep_elevation=o["dep_elevation"],
-        arr_azimuth=o["arr_azimuth"],
-        arr_elevation=o["arr_elevation"],
-        interactions=o["interactions"],
-    )
-
-
-def _pair_to_obj(p: PairRecord) -> dict:
-    return {
-        "tx_id": p.tx_id,
-        "rx_id": p.rx_id,
-        "rays": [_ray_to_obj(r) for r in p.rays],
-        "mean_toa": p.mean_toa,
-        "p_tx_dbm": p.p_tx_dbm,
-        "p_rx_dbm": p.p_rx_dbm,
-    }
-
-
-def _pair_from_obj(o: dict) -> PairRecord:
-    return PairRecord(
-        tx_id=o["tx_id"],
-        rx_id=o["rx_id"],
-        rays=tuple(_ray_from_obj(r) for r in o["rays"]),
-        mean_toa=o["mean_toa"],
-        p_tx_dbm=o["p_tx_dbm"],
-        p_rx_dbm=o["p_rx_dbm"],
-    )
-
-
-def _rect_to_list(r: Rect) -> list[float]:
-    return [r.xmin, r.ymin, r.xmax, r.ymax]
+_ray_items, _pair_items, _vehicle_items, _type_items, _params_items = (
+    itemgetter(*k) for k in (RAY_KEYS, PAIR_KEYS, VEHICLE_KEYS, VEHICLE_TYPE_KEYS, PARAMS_KEYS)
+)
+_xyz = attrgetter("x", "y", "z")
 
 
 def _record_to_obj(rec: EpisodeRecord) -> dict:
+    scenes = []
+    for s in rec.scenes:
+        vehicles = []
+        for v in s.vehicles:
+            obj = vars(v.type).copy()  # the kind is a str enum, so json writes its value
+            obj.update(vars(v))
+            del obj["type"]
+            obj["position"] = _xyz(v.position)
+            vehicles.append(obj)
+        pairs = []
+        for p in s.pairs:
+            rays = []
+            for r in p.rays:
+                obj = vars(r).copy()
+                obj["gain"] = (r.gain.real, r.gain.imag)
+                rays.append(obj)
+            obj = vars(p).copy()
+            obj["rays"] = rays
+            pairs.append(obj)
+        scenes.append({"time": s.time, "vehicles": vehicles, "pairs": pairs})
     return {
         "episode_id": rec.episode_id,
         "start_time": rec.start_time,
-        "params": {
-            "sample_period": rec.params.sample_period,
-            "scenes_per_episode": rec.params.scenes_per_episode,
-            "receiver_count": rec.params.receiver_count,
-            "seed": rec.params.seed,
-            "avg_speed": rec.params.avg_speed,
-        },
+        "params": vars(rec.params),
         "max_rays": rec.max_rays,
-        "rt_area": _rect_to_list(rec.rt_area),
-        "v2i_area": _rect_to_list(rec.v2i_area),
-        "rsu_position": [rec.rsu_position.x, rec.rsu_position.y, rec.rsu_position.z],
+        "rt_area": astuple(rec.rt_area),
+        "v2i_area": astuple(rec.v2i_area),
+        "rsu_position": astuple(rec.rsu_position),
         "receiver_vehicles": {str(k): v for k, v in sorted(rec.receiver_vehicles.items())},
-        "scenes": [
-            {
-                "time": s.time,
-                "vehicles": [_vehicle_to_obj(v) for v in s.vehicles],
-                "pairs": [_pair_to_obj(p) for p in s.pairs],
-            }
-            for s in rec.scenes
-        ],
+        "scenes": scenes,
     }
 
 
-def _record_from_obj(o: dict) -> EpisodeRecord:
+def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
+    """Decode one episode object; ``vehicle_types`` interns the types met so far in its file."""
     if not o["scenes"]:
         raise ValueError("no scenes")
-    params = o["params"]
+    scenes = []
+    for s in o["scenes"]:
+        vehicles = []
+        for v in s["vehicles"]:
+            key = _type_items(v)
+            vtype = vehicle_types.get(key)
+            if vtype is None:
+                kind, *size = key
+                vtype = vehicle_types[key] = VehicleType(VehicleKind(kind), *size)
+            vid, heading, speed, receiver_index = _vehicle_items(v)
+            vehicles.append(Vehicle(vid, vtype, Vec3(*v["position"]), heading, speed, receiver_index))
+        pairs = []
+        for p in s["pairs"]:
+            tx_id, rx_id, mean_toa, p_tx_dbm, p_rx_dbm = _pair_items(p)
+            # unpacking the gain rejects any but exactly two parts
+            rays = tuple(Ray(complex(re, im), *_ray_items(r)) for r in p["rays"] for re, im in (r["gain"],))
+            pairs.append(PairRecord(tx_id, rx_id, rays, mean_toa, p_tx_dbm, p_rx_dbm))
+        scenes.append(SceneRecord(s["time"], tuple(vehicles), tuple(pairs)))
     return EpisodeRecord(
-        episode_id=o["episode_id"],
-        start_time=o["start_time"],
-        params=EpisodeParams(
-            sample_period=params["sample_period"],
-            scenes_per_episode=params["scenes_per_episode"],
-            receiver_count=params["receiver_count"],
-            seed=params["seed"],
-            avg_speed=params["avg_speed"],
-        ),
-        max_rays=o["max_rays"],
-        rt_area=Rect(*o["rt_area"]),
-        v2i_area=Rect(*o["v2i_area"]),
-        rsu_position=Vec3(*o["rsu_position"]),
-        receiver_vehicles={int(k): v for k, v in o["receiver_vehicles"].items()},
-        scenes=tuple(
-            SceneRecord(
-                time=s["time"],
-                vehicles=tuple(_vehicle_from_obj(v) for v in s["vehicles"]),
-                pairs=tuple(_pair_from_obj(p) for p in s["pairs"]),
-            )
-            for s in o["scenes"]
-        ),
+        o["episode_id"],
+        o["start_time"],
+        EpisodeParams(*_params_items(o["params"])),
+        o["max_rays"],
+        Rect(*o["rt_area"]),
+        Rect(*o["v2i_area"]),
+        Vec3(*o["rsu_position"]),
+        {int(k): v for k, v in o["receiver_vehicles"].items()},
+        tuple(scenes),
     )
 
 
@@ -294,9 +247,10 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
             raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
         expected = header.get("episode_count")
         records = []
+        vehicle_types: dict[tuple, VehicleType] = {}
         for i, line in enumerate(f):
             try:
-                records.append(_record_from_obj(json.loads(line.rstrip("\n"))))
+                records.append(_record_from_obj(json.loads(line.rstrip("\n")), vehicle_types))
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
                 raise DatasetFormatError(f"{path}: record {i}: {e}") from e
     if not records:

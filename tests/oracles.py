@@ -6,9 +6,10 @@ that kept one feature grid per example with the table-driven CSV writer over it,
 per-pair tracer that enumerated and tested one candidate path at a time, the
 dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the numpy tabular Q-learning
-agent, the float64 feature matrix and the kNN prediction that sorted every
-float64 distance row, exactly as they were before the rewrites. The
-production code must reproduce them bit for bit.
+agent, the float64 feature matrix, the kNN prediction that sorted every
+float64 distance row, and the episode-file codec that spelled out every key of
+each record type in one writer and one reader helper per type, exactly as they
+were before the rewrites. The production code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from beamcanyon.classify import KnnModel
-from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, Examples, open_atomic
+from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, Examples, SceneRecord, open_atomic
 from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
@@ -59,10 +60,13 @@ from beamcanyon.scenario import (
     Episode,
     EpisodeParams,
     Lane,
+    Rect,
     Scenario,
     Scene,
     Vec3,
     Vehicle,
+    VehicleKind,
+    VehicleType,
     _draw_speed,
     sample_vehicle_type,
     vehicle_bounding_box,
@@ -763,3 +767,138 @@ def predict_knn(model: KnnModel, features: np.ndarray) -> np.ndarray:
     nearest = np.argsort(d2, axis=1, kind="stable")[:, : model.k]
     votes = model.labels[nearest]
     return np.array([int(np.argmax(np.bincount(row))) for row in votes], dtype=np.int64)
+
+
+def _vehicle_to_obj(v: Vehicle) -> dict:
+    return {
+        "id": v.id,
+        "kind": v.type.kind.value,
+        "length": v.type.length,
+        "width": v.type.width,
+        "height": v.type.height,
+        "probability": v.type.probability,
+        "position": [v.position.x, v.position.y, v.position.z],
+        "heading": v.heading,
+        "speed": v.speed,
+        "receiver_index": v.receiver_index,
+    }
+
+
+def _vehicle_from_obj(o: dict) -> Vehicle:
+    return Vehicle(
+        id=o["id"],
+        type=VehicleType(
+            VehicleKind(o["kind"]), o["length"], o["width"], o["height"], o["probability"]
+        ),
+        position=Vec3(*o["position"]),
+        heading=o["heading"],
+        speed=o["speed"],
+        receiver_index=o["receiver_index"],
+    )
+
+
+def _ray_to_obj(r: Ray) -> dict:
+    return {
+        "gain": [r.gain.real, r.gain.imag],
+        "delay": r.delay,
+        "dep_azimuth": r.dep_azimuth,
+        "dep_elevation": r.dep_elevation,
+        "arr_azimuth": r.arr_azimuth,
+        "arr_elevation": r.arr_elevation,
+        "interactions": r.interactions,
+    }
+
+
+def _ray_from_obj(o: dict) -> Ray:
+    return Ray(
+        gain=complex(o["gain"][0], o["gain"][1]),
+        delay=o["delay"],
+        dep_azimuth=o["dep_azimuth"],
+        dep_elevation=o["dep_elevation"],
+        arr_azimuth=o["arr_azimuth"],
+        arr_elevation=o["arr_elevation"],
+        interactions=o["interactions"],
+    )
+
+
+def _pair_to_obj(p: PairRecord) -> dict:
+    return {
+        "tx_id": p.tx_id,
+        "rx_id": p.rx_id,
+        "rays": [_ray_to_obj(r) for r in p.rays],
+        "mean_toa": p.mean_toa,
+        "p_tx_dbm": p.p_tx_dbm,
+        "p_rx_dbm": p.p_rx_dbm,
+    }
+
+
+def _pair_from_obj(o: dict) -> PairRecord:
+    return PairRecord(
+        tx_id=o["tx_id"],
+        rx_id=o["rx_id"],
+        rays=tuple(_ray_from_obj(r) for r in o["rays"]),
+        mean_toa=o["mean_toa"],
+        p_tx_dbm=o["p_tx_dbm"],
+        p_rx_dbm=o["p_rx_dbm"],
+    )
+
+
+def _rect_to_list(r: Rect) -> list[float]:
+    return [r.xmin, r.ymin, r.xmax, r.ymax]
+
+
+def _record_to_obj(rec: EpisodeRecord) -> dict:
+    return {
+        "episode_id": rec.episode_id,
+        "start_time": rec.start_time,
+        "params": {
+            "sample_period": rec.params.sample_period,
+            "scenes_per_episode": rec.params.scenes_per_episode,
+            "receiver_count": rec.params.receiver_count,
+            "seed": rec.params.seed,
+            "avg_speed": rec.params.avg_speed,
+        },
+        "max_rays": rec.max_rays,
+        "rt_area": _rect_to_list(rec.rt_area),
+        "v2i_area": _rect_to_list(rec.v2i_area),
+        "rsu_position": [rec.rsu_position.x, rec.rsu_position.y, rec.rsu_position.z],
+        "receiver_vehicles": {str(k): v for k, v in sorted(rec.receiver_vehicles.items())},
+        "scenes": [
+            {
+                "time": s.time,
+                "vehicles": [_vehicle_to_obj(v) for v in s.vehicles],
+                "pairs": [_pair_to_obj(p) for p in s.pairs],
+            }
+            for s in rec.scenes
+        ],
+    }
+
+
+def _record_from_obj(o: dict) -> EpisodeRecord:
+    if not o["scenes"]:
+        raise ValueError("no scenes")
+    params = o["params"]
+    return EpisodeRecord(
+        episode_id=o["episode_id"],
+        start_time=o["start_time"],
+        params=EpisodeParams(
+            sample_period=params["sample_period"],
+            scenes_per_episode=params["scenes_per_episode"],
+            receiver_count=params["receiver_count"],
+            seed=params["seed"],
+            avg_speed=params["avg_speed"],
+        ),
+        max_rays=o["max_rays"],
+        rt_area=Rect(*o["rt_area"]),
+        v2i_area=Rect(*o["v2i_area"]),
+        rsu_position=Vec3(*o["rsu_position"]),
+        receiver_vehicles={int(k): v for k, v in o["receiver_vehicles"].items()},
+        scenes=tuple(
+            SceneRecord(
+                time=s["time"],
+                vehicles=tuple(_vehicle_from_obj(v) for v in s["vehicles"]),
+                pairs=tuple(_pair_from_obj(p) for p in s["pairs"]),
+            )
+            for s in o["scenes"]
+        ),
+    )

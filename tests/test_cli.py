@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from beamcanyon.cli import derive_seed, load_run_config, main, splitmix64
+from beamcanyon.cli import _apply_overrides, _build_parser, derive_seed, load_run_config, main, splitmix64
 from beamcanyon.dataset import read_episodes
 
 
@@ -291,6 +291,31 @@ class TestReport:
         assert rc == 1
         assert "broken.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            pytest.param("episode,greedy,dp\n", "no episode rows", id="header-only"),
+            pytest.param("episode,greedy,dp\n0,0.5,0.75\n1,0.25\n", "line 3 has 2 columns", id="short-row"),
+            pytest.param("episode,greedy\n0,fast\n", "could not convert", id="not-a-number"),
+        ],
+    )
+    def test_malformed_rewards_csv_names_file(self, tmp_path, capsys, text, match):
+        bad = tmp_path / "rewards.csv"
+        bad.write_text(text)
+        rc = main(["report", "--rewards-csv", str(bad)])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(bad) in captured.err and match in captured.err
+
+    def test_rewards_means(self, tmp_path, capsys):
+        path = tmp_path / "rewards.csv"
+        path.write_text("episode,greedy,dp\n0,0.5,0.75\n1,0.25,1.0\n")
+        assert main(["report", "--rewards-csv", str(path)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == [f"per-episode rewards: {path} (2 episodes)", "  greedy: mean 0.3750", "  dp: mean 0.8750"]
+
 
 class TestRunConfig:
     def test_defaults_without_file(self):
@@ -318,3 +343,62 @@ class TestRunConfig:
         assert config.trace.wall_reflection == complex(-0.4, 0.1)
         assert config.scheduler.outage_after is None
         assert config.tx_array.size == 4
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            pytest.param({"grid_cel": 0.5}, "'grid_cel'", id="top-level"),
+            pytest.param({"knn-k": 1}, "'knn-k'", id="top-level-hyphen"),
+            pytest.param({"arrays": {"spacing": 0.25}}, "'spacing'", id="arrays"),
+        ],
+    )
+    def test_unknown_key_fails(self, tmp_path, capsys, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        with pytest.raises(ValueError, match=f"unknown keys in config.*{key}"):
+            load_run_config(str(path))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown keys in config") and key in err and err.count("\n") == 1
+
+    def test_every_documented_key_loads(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "seed": 3,
+                    "output_dir": "elsewhere",
+                    "test_fraction": 0.5,
+                    "knn_k": 2,
+                    "grid_cell": 0.5,
+                    "arrays": {"tx": [2, 4], "rx": [4, 2], "spacing_wavelengths": 0.25},
+                }
+            )
+        )
+        config = load_run_config(str(path))
+        assert (config.seed, config.output_dir, config.test_fraction, config.knn_k) == (3, "elsewhere", 0.5, 2)
+        assert config.grid_cell == 0.5
+        assert config.tx_array.spacing_wavelengths == config.rx_array.spacing_wavelengths == 0.25
+
+    @pytest.mark.parametrize("spelling", ["inf", "INF", "Inf", "none", "None", "NONE", pytest.param(None, id="null")])
+    def test_outage_disabled_in_file_and_flag_alike(self, tmp_path, capsys, spelling):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheduler": {"outage_after": spelling}}))
+        assert load_run_config(str(path)).scheduler.outage_after is None
+        if spelling is not None:
+            args = _build_parser().parse_args(["schedule", "episodes.jsonl", "--n-out", spelling])
+            assert _apply_overrides(load_run_config(None), args).scheduler.outage_after is None
+
+    @pytest.mark.parametrize("spelling", [4, "4"], ids=["number", "string"])
+    def test_outage_threshold_integer(self, tmp_path, spelling):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheduler": {"outage_after": spelling}}))
+        assert load_run_config(str(path)).scheduler.outage_after == 4
+        args = _build_parser().parse_args(["schedule", "episodes.jsonl", "--n-out", str(spelling)])
+        assert _apply_overrides(load_run_config(None), args).scheduler.outage_after == 4
+
+    def test_outage_threshold_garbage_fails(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scheduler": {"outage_after": "never"}}))
+        assert main(["--config", str(path), "report"]) == 1
+        assert capsys.readouterr().err == "error: outage threshold must be an integer, 'inf' or 'none'; got 'never'\n"

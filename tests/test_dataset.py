@@ -5,9 +5,19 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+import oracles
+from beamcanyon.cli import main
 from beamcanyon.dataset import (
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    PAIR_KEYS,
+    PARAMS_KEYS,
+    RAY_KEYS,
+    VEHICLE_KEYS,
+    VEHICLE_TYPE_KEYS,
     DatasetFormatError,
     Examples,
+    _dumps,
     build_episode_record,
     export_csv,
     extract_examples,
@@ -17,8 +27,14 @@ from beamcanyon.dataset import (
 )
 from beamcanyon.features import GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
-from beamcanyon.raytrace import LosStatus, TraceConfig
-from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
+from beamcanyon.raytrace import LosStatus, PairRecord, Ray, TraceConfig
+from beamcanyon.scenario import (
+    EpisodeParams,
+    Vehicle,
+    VehicleType,
+    generate_episode,
+    make_canyon_scenario,
+)
 
 ARRAY = ArraySpec(4, 4)
 
@@ -104,6 +120,10 @@ class TestRoundTrip:
         "corrupt, match",
         [
             pytest.param(lambda objs: _first_ray(objs[2]).update(gain=[0.1]), "record 1: ", id="one-part-ray-gain"),
+            pytest.param(
+                lambda objs: _first_ray(objs[2]).update(gain=[0.1, 0.2, 0.3]), "record 1: ", id="three-part-ray-gain"
+            ),
+            pytest.param(lambda objs: _first_ray(objs[1]).update(gain=[]), "record 0: ", id="empty-ray-gain"),
             pytest.param(lambda objs: objs[2].update(receiver_vehicles=[]), "record 1: ", id="receivers-as-list"),
             pytest.param(lambda objs: objs[2].update(scenes=[]), "record 1: no scenes", id="no-scenes"),
             pytest.param(lambda objs: objs.__setitem__(0, [1, 2]), "not a beamcanyon-episodes file", id="list-header"),
@@ -144,6 +164,67 @@ class TestRoundTrip:
         back = read_episodes(path)
         assert time.monotonic() - started < 60.0
         assert back == big
+
+
+def _oracle_read(path):
+    return [oracles._record_from_obj(json.loads(line)) for line in path.read_text().splitlines()[1:]]
+
+
+def _oracle_bytes(records):
+    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}
+    return "".join(_dumps(obj) + "\n" for obj in [header, *map(oracles._record_to_obj, records)]).encode()
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The golden case's 6 x 10 file at seed 7, and a 3 x 10 file at seed 71 with NoPath pairs."""
+    out = tmp_path_factory.mktemp("episodes")
+    for seed, episodes in ((7, 6), (71, 3)):
+        argv = ["--seed", str(seed), "--out", str(out), "generate", "--episodes", str(episodes)]
+        assert main(argv + ["--scenes", "10", "--file", f"seed{seed}.jsonl"]) == 0
+    return {"golden": out / "seed7.jsonl", "nopath": out / "seed71.jsonl"}
+
+
+class TestCodecMatchesOracle:
+    @pytest.mark.parametrize(
+        "cls, keys, converted",
+        [
+            (Ray, RAY_KEYS, {"gain"}),
+            (PairRecord, PAIR_KEYS, {"rays"}),
+            (Vehicle, VEHICLE_KEYS, {"type", "position"}),
+            (VehicleType, VEHICLE_TYPE_KEYS, set()),
+            (EpisodeParams, PARAMS_KEYS, set()),
+        ],
+    )
+    def test_keys_follow_constructor_order(self, cls, keys, converted):
+        # the reader builds records positionally from these keys, and the writer stores
+        # every field under its name
+        assert keys == tuple(f.name for f in fields(cls) if f.name not in converted)
+
+    @pytest.mark.parametrize("name", ["golden", "nopath"])
+    def test_reader_equals_oracle(self, cli_files, name):
+        path = cli_files[name]
+        back = read_episodes(path)
+        assert back == _oracle_read(path)
+        assert repr(back) == repr(_oracle_read(path))
+
+    def test_files_exercise_string_key_order_and_null_powers(self, cli_files):
+        golden = json.loads(cli_files["golden"].read_text().splitlines()[1])
+        assert list(golden["receiver_vehicles"])[:3] == ["1", "10", "2"]
+        pairs = [p for r in read_episodes(cli_files["nopath"]) for s in r.scenes for p in s.pairs]
+        assert any(p.mean_toa is None and p.p_rx_dbm is None and not p.rays for p in pairs)
+
+    @pytest.mark.parametrize("name", ["golden", "nopath"])
+    def test_writer_bytes_equal_oracle(self, cli_files, tmp_path, name):
+        records = read_episodes(cli_files[name])
+        path = tmp_path / "rewritten.jsonl"
+        write_episodes(records, path)
+        assert path.read_bytes() == _oracle_bytes(records) == cli_files[name].read_bytes()
+
+    def test_vehicle_types_interned_per_file(self, cli_files):
+        records = read_episodes(cli_files["golden"])
+        types = {id(v.type): v.type for r in records for s in r.scenes for v in s.vehicles}
+        assert len(types) == len(set(types.values())) == 3
 
 
 class TestSplitEpisodes:
