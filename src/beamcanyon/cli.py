@@ -117,6 +117,17 @@ def _parse_outage_after(value: int | str | None) -> int | None:
         raise ValueError(f"outage threshold must be an integer, 'inf' or 'none'; got {value!r}") from None
 
 
+def _parse_complex(key: str, value: object) -> complex:
+    """A complex number from its ``[re, im]`` pair in the config file."""
+    if not (
+        isinstance(value, list)
+        and len(value) == 2
+        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+    ):
+        raise ValueError(f"{key} must be two numbers [re, im]; got {value!r}")
+    return complex(*value)
+
+
 def load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
@@ -128,8 +139,8 @@ def load_run_config(path: str | None) -> RunConfig:
     episode = EpisodeParams(**_section(data, "episode"))
     trace_raw = _section(data, "trace")
     for key in ("wall_reflection", "ground_reflection"):
-        if key in trace_raw and isinstance(trace_raw[key], list):
-            trace_raw[key] = complex(*trace_raw[key])
+        if key in trace_raw:
+            trace_raw[key] = _parse_complex(f"trace.{key}", trace_raw[key])
     trace = TraceConfig(**trace_raw)
     arrays = _section(data, "arrays")
     spacing = arrays.pop("spacing_wavelengths", 0.5)

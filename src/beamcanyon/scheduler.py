@@ -10,6 +10,7 @@ the exact optimum to benchmark agents against.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,17 @@ class QLearningConfig:
     epsilon_start: float = 1.0
     epsilon_end: float = 0.05
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.training_episodes, int) or self.training_episodes < 1:
+            raise ValueError(f"training_episodes must be an integer >= 1, got {self.training_episodes}")
+        if not 0 < self.learning_rate <= 1:
+            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
+        if not 0 <= self.discount <= 1:
+            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
+        for name in ("epsilon_start", "epsilon_end"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
 
 
 def normalize_powers(raw_scene_db: np.ndarray, floor_offset_db: float = 200.0) -> np.ndarray:
@@ -272,6 +284,39 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
     return _make_plan(receivers, table, params)
 
 
+class _PCG64Draws:
+    """The ``random()`` and ``integers(n)`` draws of ``np.random.default_rng(seed)``.
+
+    Decodes PCG64 raw outputs, read in chunks, as numpy does: ``integers``
+    takes the low half of a fresh raw and keeps the high half for its next
+    call, across any ``random()`` calls between. Valid for 1 <= n <= 2**32.
+    """
+
+    def __init__(self, seed: int, chunk: int = 4096) -> None:
+        bitgen = np.random.default_rng(seed).bit_generator
+        chunks = iter(lambda: bitgen.random_raw(chunk).tolist(), None)
+        self._raws = itertools.chain.from_iterable(chunks)
+        self._half: int | None = None  # high half of the last raw split for integers
+
+    def random(self) -> float:
+        return (next(self._raws) >> 11) * 2.0**-53
+
+    def integers(self, n: int) -> int:
+        if n == 1:
+            return 0
+        threshold = (2**32 - n) % n  # reject the low products that bias the result
+        while True:
+            if self._half is None:
+                raw = next(self._raws)
+                self._half = raw >> 32
+                m = (raw & 0xFFFFFFFF) * n
+            else:
+                m = self._half * n
+                self._half = None
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+
 def tabular_q_agent(
     table: RewardTable,
     params: SchedulerParams,
@@ -284,6 +329,12 @@ def tabular_q_agent(
     ``hyper.seed``. Q, the transitions and the rewards are nested lists of
     Python floats: the loop does one scalar update per step, which plain
     Python does faster than numpy scalar indexing.
+
+    The exploration draws are ``np.random.default_rng(hyper.seed)``'s own,
+    decoded from PCG64 raw outputs by ``_PCG64Draws`` with numpy's integer
+    arithmetic: a shift and an exact power-of-two scale for ``random()``,
+    Lemire's rejection on 32-bit halves for ``integers``. So the plan is the
+    same to the bit, and a draw costs a fraction of a numpy scalar call.
     """
     transitions, outage, start = _state_machinery(params)
     best_val, _ = _best_beams(table)
@@ -293,7 +344,7 @@ def tabular_q_agent(
 
     nxt_of = transitions.tolist()
     reward = [_step_rewards(row, outage, params).tolist() for row in best_val]
-    rng = np.random.default_rng(hyper.seed)
+    rng = _PCG64Draws(hyper.seed)
     q = [[[0.0] * n_rec for _ in range(n_states)] for _ in range(n_scenes + 1)]
     rate, discount = hyper.learning_rate, hyper.discount
     for episode in range(hyper.training_episodes):
@@ -306,7 +357,7 @@ def tabular_q_agent(
         for s in range(n_scenes):
             row = q[s][si]
             if rng.random() < epsilon:
-                a = int(rng.integers(n_rec))
+                a = rng.integers(n_rec)
             else:
                 a = row.index(max(row))  # first maximum, as np.argmax
             nxt = nxt_of[si][a]

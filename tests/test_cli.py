@@ -344,6 +344,44 @@ class TestRunConfig:
         assert config.scheduler.outage_after is None
         assert config.tx_array.size == 4
 
+    @pytest.mark.parametrize("key", ["wall_reflection", "ground_reflection"])
+    @pytest.mark.parametrize(
+        "value",
+        [[-0.4], [-0.4, 0.1, 9], ["-0.4", "0.1"], [-0.4, None], [True, 0.0], [], -0.4],
+        ids=["one-part", "three-part", "strings", "null", "bool", "empty", "bare-number"],
+    )
+    def test_reflection_must_be_re_im_pair(self, tmp_path, capsys, key, value):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"trace": {key: value}}))
+        with pytest.raises(ValueError, match=rf"trace\.{key} must be two numbers \[re, im\]"):
+            load_run_config(str(path))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trace.{key} must be two numbers") and err.count("\n") == 1
+
+    def test_reflection_pair_of_integers_loads(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"trace": {"ground_reflection": [-1, 0]}}))
+        assert load_run_config(str(path)).trace.ground_reflection == complex(-1, 0)
+
+    @pytest.mark.parametrize(
+        "qlearn, key",
+        [
+            ({"training_episodes": -3}, "training_episodes"),
+            ({"training_episodes": 2.5}, "training_episodes"),
+            ({"learning_rate": 0}, "learning_rate"),
+            ({"discount": 2}, "discount"),
+            ({"epsilon_start": 1.5}, "epsilon_start"),
+            ({"epsilon_end": -1}, "epsilon_end"),
+        ],
+    )
+    def test_bad_qlearn_section_fails_with_one_line(self, tmp_path, capsys, qlearn, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"qlearn": qlearn}))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "config, key",
         [

@@ -15,6 +15,7 @@ from beamcanyon.scheduler import (
     QLearningConfig,
     RewardTable,
     SchedulerParams,
+    _PCG64Draws,
     _state_machinery,
     build_reward_table,
     dp_optimal,
@@ -314,9 +315,82 @@ class TestTabularQMatchesOracle:
         for hyper in (
             QLearningConfig(training_episodes=1, seed=seed),
             QLearningConfig(training_episodes=150, learning_rate=0.3, discount=0.9, seed=seed),
+            # never explore: no integers() draw; always explore: one per step
+            QLearningConfig(training_episodes=40, epsilon_start=0.0, epsilon_end=0.0, seed=seed),
+            QLearningConfig(training_episodes=40, epsilon_start=1.0, epsilon_end=1.0, seed=seed),
         ):
             expected = oracles.tabular_q_agent(table, params, hyper)
             assert tabular_q_agent(table, params, hyper) == expected
+
+
+class TestPCG64Draws:
+    """The decoded draws equal the Generator's own calls, call for call."""
+
+    # 1 consumes nothing; 2**31 + 1 and 3 * 2**30 reject about a half and a quarter
+    # of the 32-bit halves, so Lemire's retry runs often; 2**32 is numpy's unbounded
+    # 32-bit branch, which Lemire's method reproduces
+    SIZES = list(range(1, 11)) + [2**31 + 1, 3 * 2**30, 2**32 - 1, 2**32]
+
+    @pytest.mark.parametrize("chunk", [1, 3, 4096])
+    def test_interleaved_calls_match_generator(self, chunk):
+        for seed in range(20):
+            expected = np.random.default_rng(seed)
+            draws = _PCG64Draws(seed, chunk=chunk)
+            pick = np.random.default_rng(1000 + seed)
+            for op in pick.integers(-len(self.SIZES), len(self.SIZES), size=1000).tolist():
+                if op < 0:  # half of the calls are random()
+                    assert draws.random() == expected.random()
+                else:
+                    n = self.SIZES[op]
+                    assert draws.integers(n) == int(expected.integers(n)), (seed, n)
+
+    def test_high_half_kept_across_random_and_chunk_boundary(self):
+        # with one raw per chunk, the kept high half outlives its chunk and two random() calls
+        expected = np.random.default_rng(5)
+        draws = _PCG64Draws(5, chunk=1)
+        raws = np.random.default_rng(5).bit_generator.random_raw(4).tolist()
+        assert draws.integers(7) == int(expected.integers(7)) == ((raws[0] & 0xFFFFFFFF) * 7) >> 32
+        assert draws.random() == expected.random() == (raws[1] >> 11) / 2.0**53
+        assert draws.random() == expected.random() == (raws[2] >> 11) / 2.0**53
+        assert draws.integers(7) == int(expected.integers(7)) == ((raws[0] >> 32) * 7) >> 32
+        assert draws.integers(1) == int(expected.integers(1)) == 0  # consumes nothing
+        assert draws.random() == expected.random() == (raws[3] >> 11) / 2.0**53
+
+    def test_retries_keep_the_stream_aligned(self):
+        # 200 calls at 3 * 2**30 reject some half with probability 1 - 0.75**200; a
+        # miscounted retry would shift every later draw
+        expected = np.random.default_rng(11)
+        draws = _PCG64Draws(11, chunk=5)
+        got = [draws.integers(3 * 2**30) for _ in range(200)]
+        assert got == [int(expected.integers(3 * 2**30)) for _ in range(200)]
+        assert [draws.random() for _ in range(10)] == [expected.random() for _ in range(10)]
+
+
+class TestQLearningConfig:
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"training_episodes": 0}, "training_episodes"),
+            ({"training_episodes": -5}, "training_episodes"),
+            ({"training_episodes": 2.5}, "training_episodes"),
+            ({"learning_rate": 0.0}, "learning_rate"),
+            ({"learning_rate": 1.5}, "learning_rate"),
+            ({"learning_rate": float("nan")}, "learning_rate"),
+            ({"discount": -0.1}, "discount"),
+            ({"discount": 1.01}, "discount"),
+            ({"epsilon_start": 1.2}, "epsilon_start"),
+            ({"epsilon_start": -0.5}, "epsilon_start"),
+            ({"epsilon_end": -0.01}, "epsilon_end"),
+            ({"epsilon_end": 2.0}, "epsilon_end"),
+        ],
+    )
+    def test_out_of_range_rejected(self, bad, match):
+        with pytest.raises(ValueError, match=match):
+            QLearningConfig(**bad)
+
+    def test_range_ends_accepted(self):
+        QLearningConfig(training_episodes=1, learning_rate=1.0, discount=0.0, epsilon_start=0.0, epsilon_end=1.0)
+        QLearningConfig(discount=1.0, epsilon_start=1.0, epsilon_end=0.0)
 
 
 @pytest.fixture(scope="module")
