@@ -47,6 +47,7 @@ from .dataset import (
     SceneRecord,
     Split,
     build_episode_record,
+    encode_record,
     export_csv,
     extract_examples,
     read_episodes,

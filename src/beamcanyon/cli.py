@@ -22,10 +22,10 @@ import numpy as np
 
 from . import classify as clf
 from .dataset import (
-    EpisodeRecord,
     Examples,
     Split,
     build_episode_record,
+    encode_record,
     export_csv,
     extract_examples,
     open_atomic,
@@ -87,6 +87,10 @@ class RunConfig:
     test_fraction: float = 0.25
     knn_k: int = 5
     qlearn: QLearningConfig = QLearningConfig()
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.knn_k, int) or isinstance(self.knn_k, bool) or self.knn_k < 1:
+            raise ValueError(f"knn_k must be an integer >= 1, got {self.knn_k!r}")
 
 
 def _section(data: dict, name: str) -> dict:
@@ -170,15 +174,21 @@ def load_run_config(path: str | None) -> RunConfig:
     return config
 
 
-def _generate_one(args: tuple) -> EpisodeRecord:
+def _generate_one(args: tuple) -> tuple[int, int, str]:
+    """Trace one episode; its id, scene count and encoded line, so that no record is pickled."""
     scenario_cfg, params, trace_cfg, episode_id = args
     scenario = make_canyon_scenario(scenario_cfg)
     episode = generate_episode(scenario, params, episode_id)
-    return build_episode_record(scenario, episode, trace_cfg)
+    record = build_episode_record(scenario, episode, trace_cfg)
+    return record.episode_id, len(record.scenes), encode_record(record)
 
 
 def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int = 1) -> None:
-    """Simulate episodes, trace all pairs, and write the episodes file atomically."""
+    """Simulate episodes, trace all pairs, and stream them to the episodes file atomically.
+
+    Episodes are traced in ``min(jobs, n_episodes)`` worker processes, and each line is
+    written as soon as it is its turn, so the records are never all held at once.
+    """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
     if jobs < 1:
@@ -192,14 +202,17 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
         )
         for i in range(n_episodes)
     ]
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else contextlib.nullcontext() as pool:
-        records = []
-        for record in (pool.map if pool else map)(_generate_one, tasks):
-            records.append(record)
-            log.info("episode %d: %d scenes traced", record.episode_id, len(record.scenes))
+
+    def lines(results):
+        for episode_id, n_scenes, line in results:
+            log.info("episode %d: %d scenes traced", episode_id, n_scenes)
+            yield line
+
+    workers = min(jobs, n_episodes)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    write_episodes(records, out_path)
-    print(f"wrote {len(records)} episodes to {out_path}")
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        write_episodes(lines((pool.map if pool else map)(_generate_one, tasks)), out_path, n_episodes)
+    print(f"wrote {n_episodes} episodes to {out_path}")
 
 
 def _load_split_examples(

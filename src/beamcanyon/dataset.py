@@ -3,7 +3,9 @@
 Episodes are stored as JSON Lines: a header line followed by one
 self-contained episode object per line (schema in docs/format.md). Floats
 round-trip bit-exactly and field order is fixed, so identical inputs always
-produce byte-identical files.
+produce byte-identical files. There is one writer: ``encode_record`` turns a
+record into its line, and ``write_episodes`` writes the header and a stream
+of such lines, so a record can be encoded where it is made and dropped.
 """
 
 from __future__ import annotations
@@ -221,14 +223,28 @@ def open_atomic(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:
-    """Write records as JSON Lines, atomically."""
+def encode_record(rec: EpisodeRecord) -> str:
+    """The record's line of the episodes file, without its newline."""
+    return _dumps(_record_to_obj(rec))
+
+
+def write_episodes(lines: Iterable[str], path: str | os.PathLike, episode_count: int) -> None:
+    """Write the header, then each ``encode_record`` line as it is yielded, atomically.
+
+    Raises ``ValueError``, leaving no file, unless exactly ``episode_count`` lines come.
+    """
     with open_atomic(path) as f:
-        f.write(_dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
+        f.write(_dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": episode_count}))
         f.write("\n")
-        for rec in records:
-            f.write(_dumps(_record_to_obj(rec)))
+        written = 0
+        for line in lines:
+            if written == episode_count:
+                raise ValueError(f"more episode records than the {episode_count} the header promises")
+            f.write(line)
             f.write("\n")
+            written += 1
+        if written != episode_count:
+            raise ValueError(f"{written} episode records, but the header promises {episode_count}")
 
 
 def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:

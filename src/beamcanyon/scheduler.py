@@ -21,6 +21,11 @@ from .mimo import ArraySpec, sweep_rays
 MAX_DP_STATES = 1_000_000
 
 
+def _is_count(value: object) -> bool:
+    """Whether ``value`` is an integer (not a bool) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class SchedulerParams:
     outage_after: int | None = 3     # None disables outages entirely
@@ -29,12 +34,12 @@ class SchedulerParams:
     floor_offset_db: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.outage_after is not None and self.outage_after < 1:
-            raise ValueError("outage_after must be at least 1 (or None)")
+        if self.outage_after is not None and not _is_count(self.outage_after):
+            raise ValueError(f"outage_after must be an integer >= 1 or None, got {self.outage_after!r}")
         if self.outage_penalty > 0:
             raise ValueError("outage_penalty must not be positive")
-        if self.num_receivers < 1:
-            raise ValueError("num_receivers must be at least 1")
+        if not _is_count(self.num_receivers):
+            raise ValueError(f"num_receivers must be an integer >= 1, got {self.num_receivers!r}")
         if self.floor_offset_db <= 0:
             raise ValueError("floor_offset_db must be positive")
 
@@ -76,7 +81,7 @@ class QLearningConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.training_episodes, int) or self.training_episodes < 1:
+        if not _is_count(self.training_episodes):
             raise ValueError(f"training_episodes must be an integer >= 1, got {self.training_episodes}")
         if not 0 < self.learning_rate <= 1:
             raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")

@@ -8,13 +8,15 @@ dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the numpy tabular Q-learning
 agent, the float64 feature matrix, the kNN prediction that sorted every
 float64 distance row, and the episode-file codec that spelled out every key of
-each record type in one writer and one reader helper per type, exactly as they
-were before the rewrites. The production code must reproduce them bit for bit.
+each record type in one writer and one reader helper per type, with the writer
+that took the whole list of records before writing any, exactly as they were
+before the rewrites. The production code must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import os
 from dataclasses import dataclass, replace
@@ -23,7 +25,15 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from beamcanyon.classify import KnnModel
-from beamcanyon.dataset import CSV_FIXED_COLUMNS, EpisodeRecord, Examples, SceneRecord, open_atomic
+from beamcanyon.dataset import (
+    CSV_FIXED_COLUMNS,
+    FORMAT_NAME,
+    FORMAT_VERSION,
+    EpisodeRecord,
+    Examples,
+    SceneRecord,
+    open_atomic,
+)
 from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
 from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
@@ -902,3 +912,17 @@ def _record_from_obj(o: dict) -> EpisodeRecord:
             for s in o["scenes"]
         ),
     )
+
+
+def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:
+    """Write a whole list of records as JSON Lines, atomically."""
+
+    def dumps(obj: dict) -> str:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+    with open_atomic(path) as f:
+        f.write(dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
+        f.write("\n")
+        for rec in records:
+            f.write(dumps(_record_to_obj(rec)))
+            f.write("\n")

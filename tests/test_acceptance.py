@@ -16,6 +16,7 @@ import pytest
 from beamcanyon.cli import main
 from beamcanyon.classify import evaluate, knn_classifier, majority_classifier
 from beamcanyon.dataset import (
+    encode_record,
     extract_examples,
     read_episodes,
     split_episodes,
@@ -305,7 +306,7 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     assert train_ids | test_ids == {r.episode_id for r in records}
 
     copy_path = tmp_path / "copy.jsonl"
-    write_episodes(records, copy_path)
+    write_episodes(map(encode_record, records), copy_path, len(records))
     assert copy_path.read_bytes() == path.read_bytes()
     assert read_episodes(copy_path) == records
 

@@ -1,9 +1,14 @@
 import json
+import multiprocessing
 
 import pytest
 
+import oracles
+from beamcanyon import cli
 from beamcanyon.cli import _apply_overrides, _build_parser, derive_seed, load_run_config, main, splitmix64
-from beamcanyon.dataset import read_episodes
+from beamcanyon.dataset import build_episode_record, read_episodes
+from beamcanyon.raytrace import TraceConfig
+from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
 
 
 def _generate(tmp_path, episodes=2, scenes=3, seed=42, name="episodes.jsonl", jobs=1):
@@ -70,6 +75,60 @@ class TestGenerate:
         assert capsys.readouterr().out == f"wrote 2 episodes to {path}\n"
         progress = [r.getMessage() for r in caplog.records if r.name == "beamcanyon"]
         assert progress == ["episode 0: 2 scenes traced", "episode 1: 2 scenes traced"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_streamed_bytes_equal_list_writer(self, tmp_path, jobs):
+        path = _generate(tmp_path, episodes=3, scenes=2, seed=5, jobs=jobs)
+        scenario = make_canyon_scenario()
+        records = [
+            build_episode_record(
+                scenario,
+                generate_episode(
+                    scenario, EpisodeParams(scenes_per_episode=2, seed=derive_seed(5, cli._PURPOSE_EPISODE, i)), i
+                ),
+                TraceConfig(),
+            )
+            for i in range(3)
+        ]
+        oracles.write_episodes(records, tmp_path / "oracle.jsonl")
+        assert path.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_episode_leaves_no_file(self, tmp_path, capsys, monkeypatch, jobs):
+        if jobs > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched module only when forked")
+
+        def generate_or_fail(scenario, params, episode_id):
+            if episode_id == 1:
+                raise RuntimeError("episode 1 failed")
+            return generate_episode(scenario, params, episode_id)
+
+        monkeypatch.setattr(cli, "generate_episode", generate_or_fail)
+        argv = ["--out", str(tmp_path), "generate", "--episodes", "3", "--scenes", "1", "--jobs", str(jobs)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: episode 1 failed\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("episodes, jobs, pools", [(1, 64, []), (3, 64, [3]), (3, 2, [2])])
+    def test_pool_has_at_most_one_worker_per_episode(self, tmp_path, monkeypatch, episodes, jobs, pools):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        _generate(tmp_path, episodes=episodes, scenes=1, jobs=jobs)
+        assert sizes == pools
 
     def test_bad_episode_count_fails(self, tmp_path, capsys):
         rc = main(["--out", str(tmp_path), "generate", "--episodes", "0"])
@@ -381,6 +440,25 @@ class TestRunConfig:
         assert main(["--config", str(path), "report"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            pytest.param({"scheduler": {"num_receivers": 2.0}}, "num_receivers", id="num_receivers-float"),
+            pytest.param({"scheduler": {"num_receivers": True}}, "num_receivers", id="num_receivers-bool"),
+            pytest.param({"scheduler": {"outage_after": 2.5}}, "outage_after", id="outage_after-float"),
+            pytest.param({"scheduler": {"outage_after": True}}, "outage_after", id="outage_after-bool"),
+            pytest.param({"knn_k": 2.5}, "knn_k", id="knn_k-float"),
+            pytest.param({"knn_k": 0}, "knn_k", id="knn_k-zero"),
+            pytest.param({"knn_k": True}, "knn_k", id="knn_k-bool"),
+        ],
+    )
+    def test_count_key_must_be_integer(self, tmp_path, capsys, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer >= 1") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "config, key",

@@ -8,8 +8,6 @@ import pytest
 import oracles
 from beamcanyon.cli import main
 from beamcanyon.dataset import (
-    FORMAT_NAME,
-    FORMAT_VERSION,
     PAIR_KEYS,
     PARAMS_KEYS,
     RAY_KEYS,
@@ -17,8 +15,8 @@ from beamcanyon.dataset import (
     VEHICLE_TYPE_KEYS,
     DatasetFormatError,
     Examples,
-    _dumps,
     build_episode_record,
+    encode_record,
     export_csv,
     extract_examples,
     read_episodes,
@@ -59,6 +57,10 @@ def grid(canyon):
     return GridSpec.from_area(canyon.v2i_area)
 
 
+def _write(records, path):
+    write_episodes(map(encode_record, records), path, len(records))
+
+
 def _rows(examples, rows):
     """The examples at ``rows``, over the same scene grids."""
     return replace(
@@ -77,18 +79,18 @@ def _views(examples):
 class TestRoundTrip:
     def test_read_back_equals_written(self, records, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        write_episodes(records[:2], path)
+        _write(records[:2], path)
         assert read_episodes(path) == records[:2]
 
     def test_byte_identical_rewrites(self, records, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_episodes(records, a)
-        write_episodes(records, b)
+        _write(records, a)
+        _write(records, b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_truncated_line_names_record(self, records, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        write_episodes(records[:2], path)
+        _write(records[:2], path)
         data = path.read_text().splitlines()
         path.write_text("\n".join([data[0], data[1], data[2][: len(data[2]) // 2]]) + "\n")
         with pytest.raises(DatasetFormatError, match="record 1"):
@@ -96,7 +98,7 @@ class TestRoundTrip:
 
     def test_missing_record_detected(self, records, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        write_episodes(records[:2], path)
+        _write(records[:2], path)
         data = path.read_text().splitlines()
         path.write_text("\n".join(data[:2]) + "\n")  # drop the last record entirely
         with pytest.raises(DatasetFormatError, match="truncated"):
@@ -131,7 +133,7 @@ class TestRoundTrip:
     )
     def test_malformed_line_rejected(self, records, tmp_path, corrupt, match):
         path = tmp_path / "episodes.jsonl"
-        write_episodes(records[:2], path)
+        _write(records[:2], path)
         objs = [json.loads(line) for line in path.read_text().splitlines()]
         corrupt(objs)
         path.write_text("".join(json.dumps(o) + "\n" for o in objs))
@@ -146,8 +148,29 @@ class TestRoundTrip:
 
     def test_no_temp_file_left_behind(self, records, tmp_path):
         path = tmp_path / "episodes.jsonl"
-        write_episodes(records[:1], path)
+        _write(records[:1], path)
         assert [p.name for p in tmp_path.iterdir()] == ["episodes.jsonl"]
+
+    @pytest.mark.parametrize(
+        "count, match",
+        [(3, "2 episode records, but the header promises 3"), (1, "more episode records than the 1")],
+        ids=["short", "long"],
+    )
+    def test_line_count_must_match_header(self, records, tmp_path, count, match):
+        path = tmp_path / "episodes.jsonl"
+        with pytest.raises(ValueError, match=match):
+            write_episodes(map(encode_record, records[:2]), path, count)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failing_stream_leaves_no_file(self, records, tmp_path):
+        def lines():
+            yield encode_record(records[0])
+            raise RuntimeError("episode 1 failed")
+
+        path = tmp_path / "episodes.jsonl"
+        with pytest.raises(RuntimeError, match="episode 1 failed"):
+            write_episodes(lines(), path, 3)
+        assert list(tmp_path.iterdir()) == []
 
     def test_paper_scale_round_trip_under_a_minute(self, canyon, tmp_path):
         # 116 episodes of 50 scenes each: one fully traced episode replicated
@@ -160,7 +183,7 @@ class TestRoundTrip:
         big = [dataclasses.replace(base, episode_id=i) for i in range(116)]
         path = tmp_path / "big.jsonl"
         started = time.monotonic()
-        write_episodes(big, path)
+        _write(big, path)
         back = read_episodes(path)
         assert time.monotonic() - started < 60.0
         assert back == big
@@ -170,9 +193,10 @@ def _oracle_read(path):
     return [oracles._record_from_obj(json.loads(line)) for line in path.read_text().splitlines()[1:]]
 
 
-def _oracle_bytes(records):
-    header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}
-    return "".join(_dumps(obj) + "\n" for obj in [header, *map(oracles._record_to_obj, records)]).encode()
+def _oracle_bytes(records, tmp_path):
+    path = tmp_path / "oracle.jsonl"
+    oracles.write_episodes(records, path)
+    return path.read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -218,8 +242,8 @@ class TestCodecMatchesOracle:
     def test_writer_bytes_equal_oracle(self, cli_files, tmp_path, name):
         records = read_episodes(cli_files[name])
         path = tmp_path / "rewritten.jsonl"
-        write_episodes(records, path)
-        assert path.read_bytes() == _oracle_bytes(records) == cli_files[name].read_bytes()
+        _write(records, path)
+        assert path.read_bytes() == _oracle_bytes(records, tmp_path) == cli_files[name].read_bytes()
 
     def test_vehicle_types_interned_per_file(self, cli_files):
         records = read_episodes(cli_files["golden"])
