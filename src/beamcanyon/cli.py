@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -73,6 +74,14 @@ def derive_seed(master: int, *path: int) -> int:
     return state
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
@@ -89,7 +98,12 @@ class RunConfig:
     qlearn: QLearningConfig = QLearningConfig()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.knn_k, int) or isinstance(self.knn_k, bool) or self.knn_k < 1:
+        if not _is_integer(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        for key in ("grid_cell", "test_fraction"):
+            if not _is_number(getattr(self, key)):
+                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
+        if not _is_integer(self.knn_k) or self.knn_k < 1:
             raise ValueError(f"knn_k must be an integer >= 1, got {self.knn_k!r}")
 
 
@@ -123,13 +137,16 @@ def _parse_outage_after(value: int | str | None) -> int | None:
 
 def _parse_complex(key: str, value: object) -> complex:
     """A complex number from its ``[re, im]`` pair in the config file."""
-    if not (
-        isinstance(value, list)
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
-    ):
+    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
         raise ValueError(f"{key} must be two numbers [re, im]; got {value!r}")
     return complex(*value)
+
+
+def _parse_array_shape(key: str, value: object) -> list[int]:
+    """An array's ``[nx, ny]`` element counts from the config file."""
+    if not (isinstance(value, list) and len(value) == 2 and all(_is_integer(v) and v >= 1 for v in value)):
+        raise ValueError(f"{key} must be two integers of at least 1 [nx, ny]; got {value!r}")
+    return value
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -148,8 +165,12 @@ def load_run_config(path: str | None) -> RunConfig:
     trace = TraceConfig(**trace_raw)
     arrays = _section(data, "arrays")
     spacing = arrays.pop("spacing_wavelengths", 0.5)
-    tx_array = ArraySpec(*arrays.pop("tx", (4, 4)), spacing_wavelengths=spacing)
-    rx_array = ArraySpec(*arrays.pop("rx", (4, 4)), spacing_wavelengths=spacing)
+    if not (_is_number(spacing) and 0 < spacing < math.inf):
+        raise ValueError(f"arrays.spacing_wavelengths must be a positive finite number; got {spacing!r}")
+    tx_array, rx_array = (
+        ArraySpec(*_parse_array_shape(f"arrays.{key}", arrays.pop(key, [4, 4])), spacing_wavelengths=spacing)
+        for key in ("tx", "rx")
+    )
     _reject_leftover(arrays, "config section 'arrays'")
     sched_raw = _section(data, "scheduler")
     if "outage_after" in sched_raw:
@@ -233,6 +254,10 @@ def _load_split_examples(
     grid = GridSpec.from_area(records[0].v2i_area, config.grid_cell)
     train_records = [by_id[i] for i in split.train_episode_ids]
     test_records = [by_id[i] for i in split.test_episode_ids]
+    # before any file is written, so that a failed export leaves an earlier one's files as they were
+    for side, side_records in (("train", train_records), ("test", test_records)):
+        if not any(pair.rays for rec in side_records for scene in rec.scenes for pair in scene.pairs):
+            raise ValueError(f"no examples on the {side} side: none of its pairs has a ray")
     train, label_map = extract_examples(train_records, grid, config.tx_array, config.rx_array)
     test, _ = extract_examples(test_records, grid, config.tx_array, config.rx_array, label_map)
     return split, train, test, label_map

@@ -20,7 +20,7 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .features import GridSpec, encode_scenes, receiver_view
+from .features import GridSpec, encode_scenes, scene_view
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scene
 from .scenario import (
@@ -352,16 +352,23 @@ CSV_FIXED_COLUMNS = (
 def export_csv(examples: Examples, path: str | os.PathLike) -> None:
     """Flattened row-major per-receiver views plus the fixed label/metadata columns, atomically.
 
-    Each row's view is built from its scene grid as the row is written, and
-    each cell is written as an integer. The bytes come from a table of
-    ``"<code>,"`` for every integer a view can hold, padded to one width, so a
-    row is one table lookup with the padding dropped.
+    Each cell is written as an integer, from a table of ``"<code>,"`` for
+    every integer a view can hold, padded to one width and looked up with the
+    padding dropped. The receivers of a scene share its ``scene_view``, whose
+    text and cell byte offsets are built once per run of rows on that scene.
+    A row re-encodes only the cells from its target's first to its last, with
+    the target's cells ``1``; a target absent from its grid (off the service
+    strip) gets the all-zero row.
     """
     if not len(examples):
         raise ValueError("no examples to export")
+    if examples.receiver.min() < 1:
+        raise ValueError("receiver_index must be positive")
     # a view holds its grid's codes up to 0, -1 for other receivers and +1 for the target
     lo = min(int(examples.grids.min()), -1)
     table = np.array([f"{code}," for code in range(lo, 2)], dtype=bytes)
+    widths = np.char.str_len(table)
+    zero_row = b"0," * examples.grids[0].size
     header = [f"g{i}" for i in range(examples.grids[0].size)] + list(CSV_FIXED_COLUMNS)
     rows = zip(
         examples.grid_row.tolist(),
@@ -372,12 +379,26 @@ def export_csv(examples: Examples, path: str | os.PathLike) -> None:
         examples.scene.tolist(),
         examples.angles.tolist(),
     )
+    scene = None
     try:
         with open_atomic(path, "wb") as f:
             f.write((",".join(header) + "\n").encode())
             for grid_row, receiver, *fixed, angles in rows:
-                cells = receiver_view(examples.grids[grid_row], receiver).reshape(-1).astype(np.intp)
-                f.write(table[cells - lo].tobytes().replace(b"\0", b""))
+                if grid_row != scene:
+                    scene, cells = grid_row, examples.grids[grid_row].reshape(-1)
+                    codes = scene_view(cells).astype(np.intp) - lo
+                    text = memoryview(table[codes].tobytes().replace(b"\0", b""))
+                    offsets = np.concatenate(([0], np.cumsum(widths[codes])))
+                target = np.flatnonzero(cells == receiver)
+                if target.size:
+                    first, end = target[0], target[-1] + 1
+                    span = codes[first:end].copy()
+                    span[target - first] = 1 - lo
+                    f.write(text[: offsets[first]])
+                    f.write(table[span].tobytes().replace(b"\0", b""))
+                    f.write(text[offsets[end] :])
+                else:
+                    f.write(zero_row)
                 f.write((",".join([*map(str, fixed), *map(repr, angles)]) + "\n").encode())
     except OSError as e:
         raise OSError(f"failed writing {path}: {e}") from e

@@ -5,7 +5,8 @@ a negative height-class code for blocker vehicles (car -1, truck -2, bus -3)
 and the positive receiver index for receiver vehicles. ``encode_scenes``
 rasterizes a whole list of scenes into one int16 stack in a single array
 pass. The receivers of a scene share its matrix; a per-receiver view of it
-rewrites the target receiver to +1 and every other receiver to -1.
+rewrites the target receiver to +1 and every other receiver to -1. All views
+of a scene agree off the target's cells with its ``scene_view``.
 """
 
 from __future__ import annotations
@@ -101,6 +102,11 @@ def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
     return out
 
 
+def scene_view(grids: np.ndarray) -> np.ndarray:
+    """The view that all receivers of a scene share: every receiver -1, blockers keep their codes."""
+    return np.where(grids > 0, -1, grids)
+
+
 def receiver_view(grids: np.ndarray, receivers) -> np.ndarray:
     """Per-receiver views of scene grids: the target becomes +1, all other receivers -1.
 
@@ -112,7 +118,7 @@ def receiver_view(grids: np.ndarray, receivers) -> np.ndarray:
     if np.any(receivers < 1):
         raise ValueError("receiver_index must be positive")
     target = grids == receivers[..., None, None]
-    view = np.where(grids > 0, -1, grids)
+    view = scene_view(grids)
     view[target] = 1
     view *= target.any(axis=(-2, -1), keepdims=True)
     return view

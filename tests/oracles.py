@@ -2,7 +2,8 @@
 
 These are the per-pair channel composition and beam sweep, the scene-by-scene
 occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
-that kept one feature grid per example with the table-driven CSV writer over it, the traffic model that rebuilt a frozen scene on every step, the
+that kept one feature grid per example with the table-driven CSV writer over it, the
+table-driven writer over one grid per scene that encoded every cell of every row, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time, the
 dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the numpy tabular Q-learning
@@ -265,6 +266,40 @@ def export_csv(examples: Sequence[Example], path: str | os.PathLike) -> None:
                 fixed = [str(ex.label), ex.los.value, str(ex.episode_id), str(ex.scene_index)]
                 fixed.extend(repr(float(a)) for a in ex.target_angles)
                 f.write((",".join(fixed) + "\n").encode())
+    except OSError as e:
+        raise OSError(f"failed writing {path}: {e}") from e
+
+
+def export_csv_rows(examples: Examples, path: str | os.PathLike) -> None:
+    """Flattened row-major per-receiver views plus the fixed label/metadata columns, atomically.
+
+    Each row's view is built from its scene grid as the row is written, and
+    each cell is written as an integer. The bytes come from a table of
+    ``"<code>,"`` for every integer a view can hold, padded to one width, so a
+    row is one table lookup with the padding dropped.
+    """
+    if not len(examples):
+        raise ValueError("no examples to export")
+    # a view holds its grid's codes up to 0, -1 for other receivers and +1 for the target
+    lo = min(int(examples.grids.min()), -1)
+    table = np.array([f"{code}," for code in range(lo, 2)], dtype=bytes)
+    header = [f"g{i}" for i in range(examples.grids[0].size)] + list(CSV_FIXED_COLUMNS)
+    rows = zip(
+        examples.grid_row.tolist(),
+        examples.receiver.tolist(),
+        examples.label.tolist(),
+        examples.los.tolist(),
+        examples.episode.tolist(),
+        examples.scene.tolist(),
+        examples.angles.tolist(),
+    )
+    try:
+        with open_atomic(path, "wb") as f:
+            f.write((",".join(header) + "\n").encode())
+            for grid_row, receiver, *fixed, angles in rows:
+                cells = receiver_view(examples.grids[grid_row], receiver).reshape(-1).astype(np.intp)
+                f.write(table[cells - lo].tobytes().replace(b"\0", b""))
+                f.write((",".join([*map(str, fixed), *map(repr, angles)]) + "\n").encode())
     except OSError as e:
         raise OSError(f"failed writing {path}: {e}") from e
 

@@ -1,5 +1,5 @@
-"""The batched sweep, the scene rasterizer, the per-receiver view and the table-driven CSV writer
-against their oracles."""
+"""The batched sweep, the scene rasterizer, the per-receiver view and the CSV writer that encodes
+each scene once against their oracles."""
 
 import json
 import math
@@ -193,13 +193,14 @@ def test_encode_scenes_matches_oracle(data):
     assert np.array_equal(out, expected)
 
 
-def _table(grids, receivers=None):
-    n = len(grids)
+def _table(grids, receivers=None, grid_row=None):
+    """One example per grid, or one per entry of ``grid_row`` when given."""
+    n = len(grids) if grid_row is None else len(grid_row)
     rows = np.arange(n)
     return Examples(
         grids=np.stack(grids),
-        grid_row=rows,
-        receiver=np.ones(n, dtype=np.int64) if receivers is None else np.array(receivers),
+        grid_row=rows if grid_row is None else np.array(grid_row, dtype=np.intp),
+        receiver=np.ones(n, dtype=np.int64) if receivers is None else np.array(receivers, dtype=np.int64),
         label=rows % 4,
         los=np.where(rows % 2 == 1, LosStatus.LOS.value, LosStatus.NLOS.value),
         episode=rows // 3,
@@ -231,9 +232,11 @@ def _csv_bytes(writer, examples):
         return path.read_bytes()
 
 
-def _assert_same_csv(grids, receivers=None):
-    table = _table(grids, receivers)
-    assert _csv_bytes(export_csv, table) == _csv_bytes(oracles.export_csv_by_cell, _oracle_examples(table))
+def _assert_same_csv(grids, receivers=None, grid_row=None):
+    table = _table(grids, receivers, grid_row)
+    written = _csv_bytes(export_csv, table)
+    assert written == _csv_bytes(oracles.export_csv_by_cell, _oracle_examples(table))
+    assert written == _csv_bytes(oracles.export_csv_rows, table)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -262,6 +265,46 @@ def test_csv_matches_oracle_outside_occupancy_codes():
     _assert_same_csv(
         [np.array([[7, -12, 0], [1, -3, 7]], dtype=np.int16), np.full((2, 3), -12, np.int16)], [7, 1]
     )
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_csv_matches_oracles_with_many_rows_per_grid(data):
+    # few receivers on small grids, so that receivers touch and lie inside each other's spans, or
+    # codes -40..40; receiver index top + 1 never occurs, so it is absent from every grid
+    lo = data.draw(st.sampled_from((-3, -40)))
+    top = data.draw(st.integers(1, 4)) if lo == -3 else 40
+    shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 6)))
+    grids = data.draw(st.lists(hnp.arrays(np.int16, shape, elements=st.integers(lo, top)), min_size=1, max_size=3))
+    rows = data.draw(
+        st.lists(st.tuples(st.integers(0, len(grids) - 1), st.integers(1, top + 1)), min_size=1, max_size=12)
+    )
+    _assert_same_csv(grids, [receiver for _, receiver in rows], [grid_row for grid_row, _ in rows])
+
+
+SHARED_GRID = np.array([[2, 1, 3, 1], [-2, 3, 0, -3], [0, -1, 0, 4]], dtype=np.int16)
+# receiver 1 lies elsewhere than in SHARED_GRID, so that a row written from the wrong scene's text shows
+OTHER_GRID = np.array([[0, 0, 0, 0], [1, 1, -1, 0], [0, 2, 0, -2]], dtype=np.int16)
+
+
+@pytest.mark.parametrize(
+    "receivers, grid_row",
+    [
+        pytest.param([1, 3, 2], [0, 0, 0], id="adjacent-and-inside-target-span"),
+        pytest.param([2, 4], [0, 0], id="target-at-first-and-last-cell"),
+        pytest.param([5, 1, 5], [0, 0, 0], id="absent-receiver"),
+        pytest.param([1, 1, 1, 2], [0, 1, 0, 0], id="grid-rows-0-1-0"),
+    ],
+)
+def test_csv_rows_sharing_a_grid_match_oracles(receivers, grid_row):
+    _assert_same_csv([SHARED_GRID, OTHER_GRID], receivers, grid_row)
+
+
+@pytest.mark.parametrize("receiver", [0, -1])
+def test_csv_rejects_non_positive_receiver(tmp_path, receiver):
+    with pytest.raises(ValueError, match="receiver_index must be positive"):
+        export_csv(_table([SHARED_GRID], [1, receiver], [0, 0]), tmp_path / "x.csv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_csv_matches_oracle_extraction_on_seed_7_records(tmp_path, capsys):

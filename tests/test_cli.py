@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import oracles
 from beamcanyon import cli
 from beamcanyon.cli import _apply_overrides, _build_parser, derive_seed, load_run_config, main, splitmix64
-from beamcanyon.dataset import build_episode_record, read_episodes
+from beamcanyon.dataset import build_episode_record, read_episodes, split_episodes
 from beamcanyon.raytrace import TraceConfig
 from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
 
@@ -210,6 +211,28 @@ class TestExport:
         assert rc == 1
         assert "episode ids must be unique; repeated: [0, 1, 2]" in capsys.readouterr().err
         assert not (tmp_path / "train.csv").exists()
+
+    @pytest.mark.parametrize("side", ["train", "test"])
+    def test_empty_side_fails_before_writing_any_file(self, tmp_path, capsys, side):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        header, *records = path.read_text().splitlines()
+        split = split_episodes(range(3), 0.34, derive_seed(0, cli._PURPOSE_SPLIT))
+        stripped = set(getattr(split, f"{side}_episode_ids"))
+        objs = [json.loads(line) for line in records]
+        for obj in objs:
+            if obj["episode_id"] in stripped:
+                for pair in (p for scene in obj["scenes"] for p in scene["pairs"]):
+                    pair.update(rays=[], mean_toa=None, p_rx_dbm=None)
+        path.write_text("\n".join([header] + [json.dumps(obj) for obj in objs]) + "\n")
+        earlier = {name: f"{name} of an earlier run\n" for name in ("train.csv", "test.csv", "labelmap.json")}
+        for name, text in earlier.items():
+            (tmp_path / name).write_text(text)
+        capsys.readouterr()
+        rc = main(["--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: no examples on the {side} side: none of its pairs has a ray"]
+        assert {name: (tmp_path / name).read_text() for name in earlier} == earlier
 
     def test_receiver_index_beyond_grid_range_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=3, scenes=2)
@@ -417,6 +440,58 @@ class TestRunConfig:
         assert main(["--config", str(path), "report"]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: trace.{key} must be two numbers") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "arrays, key",
+        [
+            pytest.param({"tx": [4]}, "arrays.tx", id="tx-one-part"),
+            pytest.param({"rx": [4, 4, 4]}, "arrays.rx", id="rx-three-part"),
+            pytest.param({"rx": [4.5, 4]}, "arrays.rx", id="rx-float"),
+            pytest.param({"tx": [4.0, 4]}, "arrays.tx", id="tx-integral-float"),
+            pytest.param({"tx": "44"}, "arrays.tx", id="tx-string"),
+            pytest.param({"tx": [True, 4]}, "arrays.tx", id="tx-bool"),
+            pytest.param({"rx": [4, 0]}, "arrays.rx", id="rx-zero"),
+            pytest.param({"spacing_wavelengths": -1}, "arrays.spacing_wavelengths", id="spacing-negative"),
+            pytest.param({"spacing_wavelengths": 0}, "arrays.spacing_wavelengths", id="spacing-zero"),
+            pytest.param({"spacing_wavelengths": math.inf}, "arrays.spacing_wavelengths", id="spacing-infinite"),
+            pytest.param({"spacing_wavelengths": "0.5"}, "arrays.spacing_wavelengths", id="spacing-string"),
+            pytest.param({"spacing_wavelengths": True}, "arrays.spacing_wavelengths", id="spacing-bool"),
+        ],
+    )
+    def test_bad_arrays_section_fails_with_one_line(self, tmp_path, capsys, arrays, key):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"arrays": arrays}))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+
+    def test_negative_spacing_fails_export_before_writing(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"arrays": {"spacing_wavelengths": -1}}))
+        rc = main(["--config", str(config), "--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
+        assert rc == 1
+        assert "error: arrays.spacing_wavelengths must be a positive finite number" in capsys.readouterr().err
+        assert not (tmp_path / "train.csv").exists()
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-float"),
+            pytest.param({"seed": "7"}, "seed must be an integer", id="seed-string"),
+            pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
+            pytest.param({"grid_cell": "1"}, "grid_cell must be a number", id="grid_cell-string"),
+            pytest.param({"grid_cell": True}, "grid_cell must be a number", id="grid_cell-bool"),
+            pytest.param({"test_fraction": "0.3"}, "test_fraction must be a number", id="test_fraction-string"),
+            pytest.param({"test_fraction": False}, "test_fraction must be a number", id="test_fraction-bool"),
+        ],
+    )
+    def test_bad_top_level_value_fails_with_one_line(self, tmp_path, capsys, config, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        assert main(["--config", str(path), "report"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}, got") and err.count("\n") == 1
 
     def test_reflection_pair_of_integers_loads(self, tmp_path):
         path = tmp_path / "run.json"
