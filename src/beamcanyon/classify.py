@@ -12,6 +12,11 @@ summation order; it then accepts only query rows within the same bound. The
 per-receiver grid codes (-3..1) are such features. All other features are
 computed in float64. Test rows go through CHUNK at a time, and equidistant
 neighbours resolve to the lower train index.
+
+The model keeps only the feature columns that vary over its training rows.
+A column that holds the same value c in every training row adds the same
+(x_j - c)**2 to every distance of a query row, so dropping it shifts each
+row of distances by one constant and leaves the neighbours as they were.
 """
 
 from __future__ import annotations
@@ -35,7 +40,8 @@ class MajorityModel:
 
 @dataclass(frozen=True)
 class KnnModel:
-    features: np.ndarray
+    features: np.ndarray  # the training rows' varying columns only
+    columns: np.ndarray   # bool over the input width: which columns `features` holds
     labels: np.ndarray
     k: int
     num_classes: int
@@ -90,8 +96,12 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
         raise ValueError("k must lie in [1, n_train]")
     if labels.min() < 0:
         raise ValueError("labels must be non-negative")
-    features = features.astype(_matmul_dtype(features), copy=False)
-    return KnnModel(features=features, labels=labels, k=k, num_classes=int(labels.max()))
+    dtype = _matmul_dtype(features)
+    columns = (features != features[:1]).any(axis=0)
+    kept = np.empty((len(features), int(columns.sum())), dtype=dtype)
+    for start in range(0, len(features), CHUNK):
+        kept[start:start + CHUNK] = features[start:start + CHUNK, columns]
+    return KnnModel(features=kept, columns=columns, labels=labels, k=k, num_classes=int(labels.max()))
 
 
 def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
@@ -123,10 +133,9 @@ def predict(model, features: np.ndarray) -> np.ndarray:
     if isinstance(model, MajorityModel):
         return np.full(x.shape[0], model.label, dtype=np.int64)
     if isinstance(model, KnnModel):
-        if x.shape[1] != model.features.shape[1]:
+        if x.shape[1] != model.columns.size:
             raise ValueError(
-                f"feature dimension {x.shape[1]} does not match training dimension "
-                f"{model.features.shape[1]}"
+                f"feature dimension {x.shape[1]} does not match training dimension {model.columns.size}"
             )
         query_dtype = _matmul_dtype(x)  # rejects non-finite rows
         dtype = model.features.dtype
@@ -135,7 +144,8 @@ def predict(model, features: np.ndarray) -> np.ndarray:
         train_norms = np.einsum("ij,ij->i", model.features, model.features)
         out = np.empty(len(x), dtype=np.int64)
         for start in range(0, len(x), CHUNK):
-            out[start:start + CHUNK] = _knn_votes(model, x[start:start + CHUNK].astype(dtype), train_norms)
+            chunk = x[start:start + CHUNK, model.columns].astype(dtype, copy=False)
+            out[start:start + CHUNK] = _knn_votes(model, chunk, train_norms)
         return out
     raise TypeError(f"unknown model type {type(model).__name__}")
 

@@ -103,6 +103,8 @@ class RunConfig:
         for key in ("grid_cell", "test_fraction"):
             if not _is_number(getattr(self, key)):
                 raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
+        if not 0 < self.grid_cell < math.inf:
+            raise ValueError(f"grid_cell must be a positive finite number, got {self.grid_cell!r}")
         if not _is_integer(self.knn_k) or self.knn_k < 1:
             raise ValueError(f"knn_k must be an integer >= 1, got {self.knn_k!r}")
 
@@ -305,7 +307,7 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
             x_train, y_train, min(config.knn_k, len(y_train))
         ),
     }
-    del train, x_train  # the kNN model holds its own copy of the features
+    del train, x_train  # the kNN model holds a float32 copy of the varying columns
     x_test, y_test, nlos = clf.examples_to_arrays(test)
     del test
     reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}

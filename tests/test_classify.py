@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,7 +114,14 @@ class TestKnnClassifier:
 
 def _oracle_predict(train, labels, k, queries):
     labels = np.asarray(labels, dtype=np.int64)
-    model = KnnModel(np.asarray(train, dtype=np.float64), labels, k, int(labels.max()))
+    train = np.asarray(train, dtype=np.float64)
+    model = KnnModel(
+        features=train,
+        columns=np.ones(train.shape[1], dtype=bool),
+        labels=labels,
+        k=k,
+        num_classes=int(labels.max()),
+    )
     return oracles.predict_knn(model, queries)
 
 
@@ -188,6 +197,90 @@ class TestKnnMatchesStableSortOracle:
         for query in (np.array([[0.5, 1.0]]), np.array([[3000, 0]])):
             with pytest.raises(ValueError, match="exact range"):
                 predict(model, query)
+
+
+class TestKnnOnVaryingColumns:
+    """The model drops the columns that are constant over its training rows and still predicts as the full-width oracle."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 40),
+        d=st.integers(1, 10),
+        n_const=st.integers(0, 6),
+        distinct=st.integers(1, 4),
+        n_test=N_TEST,
+        data=st.data(),
+    )
+    def test_constant_columns_with_ties(self, seed, n_train, d, n_const, distinct, n_test, data):
+        # one constant column of 0 and n_const of non-zero codes, shuffled among
+        # varying columns drawn from a few distinct rows so that many train rows
+        # share the k-th distance; query rows take any code in every column
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(-3, 2, size=(distinct, d))
+        constants = np.concatenate([[0], rng.choice([-3, -2, -1, 1], size=n_const)])
+        width = d + len(constants)
+        train = np.empty((n_train, width), dtype=np.int8)
+        order = rng.permutation(width)
+        train[:, order[:d]] = pool[rng.integers(distinct, size=n_train)]
+        train[:, order[d:]] = constants
+        queries = rng.integers(-3, 2, size=(n_test, width)).astype(np.int8)
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        assert np.array_equal(model.columns, (train != train[0]).any(axis=0))
+        assert not model.columns[order[d:]].any()
+        assert np.array_equal(model.features, train[:, model.columns])
+        assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 40),
+        d=st.integers(1, 12),
+        n_test=N_TEST,
+        data=st.data(),
+    )
+    def test_no_column_varies(self, seed, n_train, d, n_test, data):
+        # every train row is the same, so every query ties with all of them
+        rng = np.random.default_rng(seed)
+        train = np.tile(rng.integers(-3, 2, size=d), (n_train, 1)).astype(np.int8)
+        queries = rng.integers(-3, 2, size=(n_test, d)).astype(np.int8)
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        assert model.features.shape == (n_train, 0)
+        assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12), label=st.integers(0, 5), n_test=N_TEST)
+    def test_single_training_row(self, seed, d, label, n_test):
+        rng = np.random.default_rng(seed)
+        train = rng.integers(-3, 2, size=(1, d)).astype(np.int8)
+        queries = rng.integers(-3, 2, size=(n_test, d)).astype(np.int8)
+        model = knn_classifier(train, [label], 1)
+        assert not model.columns.any()
+        preds = predict(model, queries)
+        assert (preds == label).all()
+        assert np.array_equal(preds, _oracle_predict(train, [label], 1, queries))
+
+    def test_fit_allocates_the_kept_columns_and_one_chunk(self):
+        # half the columns vary; a float32 copy of every column would exceed the bound
+        rng = np.random.default_rng(18)
+        n, d = 4 * CHUNK, 256
+        x = np.full((n, d), -1, dtype=np.int8)
+        x[:, ::2] = rng.integers(-3, 2, size=(n, d // 2))
+        x[0, ::2], x[1, ::2] = -3, 1
+        labels = rng.integers(0, 5, size=n)
+        tracemalloc.start()
+        try:
+            model = knn_classifier(x, labels, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept_bytes = n * (d // 2) * np.dtype(np.float32).itemsize
+        assert model.features.nbytes == kept_bytes
+        assert peak <= kept_bytes + CHUNK * d * np.dtype(np.float32).itemsize
 
 
 def test_examples_to_arrays_is_int8_and_equal_to_the_oracle():

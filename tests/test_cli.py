@@ -190,14 +190,17 @@ class TestExport:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cell", [0, -1])
+    @pytest.mark.parametrize("cell", ["0", "-1", "1e400", "NaN"])
     def test_non_positive_grid_cell_fails(self, tmp_path, capsys, cell):
+        # JSON reads 1e400 as infinity and NaN as nan: neither is a usable cell size
         path = _generate(tmp_path, episodes=3, scenes=2)
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"grid_cell": cell}))
+        config.write_text('{"grid_cell": %s}' % cell)
+        capsys.readouterr()
         rc = main(["--config", str(config), "--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
         assert rc == 1
-        assert "error: cell size must be positive" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid_cell must be a positive finite number, got ") and err.count("\n") == 1
         assert not (tmp_path / "train.csv").exists()
 
     def test_repeated_episode_ids_fail(self, tmp_path, capsys):
