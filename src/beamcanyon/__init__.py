@@ -26,7 +26,7 @@ from .raytrace import (
     classify_los,
     free_space_gain,
     segment_intersects_box,
-    trace_scene,
+    trace_scenes,
 )
 from .mimo import (
     ArraySpec,

@@ -36,7 +36,7 @@ from .dataset import (
 )
 from .features import GridSpec
 from .mimo import ArraySpec, LabelMap
-from .raytrace import LosStatus, TraceConfig
+from .raytrace import LosStatus, TraceConfig, _is_integer, _is_number
 from .scenario import EpisodeParams, ScenarioConfig, generate_episode, make_canyon_scenario
 from .scheduler import (
     QLearningConfig,
@@ -72,14 +72,6 @@ def derive_seed(master: int, *path: int) -> int:
     for element in path:
         state = splitmix64(state ^ (element & 0xFFFFFFFFFFFFFFFF))
     return state
-
-
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

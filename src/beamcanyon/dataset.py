@@ -22,7 +22,7 @@ import numpy as np
 
 from .features import GridSpec, encode_scenes, scene_view
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
-from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scene
+from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scenes
 from .scenario import (
     Episode,
     EpisodeParams,
@@ -99,8 +99,8 @@ def build_episode_record(
         v.receiver_index: v.id for v in first.vehicles if v.receiver_index is not None
     }
     scene_records = [
-        SceneRecord(scene.time, scene.vehicles, trace_scene(scenario, scene, cfg))
-        for scene in episode.scenes
+        SceneRecord(scene.time, scene.vehicles, pairs)
+        for scene, pairs in zip(episode.scenes, trace_scenes(scenario, episode.scenes, cfg))
     ]
     return EpisodeRecord(
         episode_id=episode.id,

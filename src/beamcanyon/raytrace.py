@@ -1,16 +1,27 @@
-"""Image-method multipath synthesis between the RSU and a receiving vehicle.
+"""Image-method multipath synthesis between the RSU and the receiving vehicles.
 
 Candidate paths are the direct line of sight plus every specular bounce
 sequence off the two canyon wall planes and the ground plane, up to a
 configurable bounce count. Each candidate is validated for geometric
 feasibility and blockage before it becomes a ray.
+
+``trace_scenes`` traces all scenes of an episode in one array pass. The
+receivers of every scene are rows of one array, so the bounce points and
+the reflector checks run once for all of them. Blockage is tested scene by
+scene, against the buildings and that scene's vehicles only. The kept rays
+are finished per bounce sequence on arrays: path lengths, and unit
+directions whose norms equal ``np.linalg.norm`` of each vector bit for bit.
+The angles come from ``math.atan2`` and ``math.acos``, because numpy's
+array versions can differ from them in the last bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -53,6 +64,14 @@ class PairRecord:
     p_rx_dbm: float | None
 
 
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TraceConfig:
     carrier_hz: float = 6.0e10
@@ -63,14 +82,18 @@ class TraceConfig:
     tx_power_dbm: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.carrier_hz <= 0:
-            raise ValueError("carrier_hz must be positive")
-        if self.max_rays < 1:
-            raise ValueError("max_rays must be at least 1")
-        if self.max_reflections < 0:
-            raise ValueError("max_reflections must be non-negative")
-        if abs(self.wall_reflection) > 1 or abs(self.ground_reflection) > 1:
-            raise ValueError("reflection coefficient magnitudes must not exceed 1")
+        # the messages name the keys of the config file's "trace" section
+        for key, least in (("max_reflections", 0), ("max_rays", 1)):
+            value = getattr(self, key)
+            if not (_is_integer(value) and value >= least):
+                raise ValueError(f"trace.{key} must be an integer >= {least}, got {value!r}")
+        if not (_is_number(self.carrier_hz) and 0 < self.carrier_hz < math.inf):
+            raise ValueError(f"trace.carrier_hz must be a positive finite number, got {self.carrier_hz!r}")
+        if not (_is_number(self.tx_power_dbm) and math.isfinite(self.tx_power_dbm)):
+            raise ValueError(f"trace.tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
+        for key in ("wall_reflection", "ground_reflection"):
+            if not abs(getattr(self, key)) <= 1:
+                raise ValueError(f"trace.{key} must have a magnitude of at most 1, got {getattr(self, key)!r}")
 
     @property
     def wavelength(self) -> float:
@@ -202,14 +225,22 @@ def _unfold(
     return np.stack(points[::-1], axis=1), valid
 
 
-def _azimuth_elevation(direction: np.ndarray) -> tuple[float, float]:
-    norm = float(np.linalg.norm(direction))
-    u = direction / norm
-    azimuth = math.atan2(u[1], u[0])
+def _angles(ux: float, uy: float, uz: float) -> tuple[float, float]:
+    """Azimuth and elevation of the unit vector (ux, uy, uz)."""
+    azimuth = math.atan2(uy, ux)
     if azimuth <= -math.pi:
         azimuth += 2.0 * math.pi
-    elevation = math.acos(max(-1.0, min(1.0, float(u[2]))))
-    return azimuth, elevation
+    return azimuth, math.acos(max(-1.0, min(1.0, uz)))
+
+
+def _unit_rows(d: np.ndarray) -> list[list[float]]:
+    """The (k, 3) directions scaled to unit length, as Python floats.
+
+    The stacked 1 x 3 by 3 x 1 products give each row's dot product exactly as
+    ``np.linalg.norm`` of that row alone does; ``norm(axis=1)`` does not.
+    """
+    norms = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+    return (d / norms[:, None]).tolist()
 
 
 def _wall_planes(scenario: Scenario) -> list[ReflectorPlane]:
@@ -241,37 +272,38 @@ def _on_faces(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     return ((faces[0] <= x) & (x <= faces[1]) & (faces[2] <= z) & (z <= faces[3])).any(axis=1)
 
 
-def trace_scene(scenario: Scenario, scene: Scene, cfg: TraceConfig) -> tuple[PairRecord, ...]:
+def trace_scenes(
+    scenario: Scenario, scenes: Sequence[Scene], cfg: TraceConfig
+) -> tuple[tuple[PairRecord, ...], ...]:
     """Synthesize the multipath sets from the RSU to every receiving vehicle's roof.
 
-    Returns one record per vehicle with a receiver index, in receiver-index
-    order. Every sub-segment of a candidate path must clear all building
-    boxes and all vehicle boxes except the receiver's own; full blockage
-    yields a record with an empty ray tuple rather than an error.
+    Returns one tuple per scene, holding one record per vehicle with a
+    receiver index, in receiver-index order. Every sub-segment of a candidate
+    path must clear all building boxes and the boxes of the scene's vehicles
+    except the receiver's own; full blockage yields a record with an empty
+    ray tuple rather than an error.
     """
-    receivers = sorted(
-        (v for v in scene.vehicles if v.receiver_index is not None),
-        key=lambda v: v.receiver_index,
-    )
-    if not receivers:
-        return ()
+    receivers = [
+        sorted((v for v in s.vehicles if v.receiver_index is not None), key=lambda v: v.receiver_index)
+        for s in scenes
+    ]
+    flat = [v for found in receivers for v in found]
+    if not flat:
+        return tuple(() for _ in scenes)
 
+    # every receiver of every scene is one row, with its scene's index
     g = scenario.ground_z
     tx = scenario.rsu_position.to_array()
-    rx = np.array([[v.position.x, v.position.y, g + v.type.height] for v in receivers], dtype=float)
-    rx_ids = np.array([v.id for v in receivers])
+    rx = np.array([[v.position.x, v.position.y, g + v.type.height] for v in flat], dtype=float)
+    rx_ids = np.array([v.id for v in flat])
+    row_scene = np.repeat(np.arange(len(scenes)), [len(found) for found in receivers])
     planes = tuple(_wall_planes(scenario) + [ReflectorPlane(2, g, "ground")])
     faces = {p: _wall_faces(p, scenario.buildings) for p in planes if p.kind == "wall"}
     area = scenario.rt_area
 
-    blockers = list(scenario.buildings) + [vehicle_bounding_box(v, g) for v in scene.vehicles]
-    lo = np.array([[b.min.x, b.min.y, b.min.z] for b in blockers])
-    hi = np.array([[b.max.x, b.max.y, b.max.z] for b in blockers])
-    owners = np.array([-1] * len(scenario.buildings) + [v.id for v in scene.vehicles])
-
     # geometric validity, then the segments of every valid candidate
     paths = []
-    seg_start, seg_end, seg_owner, first_seg = [], [], [], []
+    seg_start, seg_end, seg_row, first_seg = [], [], [], []
     n_segs = 0
     for seq, points, valid in mirror_paths(tx, rx, planes, cfg.max_reflections):
         for k, plane in enumerate(seq):
@@ -286,16 +318,34 @@ def trace_scene(scenario: Scenario, scene: Scene, cfg: TraceConfig) -> tuple[Pai
         hops = len(seq) + 1
         seg_start.append(points[rows, :-1].reshape(-1, 3))
         seg_end.append(points[rows, 1:].reshape(-1, 3))
-        seg_owner.append(np.repeat(rx_ids[rows], hops))
+        seg_row.append(np.repeat(rows, hops))
         first_seg.append(n_segs + hops * np.arange(rows.size))
         n_segs += hops * rows.size
 
-    # one slab test over every (segment, box) pair; a receiver never blocks itself
-    hit = _slab_hits(np.concatenate(seg_start), np.concatenate(seg_end), lo, hi)
-    hit &= np.concatenate(seg_owner)[:, None] != owners[None, :]
-    blocked = np.logical_or.reduceat(hit.any(axis=1), np.concatenate(first_seg))
+    # each scene's segments against the buildings and that scene's vehicles;
+    # a receiver never blocks itself
+    seg_row = np.concatenate(seg_row)
+    order = np.argsort(row_scene[seg_row], kind="stable")
+    bounds = np.searchsorted(row_scene[seg_row[order]], np.arange(len(scenes) + 1))
+    starts = np.concatenate(seg_start)[order]
+    ends = np.concatenate(seg_end)[order]
+    owners = rx_ids[seg_row[order]]
+    buildings = scenario.buildings
+    seg_hit = np.empty(n_segs, dtype=bool)
+    for scene, a, b in zip(scenes, bounds[:-1].tolist(), bounds[1:].tolist()):
+        if a == b:
+            continue
+        blockers = list(buildings) + [vehicle_bounding_box(v, g) for v in scene.vehicles]
+        lo = np.array([[bx.min.x, bx.min.y, bx.min.z] for bx in blockers])
+        hi = np.array([[bx.max.x, bx.max.y, bx.max.z] for bx in blockers])
+        box_owner = np.array([-1] * len(buildings) + [v.id for v in scene.vehicles])
+        hit = _slab_hits(starts[a:b], ends[a:b], lo, hi)
+        hit &= owners[a:b, None] != box_owner[None, :]
+        seg_hit[order[a:b]] = hit.any(axis=1)
+    blocked = np.logical_or.reduceat(seg_hit, np.concatenate(first_seg))
 
-    rays: list[list[Ray]] = [[] for _ in receivers]
+    # the finish of each bounce sequence's kept rays, appended in sequence order
+    rays: list[list[Ray]] = [[] for _ in flat]
     done = 0
     for seq, points, rows in paths:
         clear = rows[~blocked[done : done + rows.size]]
@@ -304,27 +354,16 @@ def trace_scene(scenario: Scenario, scene: Scene, cfg: TraceConfig) -> tuple[Pai
             continue
         kept = points[clear]
         totals = np.linalg.norm(np.diff(kept, axis=1), axis=2).sum(axis=1)
+        departures = _unit_rows(kept[:, 1] - kept[:, 0])
+        arrivals = _unit_rows(kept[:, -2] - kept[:, -1])
         interactions = "-".join("R" if p.kind == "wall" else "RG" for p in seq) or "LOS"
-        for r, path, total in zip(clear, kept, totals.tolist()):
+        for r, total, dep, arr in zip(clear.tolist(), totals.tolist(), departures, arrivals):
             gain = free_space_gain(total, cfg.wavelength)
             for plane in seq:
                 gain *= cfg.wall_reflection if plane.kind == "wall" else cfg.ground_reflection
-            dep_az, dep_el = _azimuth_elevation(path[1] - path[0])
-            arr_az, arr_el = _azimuth_elevation(path[-2] - path[-1])
-            rays[r].append(
-                Ray(
-                    gain=gain,
-                    delay=total / SPEED_OF_LIGHT,
-                    dep_azimuth=dep_az,
-                    dep_elevation=dep_el,
-                    arr_azimuth=arr_az,
-                    arr_elevation=arr_el,
-                    interactions=interactions,
-                )
-            )
-    return tuple(
-        _pair_record(v.receiver_index, found, cfg) for v, found in zip(receivers, rays)
-    )
+            rays[r].append(Ray(gain, total / SPEED_OF_LIGHT, *_angles(*dep), *_angles(*arr), interactions))
+    records = iter([_pair_record(v.receiver_index, found, cfg) for v, found in zip(flat, rays)])
+    return tuple(tuple(itertools.islice(records, len(found))) for found in receivers)
 
 
 def _pair_record(rx_id: int, rays: list[Ray], cfg: TraceConfig) -> PairRecord:

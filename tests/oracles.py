@@ -4,7 +4,8 @@ These are the per-pair channel composition and beam sweep, the scene-by-scene
 occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
 that kept one feature grid per example with the table-driven CSV writer over it, the
 table-driven writer over one grid per scene that encoded every cell of every row, the traffic model that rebuilt a frozen scene on every step, the
-per-pair tracer that enumerated and tested one candidate path at a time, the
+per-pair tracer that enumerated and tested one candidate path at a time and
+finished each ray with its own norm, the
 dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the numpy tabular Q-learning
 agent, the float64 feature matrix, the kNN prediction that sorted every
@@ -45,7 +46,6 @@ from beamcanyon.raytrace import (
     Ray,
     ReflectorPlane,
     TraceConfig,
-    _azimuth_elevation,
     _mirror,
     _wall_planes,
     classify_los,
@@ -572,6 +572,16 @@ def _bounce_points(
         points.append(current)
     points.append(tx)
     return np.stack(points[::-1])
+
+
+def _azimuth_elevation(direction: np.ndarray) -> tuple[float, float]:
+    norm = float(np.linalg.norm(direction))
+    u = direction / norm
+    azimuth = math.atan2(u[1], u[0])
+    if azimuth <= -math.pi:
+        azimuth += 2.0 * math.pi
+    elevation = math.acos(max(-1.0, min(1.0, float(u[2]))))
+    return azimuth, elevation
 
 
 def _on_wall_face(point: np.ndarray, plane: ReflectorPlane, buildings: tuple[Box, ...]) -> bool:

@@ -28,7 +28,7 @@ from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
     TraceConfig,
     segment_intersects_box,
-    trace_scene,
+    trace_scenes,
 )
 from beamcanyon.scenario import (
     Box,
@@ -194,7 +194,7 @@ def test_criterion_04_ray_tracer_geometry():
         bounce = roof + t * (mirrored - roof)
         expected_length = float(np.linalg.norm(mirrored - roof))
 
-        (record,) = trace_scene(scenario, Scene(0.0, (rx,)), cfg)
+        (record,) = trace_scenes(scenario, (Scene(0.0, (rx,)),), cfg)[0]
         token_rays = [r for r in record.rays if r.interactions == token]
         matching = [
             r for r in token_rays if abs(r.delay * SPEED_OF_LIGHT - expected_length) < 1e-9

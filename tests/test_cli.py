@@ -496,6 +496,43 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}, got") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "trace, key",
+        [
+            pytest.param('{"max_rays": 2.0}', "max_rays", id="max_rays-float"),
+            pytest.param('{"max_rays": true}', "max_rays", id="max_rays-bool"),
+            pytest.param('{"max_rays": 0}', "max_rays", id="max_rays-zero"),
+            pytest.param('{"max_reflections": 1.5}', "max_reflections", id="max_reflections-float"),
+            pytest.param('{"max_reflections": false}', "max_reflections", id="max_reflections-bool"),
+            pytest.param('{"max_reflections": -1}', "max_reflections", id="max_reflections-negative"),
+            pytest.param('{"carrier_hz": 1e400}', "carrier_hz", id="carrier_hz-infinite"),
+            pytest.param('{"carrier_hz": NaN}', "carrier_hz", id="carrier_hz-nan"),
+            pytest.param('{"carrier_hz": 0}', "carrier_hz", id="carrier_hz-zero"),
+            pytest.param('{"carrier_hz": "6e10"}', "carrier_hz", id="carrier_hz-string"),
+            pytest.param('{"tx_power_dbm": 1e400}', "tx_power_dbm", id="tx_power_dbm-infinite"),
+            pytest.param('{"tx_power_dbm": -1e400}', "tx_power_dbm", id="tx_power_dbm-minus-infinite"),
+            pytest.param('{"tx_power_dbm": NaN}', "tx_power_dbm", id="tx_power_dbm-nan"),
+            pytest.param('{"tx_power_dbm": "0"}', "tx_power_dbm", id="tx_power_dbm-string"),
+            pytest.param('{"wall_reflection": [NaN, 0]}', "wall_reflection", id="wall_reflection-nan"),
+        ],
+    )
+    def test_bad_trace_value_fails_before_tracing(self, tmp_path, capsys, monkeypatch, trace, key):
+        path = tmp_path / "run.json"
+        path.write_text(f'{{"trace": {trace}}}')
+        traced = []
+        monkeypatch.setattr(cli, "_generate_one", traced.append)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "generate", "--episodes", "1", "--scenes", "1"])
+        assert rc == 1 and traced == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: trace.{key} must ") and err.count("\n") == 1
+        assert not (tmp_path / "episodes.jsonl").exists()
+
+    def test_integral_trace_numbers_load(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"trace": {"carrier_hz": 28_000_000_000, "tx_power_dbm": -10, "max_rays": 1}}))
+        trace = load_run_config(str(path)).trace
+        assert (trace.carrier_hz, trace.tx_power_dbm, trace.max_rays) == (28e9, -10.0, 1)
+
     def test_reflection_pair_of_integers_loads(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"trace": {"ground_reflection": [-1, 0]}}))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from beamcanyon.dataset import SceneRecord, build_episode_record, encode_record
 from beamcanyon.raytrace import (
     LosStatus,
     PairRecord,
@@ -14,11 +16,12 @@ from beamcanyon.raytrace import (
     ReflectorPlane,
     SPEED_OF_LIGHT,
     TraceConfig,
+    _unit_rows,
     classify_los,
     free_space_gain,
     mirror_paths,
     segment_intersects_box,
-    trace_scene,
+    trace_scenes,
 )
 from beamcanyon.scenario import (
     Box,
@@ -65,6 +68,17 @@ def _oracle_scene(scenario, scene, cfg):
         key=lambda v: v.receiver_index,
     )
     return tuple(oracles.trace_paths(scenario, scene, v, cfg) for v in receivers)
+
+
+def _assert_exact(got, expected):
+    """Equal records, and equal reprs, so that -0.0 and 0.0 also differ."""
+    assert got == expected
+    assert repr(got) == repr(expected)
+
+
+def _untagged(scene):
+    """The scene with no receivers: every vehicle's receiver index dropped."""
+    return replace(scene, vehicles=tuple(replace(v, receiver_index=None) for v in scene.vehicles))
 
 
 class TestSegmentIntersectsBox:
@@ -139,7 +153,7 @@ def canyon():
 class TestTracePaths:
     def test_los_delay_is_distance_over_c(self, canyon):
         rx = _vehicle(0, 180.0, 9.75, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         los = [r for r in rec.rays if r.interactions == "LOS"]
         assert len(los) == 1
         tx = canyon.rsu_position.to_array()
@@ -148,20 +162,20 @@ class TestTracePaths:
 
     def test_scene_without_receivers_yields_nothing(self, canyon):
         v = _vehicle(0, 180.0, 9.75)
-        assert trace_scene(canyon, Scene(0.0, (v,)), TraceConfig()) == ()
+        assert trace_scenes(canyon, (Scene(0.0, (v,)),), TraceConfig())[0] == ()
 
     def test_bus_blocks_line_of_sight(self, canyon):
         rx = _vehicle(0, 165.0, 16.75, receiver=1)  # straight across from the RSU
         # bus parked between the RSU and the receiver
         bus = _vehicle(1, 165.0, 9.75, kind=2)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx, bus)), TraceConfig())
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx, bus)),), TraceConfig())[0]
         assert all(r.interactions != "LOS" for r in rec.rays)
 
     def test_one_wall_reflection_matches_mirror_point(self, canyon):
         # oracle: path length via the explicitly mirrored source
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
         cfg = TraceConfig(max_reflections=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), cfg)
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), cfg)[0]
         walls = [r for r in rec.rays if r.interactions == "R"]
         assert len(walls) == 2  # south wall at y=0, north wall at y=23
         tx = canyon.rsu_position.to_array()
@@ -175,12 +189,12 @@ class TestTracePaths:
 
     def test_ground_reflection_present(self, canyon):
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(max_reflections=1))
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_reflections=1))[0]
         assert any(r.interactions == "RG" for r in rec.rays)
 
     def test_rays_ranked_by_amplitude(self, canyon):
         rx = _vehicle(0, 220.0, 6.25, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         mags = [abs(r.gain) for r in rec.rays]
         assert mags == sorted(mags, reverse=True)
 
@@ -189,24 +203,24 @@ class TestTracePaths:
         scene = Scene(0.0, (rx,))
         sets = []
         for k in (0, 1, 2):
-            (rec,) = trace_scene(canyon, scene, TraceConfig(max_reflections=k))
+            (rec,) = trace_scenes(canyon, (scene,), TraceConfig(max_reflections=k))[0]
             sets.append({(r.interactions, round(r.delay * 1e12, 3)) for r in rec.rays})
         assert sets[0] <= sets[1] <= sets[2]
 
     def test_truncates_to_max_rays(self, canyon):
         rx = _vehicle(0, 190.0, 9.75, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(max_rays=3))
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_rays=3))[0]
         assert len(rec.rays) == 3
 
     def test_received_power_consistent_with_ray_gains(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig(tx_power_dbm=0.0))
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(tx_power_dbm=0.0))[0]
         total = sum(abs(r.gain) ** 2 for r in rec.rays)
         assert rec.p_rx_dbm == pytest.approx(10 * math.log10(total), abs=1e-6)
 
     def test_mean_toa_is_power_weighted(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
+        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         weights = [abs(r.gain) ** 2 for r in rec.rays]
         expected = sum(w * r.delay for w, r in zip(weights, rec.rays)) / sum(weights)
         assert rec.mean_toa == pytest.approx(expected, rel=1e-12)
@@ -220,21 +234,21 @@ class TestTracePaths:
                 [(-7, 0, 0.0), (7, 0, 0.0), (0, 3.2, math.pi / 2), (0, -3.2, math.pi / 2)]
             )
         ]
-        (rec,) = trace_scene(canyon, Scene(0.0, tuple([rx] + ring)), TraceConfig(max_reflections=0))
+        (rec,) = trace_scenes(canyon, (Scene(0.0, tuple([rx] + ring)),), TraceConfig(max_reflections=0))[0]
         assert rec.rays == ()
         assert rec.p_rx_dbm is None and rec.mean_toa is None
         assert classify_los(rec) == LosStatus.NO_PATH
 
 
 class TestMatchesOracle:
-    """trace_scene equals the per-pair tracer it replaced, record for record."""
+    """trace_scenes equals the per-pair tracer it replaced, record for record."""
 
     @pytest.mark.parametrize("seed", range(20))
     def test_default_canyon(self, canyon, seed):
         ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=seed))
         cfg = TraceConfig()
         for scene in ep.scenes:
-            assert trace_scene(canyon, scene, cfg) == _oracle_scene(canyon, scene, cfg)
+            _assert_exact(trace_scenes(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
 
     @pytest.mark.parametrize(
         "lane_count, receivers, max_reflections, max_rays",
@@ -256,7 +270,7 @@ class TestMatchesOracle:
         ep = generate_episode(sc, params)
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
         for scene in ep.scenes:
-            assert trace_scene(sc, scene, cfg) == _oracle_scene(sc, scene, cfg)
+            _assert_exact(trace_scenes(sc, (scene,), cfg)[0], _oracle_scene(sc, scene, cfg))
 
     def test_gapped_walls_and_narrow_area(self, canyon):
         # gaps between buildings reject wall bounces off the face; a narrowed
@@ -270,9 +284,9 @@ class TestMatchesOracle:
         cfg = TraceConfig()
         counts = {"R": [0, 0], "RG": [0, 0]}
         for scene in ep.scenes:
-            records = trace_scene(sc, scene, cfg)
-            assert records == _oracle_scene(sc, scene, cfg)
-            for i, recs in enumerate((trace_scene(canyon, scene, cfg), records)):
+            records = trace_scenes(sc, (scene,), cfg)[0]
+            _assert_exact(records, _oracle_scene(sc, scene, cfg))
+            for i, recs in enumerate((trace_scenes(canyon, (scene,), cfg)[0], records)):
                 for kind in counts:
                     counts[kind][i] += sum(len(_rays_with(r, kind)) for r in recs)
         assert counts["R"][1] < counts["R"][0]
@@ -305,20 +319,145 @@ class TestMatchesOracle:
             ),
         )
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
-        assert trace_scene(canyon, scene, cfg) == _oracle_scene(canyon, scene, cfg)
+        _assert_exact(trace_scenes(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
 
     def test_receiver_blocks_another_but_not_itself(self, canyon):
         # receiver 2's bus stands on receiver 1's line of sight to the RSU
         rx1 = _vehicle(0, 165.0, 16.75, receiver=1)
         rx2 = _vehicle(1, 165.0, 9.75, kind=2, receiver=2)
         scene = Scene(0.0, (rx1, rx2))
-        rec1, rec2 = trace_scene(canyon, scene, TraceConfig())
+        rec1, rec2 = trace_scenes(canyon, (scene,), TraceConfig())[0]
         assert (rec1.rx_id, rec2.rx_id) == (1, 2)
         assert _rays_with(rec1, "LOS") == []
         assert _rays_with(rec2, "LOS") != []
         # a last ground bounce rises to the roof through the bus's own box
         assert _rays_with(rec2, "RG") != []
-        assert (rec1, rec2) == _oracle_scene(canyon, scene, TraceConfig())
+        _assert_exact((rec1, rec2), _oracle_scene(canyon, scene, TraceConfig()))
+
+
+def _ringed_scene(canyon):
+    """Receiver 1 at (165, 9.75), ringed by buses that block its every direct path."""
+    rx = _vehicle(0, 165.0, 9.75, receiver=1)
+    ring = [
+        _vehicle(i + 1, 165.0 + dx, 9.75 + dy, kind=2, heading=h)
+        for i, (dx, dy, h) in enumerate(
+            [(-7, 0, 0.0), (7, 0, 0.0), (0, 3.2, math.pi / 2), (0, -3.2, math.pi / 2)]
+        )
+    ]
+    return Scene(0.0, tuple([rx] + ring))
+
+
+class TestEpisodeMatchesOracle:
+    """trace_scenes over a whole episode equals the per-pair oracle, scene by scene."""
+
+    @pytest.mark.parametrize(
+        "seed, lane_count, receivers, max_reflections, max_rays",
+        [
+            (0, 4, 10, 2, 25),
+            (1, 1, 3, 0, 7),
+            (2, 1, 2, 3, 1),
+            (3, 4, 10, 1, 7),
+            (4, 4, 6, 3, 25),
+            (5, 6, 10, 0, 1),
+            (6, 6, 10, 2, 7),
+            (7, 6, 4, 1, 25),
+        ],
+    )
+    def test_whole_episode(self, seed, lane_count, receivers, max_reflections, max_rays):
+        sc = make_canyon_scenario(ScenarioConfig(lane_count=lane_count))
+        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=5, receiver_count=receivers, seed=seed))
+        cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
+        expected = tuple(_oracle_scene(sc, scene, cfg) for scene in ep.scenes)
+        _assert_exact(trace_scenes(sc, ep.scenes, cfg), expected)
+
+    @pytest.mark.parametrize(
+        "untagged",
+        [(0,), (2,), (4,), (0, 2, 4), (0, 1, 2, 3, 4)],
+        ids=["start", "middle", "end", "alternate", "all"],
+    )
+    def test_scenes_without_receivers(self, canyon, untagged):
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=5, receiver_count=10, seed=8))
+        scenes = tuple(_untagged(s) if i in untagged else s for i, s in enumerate(ep.scenes))
+        cfg = TraceConfig()
+        got = trace_scenes(canyon, scenes, cfg)
+        assert len(got) == len(scenes)
+        assert all(got[i] == () for i in untagged)
+        _assert_exact(got, tuple(_oracle_scene(canyon, scene, cfg) for scene in scenes))
+
+    def test_no_scenes(self, canyon):
+        assert trace_scenes(canyon, (), TraceConfig()) == ()
+
+    def test_fully_blocked_receiver_among_open_scenes(self, canyon):
+        ringed = _ringed_scene(canyon)
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=2, receiver_count=10, seed=9))
+        scenes = (ringed, ep.scenes[0], ringed, ep.scenes[1], ringed)
+        cfg = TraceConfig(max_reflections=0)
+        got = trace_scenes(canyon, scenes, cfg)
+        assert [len(records) for records in got] == [1, 10, 1, 10, 1]
+        assert all(got[i][0].rays == () for i in (0, 2, 4))
+        _assert_exact(got, tuple(_oracle_scene(canyon, scene, cfg) for scene in scenes))
+
+    def test_vehicles_block_only_their_own_scene(self, canyon):
+        # the same receiver twice: with a bus on its line of sight, then without
+        rx = _vehicle(0, 165.0, 16.75, receiver=1)
+        bus = _vehicle(1, 165.0, 9.75, kind=2)
+        blocked, open_ = trace_scenes(canyon, (Scene(0.0, (rx, bus)), Scene(0.1, (rx,))), TraceConfig())
+        assert _rays_with(blocked[0], "LOS") == []
+        assert _rays_with(open_[0], "LOS") != []
+
+    def test_episode_record_bytes_match_oracle(self, canyon):
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=10), 3)
+        cfg = TraceConfig()
+        record = build_episode_record(canyon, ep, cfg)
+        traced_by_oracle = replace(
+            record,
+            scenes=tuple(
+                SceneRecord(scene.time, scene.vehicles, _oracle_scene(canyon, scene, cfg))
+                for scene in ep.scenes
+            ),
+        )
+        assert encode_record(record) == encode_record(traced_by_oracle)
+
+    def test_traced_peak_of_an_80_scene_episode(self, canyon):
+        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=80, receiver_count=10, seed=7))
+        tracemalloc.start()
+        try:
+            trace_scenes(canyon, ep.scenes, TraceConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestMatmulNorm:
+    """The stacked-matmul norm in _unit_rows equals np.linalg.norm of each vector, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_FINITE, _FINITE, _FINITE).filter(any), min_size=1, max_size=8))
+    def test_matches_per_vector_norm(self, vectors):
+        d = np.array(vectors)
+        with np.errstate(over="ignore", under="ignore"):
+            stacked = np.sqrt((d[:, None, :] @ d[:, :, None]).ravel())
+            single = [np.linalg.norm(v) for v in d]
+        assert stacked.tobytes() == np.array(single).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(-1e6, 1e6) for _ in range(3)]).filter(
+                lambda v: math.hypot(*v) > 1e-6
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_unit_rows_match_per_vector_division(self, vectors):
+        d = np.array(vectors)
+        expected = [(v / float(np.linalg.norm(v))).tolist() for v in d]
+        assert repr(_unit_rows(d)) == repr(expected)
 
 
 class TestSpecularGeometry:
@@ -355,7 +494,7 @@ class TestSpecularGeometry:
         tx = canyon.rsu_position.to_array()
         for _ in range(100):
             rx = _vehicle(0, float(rng.uniform(60, 270)), 9.75, receiver=1)
-            (rec,) = trace_scene(canyon, Scene(0.0, (rx,)), TraceConfig())
+            (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
             roof = np.array([rx.position.x, rx.position.y, rx.type.height])
             lengths = sorted(
                 float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
