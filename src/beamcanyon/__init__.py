@@ -25,7 +25,6 @@ from .raytrace import (
     TraceConfig,
     classify_los,
     free_space_gain,
-    segment_intersects_box,
     trace_scenes,
 )
 from .mimo import (
@@ -71,7 +70,6 @@ from .scheduler import (
     dp_optimal,
     env_reset,
     env_step,
-    episode_reward,
     greedy_agent,
     normalize_powers,
     round_robin_agent,

@@ -12,11 +12,10 @@ import argparse
 import contextlib
 import json
 import logging
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,8 @@ from .dataset import (
 )
 from .features import GridSpec
 from .mimo import ArraySpec, LabelMap
-from .raytrace import LosStatus, TraceConfig, _is_integer, _is_number
+from .raytrace import LosStatus, TraceConfig
+from .rules import check, check_value, setting
 from .scenario import EpisodeParams, ScenarioConfig, generate_episode, make_canyon_scenario
 from .scheduler import (
     QLearningConfig,
@@ -76,29 +76,21 @@ def derive_seed(master: int, *path: int) -> int:
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    output_dir: str = "out"
+    seed: int = setting(0, "integer")
+    output_dir: str = setting("out", "string")
     scenario: ScenarioConfig = ScenarioConfig()
     episode: EpisodeParams = EpisodeParams()
     trace: TraceConfig = TraceConfig()
     tx_array: ArraySpec = ArraySpec(4, 4)
     rx_array: ArraySpec = ArraySpec(4, 4)
-    grid_cell: float = 1.0
+    grid_cell: float = setting(1.0, "number", "> 0")
     scheduler: SchedulerParams = SchedulerParams()
-    test_fraction: float = 0.25
-    knn_k: int = 5
+    test_fraction: float = setting(0.25, "number", "> 0", "< 1")
+    knn_k: int = setting(5, "integer", ">= 1")
     qlearn: QLearningConfig = QLearningConfig()
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.seed):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        for key in ("grid_cell", "test_fraction"):
-            if not _is_number(getattr(self, key)):
-                raise ValueError(f"{key} must be a number, got {getattr(self, key)!r}")
-        if not 0 < self.grid_cell < math.inf:
-            raise ValueError(f"grid_cell must be a positive finite number, got {self.grid_cell!r}")
-        if not _is_integer(self.knn_k) or self.knn_k < 1:
-            raise ValueError(f"knn_k must be an integer >= 1, got {self.knn_k!r}")
+        check(self)
 
 
 def _section(data: dict, name: str) -> dict:
@@ -114,10 +106,11 @@ def _reject_leftover(data: dict, where: str) -> None:
         raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, data))}")
 
 
-def _parse_outage_after(value: int | str | None) -> int | None:
+def _parse_outage_after(value: object) -> object:
     """The outage threshold from ``--n-out`` or the config file.
 
-    "inf" and "none", in any case, disable outages; other strings must be integers.
+    "inf" and "none", in any case, disable outages, and other strings are read
+    as integers. ``SchedulerParams`` rejects what is left, naming the key.
     """
     if not isinstance(value, str):
         return value
@@ -126,20 +119,23 @@ def _parse_outage_after(value: int | str | None) -> int | None:
     try:
         return int(value)
     except ValueError:
-        raise ValueError(f"outage threshold must be an integer, 'inf' or 'none'; got {value!r}") from None
+        return value
 
 
-def _parse_complex(key: str, value: object) -> complex:
-    """A complex number from its ``[re, im]`` pair in the config file."""
-    if not (isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))):
+def _parse_complex(key: str, value: object) -> object:
+    """A complex number from its ``[re, im]`` pair in the config file; ``TraceConfig`` checks it."""
+    if not (isinstance(value, list) and len(value) == 2):
         raise ValueError(f"{key} must be two numbers [re, im]; got {value!r}")
-    return complex(*value)
+    re, im = value
+    return complex(re, im) if {type(re), type(im)} <= {int, float} else value
 
 
 def _parse_array_shape(key: str, value: object) -> list[int]:
     """An array's ``[nx, ny]`` element counts from the config file."""
-    if not (isinstance(value, list) and len(value) == 2 and all(_is_integer(v) and v >= 1 for v in value)):
+    if not (isinstance(value, list) and len(value) == 2):
         raise ValueError(f"{key} must be two integers of at least 1 [nx, ny]; got {value!r}")
+    for count in value:
+        check_value(key, ArraySpec.__dataclass_fields__["nx"].metadata["rule"], count)
     return value
 
 
@@ -159,8 +155,6 @@ def load_run_config(path: str | None) -> RunConfig:
     trace = TraceConfig(**trace_raw)
     arrays = _section(data, "arrays")
     spacing = arrays.pop("spacing_wavelengths", 0.5)
-    if not (_is_number(spacing) and 0 < spacing < math.inf):
-        raise ValueError(f"arrays.spacing_wavelengths must be a positive finite number; got {spacing!r}")
     tx_array, rx_array = (
         ArraySpec(*_parse_array_shape(f"arrays.{key}", arrays.pop(key, [4, 4])), spacing_wavelengths=spacing)
         for key in ("tx", "rx")
@@ -171,22 +165,18 @@ def load_run_config(path: str | None) -> RunConfig:
         sched_raw["outage_after"] = _parse_outage_after(sched_raw["outage_after"])
     scheduler = SchedulerParams(**sched_raw)
     qlearn = QLearningConfig(**_section(data, "qlearn"))
-    config = RunConfig(
-        seed=data.pop("seed", 0),
-        output_dir=data.pop("output_dir", "out"),
+    top_level = {f.name for f in fields(RunConfig) if "rule" in f.metadata}
+    _reject_leftover({k: v for k, v in data.items() if k not in top_level}, "config")
+    return RunConfig(
         scenario=scenario,
         episode=episode,
         trace=trace,
         tx_array=tx_array,
         rx_array=rx_array,
-        grid_cell=data.pop("grid_cell", 1.0),
         scheduler=scheduler,
-        test_fraction=data.pop("test_fraction", 0.25),
-        knn_k=data.pop("knn_k", 5),
         qlearn=qlearn,
+        **data,
     )
-    _reject_leftover(data, "config")
-    return config
 
 
 def _generate_one(args: tuple) -> tuple[int, int, str]:

@@ -8,12 +8,13 @@ exhaustively and indexed as transmit_beam * n_rx_beams + receive_beam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .raytrace import Ray
+from .rules import check, setting
 
 UNKNOWN_CLASS = 0  # label assigned to raw keys never seen while fitting
 SWEEP_CHUNK = 256  # ray lists per batched sweep in sweep_rays
@@ -23,13 +24,12 @@ SWEEP_CHUNK = 256  # ray lists per batched sweep in sweep_rays
 class ArraySpec:
     """Uniform planar array in the x-y plane: nx by ny elements."""
 
-    nx: int
-    ny: int
-    spacing_wavelengths: float = 0.5
+    nx: int = setting(MISSING, "integer", ">= 1")
+    ny: int = setting(MISSING, "integer", ">= 1")
+    spacing_wavelengths: float = setting(0.5, "number", "> 0")
 
     def __post_init__(self) -> None:
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("array dimensions must be at least 1")
+        check(self, "arrays")
 
     @property
     def size(self) -> int:

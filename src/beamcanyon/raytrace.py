@@ -25,7 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Box, Scenario, Scene, Vec3, vehicle_bounding_box
+from .rules import check, setting
+from .scenario import Box, Scenario, Scene, vehicle_bounding_box
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -64,36 +65,18 @@ class PairRecord:
     p_rx_dbm: float | None
 
 
-def _is_integer(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 @dataclass(frozen=True)
 class TraceConfig:
-    carrier_hz: float = 6.0e10
-    max_reflections: int = 2
-    max_rays: int = 25
-    wall_reflection: complex = -0.5 + 0.0j
-    ground_reflection: complex = -0.6 + 0.0j
-    tx_power_dbm: float = 0.0
+    carrier_hz: float = setting(6.0e10, "number", "> 0")
+    # each added bounce doubles the candidate sequences, and with them the time and memory
+    max_reflections: int = setting(2, "integer", ">= 0", "<= 10")
+    max_rays: int = setting(25, "integer", ">= 1")
+    wall_reflection: complex = setting(-0.5 + 0.0j, "[re, im]", "<= 1")
+    ground_reflection: complex = setting(-0.6 + 0.0j, "[re, im]", "<= 1")
+    tx_power_dbm: float = setting(0.0, "number")
 
     def __post_init__(self) -> None:
-        # the messages name the keys of the config file's "trace" section
-        for key, least in (("max_reflections", 0), ("max_rays", 1)):
-            value = getattr(self, key)
-            if not (_is_integer(value) and value >= least):
-                raise ValueError(f"trace.{key} must be an integer >= {least}, got {value!r}")
-        if not (_is_number(self.carrier_hz) and 0 < self.carrier_hz < math.inf):
-            raise ValueError(f"trace.carrier_hz must be a positive finite number, got {self.carrier_hz!r}")
-        if not (_is_number(self.tx_power_dbm) and math.isfinite(self.tx_power_dbm)):
-            raise ValueError(f"trace.tx_power_dbm must be a finite number, got {self.tx_power_dbm!r}")
-        for key in ("wall_reflection", "ground_reflection"):
-            if not abs(getattr(self, key)) <= 1:
-                raise ValueError(f"trace.{key} must have a magnitude of at most 1, got {getattr(self, key)!r}")
+        check(self, "trace")
 
     @property
     def wavelength(self) -> float:
@@ -113,19 +96,6 @@ class ReflectorPlane:
     axis: int  # 0 = x, 1 = y, 2 = z
     offset: float
     kind: str  # "wall" or "ground"
-
-
-def segment_intersects_box(p0, p1, box: Box) -> bool:
-    """True iff the open segment passes through the box interior.
-
-    Touching a face, edge or corner does not count: only an overlap of
-    positive length with the strict interior intersects.
-    """
-    a = p0.to_array() if isinstance(p0, Vec3) else np.asarray(p0, float)
-    b = p1.to_array() if isinstance(p1, Vec3) else np.asarray(p1, float)
-    lo = box.min.to_array()[None, :]
-    hi = box.max.to_array()[None, :]
-    return bool(_slab_hits(a[None, :], b[None, :], lo, hi)[0, 0])
 
 
 def _slab_hits(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

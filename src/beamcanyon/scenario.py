@@ -12,6 +12,8 @@ from enum import Enum
 
 import numpy as np
 
+from .rules import check, setting
+
 MIN_GAP_M = 2.0        # hard minimum bumper-to-bumper gap
 SPEED_SPREAD = 0.2     # per-vehicle target speed drawn from [0.8, 1.2] * avg_speed
 WARMUP_S = 30.0        # traffic build-up time before an episode window
@@ -114,11 +116,14 @@ class Scene:
 
 @dataclass(frozen=True)
 class EpisodeParams:
-    sample_period: float = 0.1
-    scenes_per_episode: int = 50
-    receiver_count: int = 10
-    seed: int = 0
-    avg_speed: float = 8.2
+    sample_period: float = setting(0.1, "number", "> 0")
+    scenes_per_episode: int = setting(50, "integer", ">= 1")
+    receiver_count: int = setting(10, "integer", ">= 1")
+    seed: int = setting(0, "integer")
+    avg_speed: float = setting(8.2, "number", "> 0")
+
+    def __post_init__(self) -> None:
+        check(self, "episode")
 
 
 @dataclass(frozen=True)
@@ -148,35 +153,24 @@ class ScenarioConfig:
     enter and leave the strip while staying inside the simulated area.
     """
 
-    street_length: float = 250.0
-    street_width: float = 23.0
-    approach_length: float = 40.0
-    lane_count: int = 4
-    lane_width: float = 3.5
-    building_depth: float = 20.0
-    building_length: float = 30.0
-    building_height: float = 30.0
-    rsu_height: float = 5.0
-    rsu_wall_offset: float = 1.0
-    ground_z: float = 0.0
+    street_length: float = setting(250.0, "number", "> 0")
+    street_width: float = setting(23.0, "number", "> 0")
+    approach_length: float = setting(40.0, "number", "> 0")
+    lane_count: int = setting(4, "integer", ">= 1")
+    lane_width: float = setting(3.5, "number", "> 0")
+    building_depth: float = setting(20.0, "number", "> 0")
+    building_length: float = setting(30.0, "number", "> 0")
+    building_height: float = setting(30.0, "number", "> 0")
+    rsu_height: float = setting(5.0, "number", "> 0")
+    rsu_wall_offset: float = setting(1.0, "number")
+    ground_z: float = setting(0.0, "number")
+
+    def __post_init__(self) -> None:
+        check(self, "scenario")
 
 
 def make_canyon_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
     """Build the two-row canyon scenario with the roadside unit on the south side."""
-    for name in (
-        "street_length",
-        "street_width",
-        "approach_length",
-        "lane_width",
-        "building_depth",
-        "building_length",
-        "building_height",
-        "rsu_height",
-    ):
-        if getattr(config, name) <= 0:
-            raise ValueError(f"{name} must be positive")
-    if config.lane_count < 1:
-        raise ValueError("lane_count must be at least 1")
     if config.lane_count * config.lane_width > config.street_width + 1e-9:
         raise ValueError("lanes do not fit inside the street width")
     if not 0 < config.rsu_wall_offset < config.street_width:
@@ -383,11 +377,6 @@ def generate_episode(
     Fully deterministic for a given (scenario, params): the episode's random
     generator is seeded from ``params.seed`` and owned by this call.
     """
-    if params.sample_period <= 0:
-        raise ValueError("sample_period must be positive")
-    if params.scenes_per_episode < 1 or params.receiver_count < 1:
-        raise ValueError("scenes_per_episode and receiver_count must be at least 1")
-
     rng = np.random.default_rng(params.seed)
     dt = params.sample_period
     lanes: list[list[LaneCar]] = [[] for _ in scenario.lanes]

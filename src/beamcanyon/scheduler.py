@@ -17,31 +17,20 @@ import numpy as np
 
 from .dataset import EpisodeRecord
 from .mimo import ArraySpec, sweep_rays
+from .rules import check, setting
 
 MAX_DP_STATES = 1_000_000
 
 
-def _is_count(value: object) -> bool:
-    """Whether ``value`` is an integer (not a bool) of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
 @dataclass(frozen=True)
 class SchedulerParams:
-    outage_after: int | None = 3     # None disables outages entirely
-    outage_penalty: float = -3.0
-    num_receivers: int = 2
-    floor_offset_db: float = 200.0
+    outage_after: int | None = setting(3, "integer or None", ">= 1")  # None disables outages entirely
+    outage_penalty: float = setting(-3.0, "number", "<= 0")
+    num_receivers: int = setting(2, "integer", ">= 1")
+    floor_offset_db: float = setting(200.0, "number", "> 0")
 
     def __post_init__(self) -> None:
-        if self.outage_after is not None and not _is_count(self.outage_after):
-            raise ValueError(f"outage_after must be an integer >= 1 or None, got {self.outage_after!r}")
-        if self.outage_penalty > 0:
-            raise ValueError("outage_penalty must not be positive")
-        if not _is_count(self.num_receivers):
-            raise ValueError(f"num_receivers must be an integer >= 1, got {self.num_receivers!r}")
-        if self.floor_offset_db <= 0:
-            raise ValueError("floor_offset_db must be positive")
+        check(self, "scheduler")
 
 
 @dataclass(frozen=True)
@@ -73,23 +62,15 @@ class AllocationPlan:
 
 @dataclass(frozen=True)
 class QLearningConfig:
-    training_episodes: int = 1000
-    learning_rate: float = 0.2
-    discount: float = 1.0
-    epsilon_start: float = 1.0
-    epsilon_end: float = 0.05
-    seed: int = 0
+    training_episodes: int = setting(1000, "integer", ">= 1")
+    learning_rate: float = setting(0.2, "number", "> 0", "<= 1")
+    discount: float = setting(1.0, "number", ">= 0", "<= 1")
+    epsilon_start: float = setting(1.0, "number", ">= 0", "<= 1")
+    epsilon_end: float = setting(0.05, "number", ">= 0", "<= 1")
+    seed: int = setting(0, "integer")
 
     def __post_init__(self) -> None:
-        if not _is_count(self.training_episodes):
-            raise ValueError(f"training_episodes must be an integer >= 1, got {self.training_episodes}")
-        if not 0 < self.learning_rate <= 1:
-            raise ValueError(f"learning_rate must be in (0, 1], got {self.learning_rate}")
-        if not 0 <= self.discount <= 1:
-            raise ValueError(f"discount must be in [0, 1], got {self.discount}")
-        for name in ("epsilon_start", "epsilon_end"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in [0, 1], got {getattr(self, name)}")
+        check(self, "qlearn")
 
 
 def normalize_powers(raw_scene_db: np.ndarray, floor_offset_db: float = 200.0) -> np.ndarray:
@@ -192,13 +173,6 @@ def _replay(
         state, reward = env_step(state, table, params, (receiver, pair))
         total += reward
     return total / table.n_scenes
-
-
-def episode_reward(plan: AllocationPlan, table: RewardTable, params: SchedulerParams) -> float:
-    """Mean per-scene reward of a plan under the environment semantics."""
-    if len(plan.receivers) != table.n_scenes:
-        raise ValueError("plan length does not match the episode")
-    return _replay(plan.receivers, plan.pair_indices, table, params)
 
 
 def _best_beams(table: RewardTable) -> tuple[np.ndarray, np.ndarray]:

@@ -13,6 +13,10 @@ float64 distance row, and the episode-file codec that spelled out every key of
 each record type in one writer and one reader helper per type, with the writer
 that took the whole list of records before writing any, exactly as they were
 before the rewrites. The production code must reproduce them bit for bit.
+
+Two helpers that only tests call live here too: the one-segment box test over
+the tracer's slab test, and the mean reward of a plan replayed through the
+scheduling environment.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from beamcanyon.raytrace import (
     ReflectorPlane,
     TraceConfig,
     _mirror,
+    _slab_hits,
     _wall_planes,
     classify_los,
     free_space_gain,
@@ -60,6 +65,7 @@ from beamcanyon.scheduler import (
     _advance,
     _best_beams,
     _make_plan,
+    _replay,
     _starve_cap,
     greedy_agent,
 )
@@ -971,3 +977,23 @@ def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) ->
         for rec in records:
             f.write(dumps(_record_to_obj(rec)))
             f.write("\n")
+
+
+def segment_intersects_box(p0, p1, box: Box) -> bool:
+    """True iff the open segment passes through the box interior.
+
+    Touching a face, edge or corner does not count: only an overlap of
+    positive length with the strict interior intersects.
+    """
+    a = p0.to_array() if isinstance(p0, Vec3) else np.asarray(p0, float)
+    b = p1.to_array() if isinstance(p1, Vec3) else np.asarray(p1, float)
+    lo = box.min.to_array()[None, :]
+    hi = box.max.to_array()[None, :]
+    return bool(_slab_hits(a[None, :], b[None, :], lo, hi)[0, 0])
+
+
+def episode_reward(plan: AllocationPlan, table: RewardTable, params: SchedulerParams) -> float:
+    """Mean per-scene reward of a plan under the environment semantics."""
+    if len(plan.receivers) != table.n_scenes:
+        raise ValueError("plan length does not match the episode")
+    return _replay(plan.receivers, plan.pair_indices, table, params)

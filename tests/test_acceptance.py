@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from oracles import episode_reward, segment_intersects_box
 from beamcanyon.cli import main
 from beamcanyon.classify import evaluate, knn_classifier, majority_classifier
 from beamcanyon.dataset import (
@@ -27,7 +28,6 @@ from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
 from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
     TraceConfig,
-    segment_intersects_box,
     trace_scenes,
 )
 from beamcanyon.scenario import (
@@ -49,7 +49,6 @@ from beamcanyon.scheduler import (
     dp_optimal,
     env_reset,
     env_step,
-    episode_reward,
     greedy_agent,
     normalize_powers,
     round_robin_agent,

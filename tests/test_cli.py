@@ -483,10 +483,10 @@ class TestRunConfig:
             pytest.param({"seed": 1.5}, "seed must be an integer", id="seed-float"),
             pytest.param({"seed": "7"}, "seed must be an integer", id="seed-string"),
             pytest.param({"seed": True}, "seed must be an integer", id="seed-bool"),
-            pytest.param({"grid_cell": "1"}, "grid_cell must be a number", id="grid_cell-string"),
-            pytest.param({"grid_cell": True}, "grid_cell must be a number", id="grid_cell-bool"),
-            pytest.param({"test_fraction": "0.3"}, "test_fraction must be a number", id="test_fraction-string"),
-            pytest.param({"test_fraction": False}, "test_fraction must be a number", id="test_fraction-bool"),
+            pytest.param({"grid_cell": "1"}, "grid_cell must be a positive finite number", id="grid_cell-string"),
+            pytest.param({"grid_cell": True}, "grid_cell must be a positive finite number", id="grid_cell-bool"),
+            pytest.param({"test_fraction": "0.3"}, "test_fraction must be a finite number in (0, 1)", id="test_fraction-string"),
+            pytest.param({"test_fraction": False}, "test_fraction must be a finite number in (0, 1)", id="test_fraction-bool"),
         ],
     )
     def test_bad_top_level_value_fails_with_one_line(self, tmp_path, capsys, config, message):
@@ -527,6 +527,42 @@ class TestRunConfig:
         assert err.startswith(f"error: trace.{key} must ") and err.count("\n") == 1
         assert not (tmp_path / "episodes.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            pytest.param('{"scenario": {"street_length": 1e400}}', "scenario.street_length", id="street_length-infinite"),
+            pytest.param('{"scenario": {"rsu_height": NaN}}', "scenario.rsu_height", id="rsu_height-nan"),
+            pytest.param('{"scenario": {"lane_count": true}}', "scenario.lane_count", id="lane_count-bool"),
+            pytest.param('{"scenario": {"lane_count": 1.5}}', "scenario.lane_count", id="lane_count-float"),
+            pytest.param('{"scenario": {"lane_width": "3"}}', "scenario.lane_width", id="lane_width-string"),
+            pytest.param('{"scenario": {"ground_z": "a"}}', "scenario.ground_z", id="ground_z-string"),
+            pytest.param('{"episode": {"scenes_per_episode": true}}', "episode.scenes_per_episode", id="scenes-bool"),
+            pytest.param('{"episode": {"receiver_count": 2.5}}', "episode.receiver_count", id="receiver_count-float"),
+            pytest.param('{"episode": {"sample_period": NaN}}', "episode.sample_period", id="sample_period-nan"),
+            pytest.param('{"episode": {"avg_speed": NaN}}', "episode.avg_speed", id="avg_speed-nan"),
+            pytest.param('{"trace": {"max_reflections": 40}}', "trace.max_reflections", id="max_reflections-40"),
+            pytest.param('{"scheduler": {"outage_penalty": -1e400}}', "scheduler.outage_penalty", id="penalty-infinite"),
+            pytest.param('{"scheduler": {"outage_penalty": "x"}}', "scheduler.outage_penalty", id="penalty-string"),
+            pytest.param('{"scheduler": {"floor_offset_db": NaN}}', "scheduler.floor_offset_db", id="floor_offset-nan"),
+            pytest.param('{"qlearn": {"learning_rate": "x"}}', "qlearn.learning_rate", id="learning_rate-string"),
+        ],
+    )
+    def test_bad_value_fails_generate_before_the_scenario(self, tmp_path, capsys, monkeypatch, config, key):
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        built = []
+        monkeypatch.setattr(cli, "make_canyon_scenario", built.append)
+        rc = main(["--config", str(path), "--out", str(tmp_path), "generate", "--episodes", "1", "--scenes", "2"])
+        assert rc == 1 and built == []
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "episodes.jsonl").exists()
+
+    def test_nan_outage_penalty_flag_fails(self, tmp_path, capsys):
+        rc = main(["--out", str(tmp_path), "schedule", str(tmp_path / "episodes.jsonl"), "--r-out", "nan"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: scheduler.outage_penalty must be a finite number <= 0, got nan\n"
+
     def test_integral_trace_numbers_load(self, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"trace": {"carrier_hz": 28_000_000_000, "tx_power_dbm": -10, "max_rays": 1}}))
@@ -554,15 +590,15 @@ class TestRunConfig:
         path.write_text(json.dumps({"qlearn": qlearn}))
         assert main(["--config", str(path), "report"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be") and err.count("\n") == 1
+        assert err.startswith(f"error: qlearn.{key} must be") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "config, key",
         [
-            pytest.param({"scheduler": {"num_receivers": 2.0}}, "num_receivers", id="num_receivers-float"),
-            pytest.param({"scheduler": {"num_receivers": True}}, "num_receivers", id="num_receivers-bool"),
-            pytest.param({"scheduler": {"outage_after": 2.5}}, "outage_after", id="outage_after-float"),
-            pytest.param({"scheduler": {"outage_after": True}}, "outage_after", id="outage_after-bool"),
+            pytest.param({"scheduler": {"num_receivers": 2.0}}, "scheduler.num_receivers", id="num_receivers-float"),
+            pytest.param({"scheduler": {"num_receivers": True}}, "scheduler.num_receivers", id="num_receivers-bool"),
+            pytest.param({"scheduler": {"outage_after": 2.5}}, "scheduler.outage_after", id="outage_after-float"),
+            pytest.param({"scheduler": {"outage_after": True}}, "scheduler.outage_after", id="outage_after-bool"),
             pytest.param({"knn_k": 2.5}, "knn_k", id="knn_k-float"),
             pytest.param({"knn_k": 0}, "knn_k", id="knn_k-zero"),
             pytest.param({"knn_k": True}, "knn_k", id="knn_k-bool"),
@@ -632,4 +668,4 @@ class TestRunConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"scheduler": {"outage_after": "never"}}))
         assert main(["--config", str(path), "report"]) == 1
-        assert capsys.readouterr().err == "error: outage threshold must be an integer, 'inf' or 'none'; got 'never'\n"
+        assert capsys.readouterr().err == "error: scheduler.outage_after must be an integer >= 1 or None, got 'never'\n"

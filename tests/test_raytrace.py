@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import segment_intersects_box
 from beamcanyon.dataset import SceneRecord, build_episode_record, encode_record
 from beamcanyon.raytrace import (
     LosStatus,
@@ -20,7 +21,6 @@ from beamcanyon.raytrace import (
     classify_los,
     free_space_gain,
     mirror_paths,
-    segment_intersects_box,
     trace_scenes,
 )
 from beamcanyon.scenario import (

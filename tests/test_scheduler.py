@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import episode_reward
 from beamcanyon.dataset import build_episode_record
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
@@ -21,7 +22,6 @@ from beamcanyon.scheduler import (
     dp_optimal,
     env_reset,
     env_step,
-    episode_reward,
     greedy_agent,
     normalize_powers,
     round_robin_agent,
