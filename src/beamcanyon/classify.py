@@ -4,14 +4,13 @@ Heavier learners stay outside this package; the CSV export is the bridge.
 These baselines give a floor (majority class) and a geometry-aware sanity
 check (k-nearest neighbours on the flattened occupancy grids).
 
-kNN distances over integer features are exact. When the training
-features' largest magnitude m satisfies 4 * d * m**2 < 2**24 (d features
-per row), every term of |x|^2 + |y|^2 - 2 x.y is an integer below 2**24, so
-the model computes in float32 and gets the float64 distances whatever the
-summation order; it then accepts only query rows within the same bound. The
-per-receiver grid codes (-3..1) are such features. All other features are
-computed in float64. Test rows go through CHUNK at a time, and equidistant
-neighbours resolve to the lower train index.
+The kNN takes finite integer features only, of any numeric dtype, whose
+largest magnitude m satisfies 4 * d * m**2 < 2**24 (d features per row),
+in training and query rows alike. Every term of |x|^2 + |y|^2 - 2 x.y is
+then an integer below 2**24, so float32 gets the float64 distances whatever
+the summation order. The per-receiver grid codes (-3..1) are such features.
+Test rows go through CHUNK at a time, and equidistant neighbours resolve to
+the lower train index.
 
 The model keeps only the feature columns that vary over its training rows.
 A column that holds the same value c in every training row adds the same
@@ -74,17 +73,15 @@ def majority_classifier(features: np.ndarray, labels: np.ndarray) -> MajorityMod
     return MajorityModel(label=int(np.argmax(counts)), num_classes=int(labels.max()))
 
 
-def _matmul_dtype(features: np.ndarray) -> type:
-    """float32 when distances over these features are exact in float32, else float64.
+def _check_exact(features: np.ndarray) -> None:
+    """Reject features whose float32 distances would not be exact.
 
-    Non-finite features have no defined distances and are rejected.
+    Only floats are tested for integers: ``np.rint`` of int8 would allocate a float16 copy.
     """
-    if features.dtype.kind in "biu":
-        m = max(-int(features.min(initial=0)), int(features.max(initial=0)))
-        return np.float32 if 4 * features.shape[-1] * m**2 < 2**24 else np.float64
-    if not np.isfinite(features).all():
-        raise ValueError("features must be finite")
-    return np.float64
+    lo, hi = float(features.min(initial=0)), float(features.max(initial=0))  # NaN and infinities fail the bound
+    exact = 4 * features.shape[-1] * max(lo * lo, hi * hi) < 2**24
+    if not (exact and (features.dtype.kind != "f" or (np.rint(features) == features).all())):
+        raise ValueError("kNN features must be finite integers in float32's exact range, 4 * d * m**2 < 2**24")
 
 
 def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel:
@@ -96,9 +93,9 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
         raise ValueError("k must lie in [1, n_train]")
     if labels.min() < 0:
         raise ValueError("labels must be non-negative")
-    dtype = _matmul_dtype(features)
+    _check_exact(features)
     columns = (features != features[:1]).any(axis=0)
-    kept = np.empty((len(features), int(columns.sum())), dtype=dtype)
+    kept = np.empty((len(features), int(columns.sum())), dtype=np.float32)
     for start in range(0, len(features), CHUNK):
         kept[start:start + CHUNK] = features[start:start + CHUNK, columns]
     return KnnModel(features=kept, columns=columns, labels=labels, k=k, num_classes=int(labels.max()))
@@ -137,14 +134,11 @@ def predict(model, features: np.ndarray) -> np.ndarray:
             raise ValueError(
                 f"feature dimension {x.shape[1]} does not match training dimension {model.columns.size}"
             )
-        query_dtype = _matmul_dtype(x)  # rejects non-finite rows
-        dtype = model.features.dtype
-        if dtype == np.float32 and query_dtype != np.float32:
-            raise ValueError("query rows must be integers in the exact range of the model's float32 features")
+        _check_exact(x)
         train_norms = np.einsum("ij,ij->i", model.features, model.features)
         out = np.empty(len(x), dtype=np.int64)
         for start in range(0, len(x), CHUNK):
-            chunk = x[start:start + CHUNK, model.columns].astype(dtype, copy=False)
+            chunk = x[start:start + CHUNK, model.columns].astype(np.float32, copy=False)
             out[start:start + CHUNK] = _knn_votes(model, chunk, train_norms)
         return out
     raise TypeError(f"unknown model type {type(model).__name__}")

@@ -93,6 +93,9 @@ class RunConfig:
         check(self)
 
 
+TOP_LEVEL_KEYS = frozenset(f.name for f in fields(RunConfig) if "rule" in f.metadata)
+
+
 def _section(data: dict, name: str) -> dict:
     """Take section ``name`` out of ``data``, so that only unknown keys stay behind."""
     value = data.pop(name, {})
@@ -165,8 +168,7 @@ def load_run_config(path: str | None) -> RunConfig:
         sched_raw["outage_after"] = _parse_outage_after(sched_raw["outage_after"])
     scheduler = SchedulerParams(**sched_raw)
     qlearn = QLearningConfig(**_section(data, "qlearn"))
-    top_level = {f.name for f in fields(RunConfig) if "rule" in f.metadata}
-    _reject_leftover({k: v for k, v in data.items() if k not in top_level}, "config")
+    _reject_leftover({k: v for k, v in data.items() if k not in TOP_LEVEL_KEYS}, "config")
     return RunConfig(
         scenario=scenario,
         episode=episode,
@@ -271,11 +273,12 @@ def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     print(f"examples: {len(train)} train / {len(test)} test (LOS {n_los}, NLOS {n_nlos})")
 
 
-def _classifier_table(reports: dict[str, clf.EvalReport]) -> str:
+def _classifier_table(reports: dict[str, dict]) -> str:
+    """The accuracy table of ``report_to_obj`` dicts, as written to or read from the report."""
     lines = [f"{'Classifier':<16} {'All data (%)':>12} {'Only NLOS (%)':>14}"]
     for name, report in reports.items():
-        nlos = "-" if report.accuracy_nlos is None else f"{100 * report.accuracy_nlos:.1f}"
-        lines.append(f"{name:<16} {100 * report.accuracy_all:>12.1f} {nlos:>14}")
+        nlos = "-" if report["accuracy_nlos"] is None else f"{100 * report['accuracy_nlos']:.1f}"
+        lines.append(f"{name:<16} {100 * report['accuracy_all']:>12.1f} {nlos:>14}")
     return "\n".join(lines)
 
 
@@ -292,16 +295,11 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     del train, x_train  # the kNN model holds a float32 copy of the varying columns
     x_test, y_test, nlos = clf.examples_to_arrays(test)
     del test
-    reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}
+    reports = {name: clf.report_to_obj(clf.evaluate(m, x_test, y_test, nlos)) for name, m in models.items()}
     print(_classifier_table(reports))
     out_dir.mkdir(parents=True, exist_ok=True)
     with open_atomic(out_dir / "classify_report.json") as f:
-        json.dump(
-            {name: clf.report_to_obj(rep) for name, rep in reports.items()},
-            f,
-            sort_keys=True,
-            indent=2,
-        )
+        json.dump(reports, f, sort_keys=True, indent=2)
     print(f"wrote {out_dir / 'classify_report.json'}")
 
 
@@ -373,16 +371,7 @@ def cmd_report(classify_report: Path | None, rewards_csv: Path | None) -> None:
                 data = json.load(f)
         except (OSError, json.JSONDecodeError) as e:
             raise ValueError(f"cannot read report {classify_report}: {e}") from e
-        reports = {
-            name: clf.EvalReport(
-                accuracy_all=obj["accuracy_all"],
-                accuracy_nlos=obj["accuracy_nlos"],
-                confusion=_confusion_from_obj(obj),
-                n_examples=obj["n_examples"],
-            )
-            for name, obj in data.items()
-        }
-        print(_classifier_table(reports))
+        print(_classifier_table(data))
     if rewards_csv is not None:
         try:
             with open(rewards_csv, "r", encoding="utf-8") as f:
@@ -409,8 +398,10 @@ def cmd_report(classify_report: Path | None, rewards_csv: Path | None) -> None:
             print(f"  {name}: mean {mean:.4f}")
 
 
-def _confusion_from_obj(obj: dict) -> np.ndarray:
-    return np.array(obj["confusion"], dtype=np.int64)
+def _key_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
+    """A flag that sets config ``key``, its ``dest``; absent from the namespace unless given."""
+    metavar = flag.lstrip("-").upper().replace("-", "_")
+    parser.add_argument(flag, dest=key, default=argparse.SUPPRESS, metavar=metavar, **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -419,31 +410,32 @@ def _build_parser() -> argparse.ArgumentParser:
         description="mmWave V2I beam-selection simulation pipeline",
     )
     parser.add_argument("--config", type=str, default=None, help="JSON run configuration")
-    parser.add_argument("--seed", type=int, default=None, help="master seed override")
-    parser.add_argument("--out", type=str, default=None, help="output directory override")
+    _key_flag(parser, "--seed", "seed", type=int, help="master seed override")
+    _key_flag(parser, "--out", "output_dir", type=str, help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="simulate and trace episodes")
     p.add_argument("--episodes", type=int, default=20)
-    p.add_argument("--scenes", type=int, default=None, help="scenes per episode override")
+    _key_flag(p, "--scenes", "episode.scenes_per_episode", type=int, help="scenes per episode override")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--file", type=str, default="episodes.jsonl", help="output file name")
 
     p = sub.add_parser("export", help="split episodes and export ML CSVs")
     p.add_argument("episodes_file", type=str)
-    p.add_argument("--test-fraction", type=float, default=None)
+    _key_flag(p, "--test-fraction", "test_fraction", type=float)
 
     p = sub.add_parser("classify", help="run baseline classifiers on a split")
     p.add_argument("episodes_file", type=str)
-    p.add_argument("--test-fraction", type=float, default=None)
-    p.add_argument("--knn-k", type=int, default=None)
+    _key_flag(p, "--test-fraction", "test_fraction", type=float)
+    _key_flag(p, "--knn-k", "knn_k", type=int)
 
     p = sub.add_parser("schedule", help="run scheduling agents and the DP optimum")
     p.add_argument("episodes_file", type=str)
     p.add_argument("--agents", type=str, default="greedy,round_robin,tabular_q,dp")
-    p.add_argument("--n-out", type=str, default=None, help="outage threshold (int, 'inf' or 'none')")
-    p.add_argument("--r-out", type=float, default=None, help="outage penalty")
-    p.add_argument("--n-rec", type=int, default=None, help="number of scheduled receivers")
+    _key_flag(p, "--n-out", "scheduler.outage_after", type=_parse_outage_after,
+              help="outage threshold (int, 'inf' or 'none')")
+    _key_flag(p, "--r-out", "scheduler.outage_penalty", type=float, help="outage penalty")
+    _key_flag(p, "--n-rec", "scheduler.num_receivers", type=int, help="number of scheduled receivers")
 
     p = sub.add_parser("report", help="summarize written reports")
     p.add_argument("--classify-report", type=str, default=None)
@@ -452,26 +444,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.out is not None:
-        config = replace(config, output_dir=args.out)
-    if getattr(args, "scenes", None) is not None:
-        config = replace(
-            config, episode=replace(config.episode, scenes_per_episode=args.scenes)
-        )
-    if getattr(args, "test_fraction", None) is not None:
-        config = replace(config, test_fraction=args.test_fraction)
-    if getattr(args, "knn_k", None) is not None:
-        config = replace(config, knn_k=args.knn_k)
-    scheduler = config.scheduler
-    if getattr(args, "n_out", None) is not None:
-        scheduler = replace(scheduler, outage_after=_parse_outage_after(args.n_out))
-    if getattr(args, "r_out", None) is not None:
-        scheduler = replace(scheduler, outage_penalty=args.r_out)
-    if getattr(args, "n_rec", None) is not None:
-        scheduler = replace(scheduler, num_receivers=args.n_rec)
-    return replace(config, scheduler=scheduler)
+    """Set the config key that each given flag names in its ``dest``: ``key`` or ``section.key``."""
+    for dest, value in vars(args).items():
+        section, _, key = dest.rpartition(".")
+        if section:
+            config = replace(config, **{section: replace(getattr(config, section), **{key: value})})
+        elif dest in TOP_LEVEL_KEYS:
+            config = replace(config, **{dest: value})
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -18,6 +18,7 @@ MIN_GAP_M = 2.0        # hard minimum bumper-to-bumper gap
 SPEED_SPREAD = 0.2     # per-vehicle target speed drawn from [0.8, 1.2] * avg_speed
 WARMUP_S = 30.0        # traffic build-up time before an episode window
 SPAWN_HEADWAY_S = 2.0  # mean time between spawn attempts per lane
+MAX_BUILDINGS_PER_ROW = 10_000  # each adds a box to every blockage test; see docs/config.md
 
 
 @dataclass(frozen=True)
@@ -177,6 +178,10 @@ def make_canyon_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
         raise ValueError("rsu_wall_offset must lie inside the street")
 
     length = config.street_length + 2.0 * config.approach_length
+    per_row = length / config.building_length  # buildings per row, before rounding up
+    if per_row > MAX_BUILDINGS_PER_ROW:
+        raise ValueError(f"(street_length + 2 * approach_length) / building_length must be at most "
+                         f"{MAX_BUILDINGS_PER_ROW} buildings per row, got {per_row:.6g}")
     width = config.street_width
     g = config.ground_z
 
@@ -264,12 +269,11 @@ def step_lane(
     rng: np.random.Generator,
     *,
     avg_speed: float = 8.2,
-    min_gap: float = MIN_GAP_M,
 ) -> None:
     """Advance the cars of one lane, held in id order, by one time step in place.
 
     Cars keep their spawn-time target speed but never close to less than
-    ``min_gap`` behind their leader. A car reaching the end of the lane is
+    ``MIN_GAP_M`` behind their leader. A car reaching the end of the lane is
     recycled at the entrance with a freshly drawn type and speed, at most one
     per lane and step; cars carrying a receiver keep their identity, type and
     speed so the receiver set of an episode stays fixed.
@@ -285,7 +289,7 @@ def step_lane(
     for i in sorted(range(len(cars)), key=lambda i: -progress[i]):
         car, prog = cars[i], progress[i]
         half = car.type.length / 2.0
-        new = min(prog + car.speed * dt, prev_rear - min_gap - half)
+        new = min(prog + car.speed * dt, prev_rear - MIN_GAP_M - half)
         new = max(new, prog)  # gap rule never pushes a car backwards
         if new + half > s1:
             if not recycled_this_step:
@@ -299,7 +303,7 @@ def step_lane(
                     (progress[j] - o.type.length / 2.0 for j, o in enumerate(cars) if j != i),
                     default=math.inf,
                 )
-                if entry + new_type.length / 2.0 <= rear_min - min_gap:
+                if entry + new_type.length / 2.0 <= rear_min - MIN_GAP_M:
                     car.type, car.speed = new_type, new_speed
                     car.x, car.y = _place(lane, entry)
                     recycled_this_step = True
@@ -317,7 +321,6 @@ def _spawn(
     rng: np.random.Generator,
     avg_speed: float,
     next_id: int,
-    min_gap: float = MIN_GAP_M,
 ) -> int:
     """Try one spawn at the entrance of each lane; return the next free id."""
     for lane, cars in zip(scenario.lanes, lanes):
@@ -329,7 +332,7 @@ def _spawn(
         rear_min = min(
             (c.x * dx + c.y * dy - c.type.length / 2.0 for c in cars), default=math.inf
         )
-        if s0 + vtype.length > rear_min - min_gap:
+        if s0 + vtype.length > rear_min - MIN_GAP_M:
             continue  # entrance occupied, drop this attempt
         x, y = _place(lane, s0 + vtype.length / 2.0)
         cars.append(LaneCar(next_id, vtype, _draw_speed(rng, avg_speed), x, y, scenario.ground_z))

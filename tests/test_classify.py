@@ -54,13 +54,13 @@ class TestKnnClassifier:
     def test_two_separated_clusters(self):
         # separation much larger than the noise: perfect accuracy
         rng = np.random.default_rng(14)
-        a = rng.normal(0.0, 0.5, size=(30, 8))
-        b = rng.normal(100.0, 0.5, size=(30, 8))
+        a = rng.integers(-1, 2, size=(30, 8))
+        b = 100 + rng.integers(-1, 2, size=(30, 8))
         x = np.vstack([a, b])
         y = np.array([1] * 30 + [2] * 30)
         model = knn_classifier(x, y, k=3)
         queries = np.vstack(
-            [rng.normal(0.0, 0.5, size=(10, 8)), rng.normal(100.0, 0.5, size=(10, 8))]
+            [rng.integers(-1, 2, size=(10, 8)), 100 + rng.integers(-1, 2, size=(10, 8))]
         )
         expected = np.array([1] * 10 + [2] * 10)
         assert (predict(model, queries) == expected).all()
@@ -79,7 +79,8 @@ class TestKnnClassifier:
 
     def test_training_accuracy_with_distinct_points(self):
         rng = np.random.default_rng(15)
-        x = rng.normal(size=(25, 4))
+        x = rng.integers(-50, 51, size=(25, 4))
+        assert len(np.unique(x, axis=0)) == len(x)
         y = rng.integers(1, 5, size=25)
         model = knn_classifier(x, y, k=1)
         assert (predict(model, x) == y).all()
@@ -154,33 +155,18 @@ class TestKnnMatchesStableSortOracle:
         assert model.features.dtype == np.float32
         assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n_train=st.integers(1, 30),
-        d=st.integers(1, 8),
-        distinct=st.integers(1, 4),
-        n_test=N_TEST,
-        large_integers=st.booleans(),
-        data=st.data(),
-    )
-    def test_float64_features_with_ties(self, seed, n_train, d, distinct, n_test, large_integers, data):
-        # quarter steps keep float64 arithmetic exact; integers reaching 2048 break
-        # the float32 bound 4 * d * m**2 < 2**24 for every d
-        rng = np.random.default_rng(seed)
-        if large_integers:
-            pool = rng.integers(-2048, 2049, size=(distinct, d))
-            pool[0, 0] = 2048
-        else:
-            pool = rng.integers(-16, 17, size=(distinct, d)) / 4.0
-        train = pool[rng.integers(distinct, size=n_train)]
-        train[0] = pool[0]
-        queries = pool[rng.integers(distinct, size=n_test)] + rng.integers(-1, 2, size=(n_test, d))
-        labels = rng.integers(0, 5, size=n_train)
-        k = data.draw(st.integers(1, n_train), label="k")
-        model = knn_classifier(train, labels, k)
-        assert model.features.dtype == np.float64
-        assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
+    def test_non_integer_non_finite_and_past_bound_features_rejected(self):
+        model = knn_classifier(np.array([[0, 1], [-3, 1], [1448, -1448]]), np.array([1, 2, 3]), k=1)
+        bad_rows = [  # with d = 2, 4 * d * m**2 < 2**24 holds up to m = 1448
+            [0.5, 0.0], [-1e-9, 0.0], [np.nan, 0.0], [np.inf, 0.0], [-np.inf, 0.0], [1449.0, 0.0],
+            [0.0, -1e300], np.array([0, 1449], dtype=np.int16), np.array([-1449, 0]),
+        ]
+        for bad_row in bad_rows:
+            features = np.vstack([np.zeros_like(bad_row), bad_row])
+            for call in (lambda: knn_classifier(features, np.array([1, 2]), k=1), lambda: predict(model, features)):
+                with pytest.raises(ValueError, match="finite") as excinfo:
+                    call()
+                assert "exact range" in str(excinfo.value)
 
     def test_float32_at_the_exactness_bound(self):
         # 4 * 1 * 2047**2 < 2**24: the largest distance, 4094**2, is still exact in float32
@@ -338,7 +324,7 @@ class TestEvaluate:
 
     def test_accuracies_consistent_with_confusion(self):
         rng = np.random.default_rng(16)
-        x = rng.normal(size=(40, 3))
+        x = rng.integers(-5, 6, size=(40, 3))
         y = rng.integers(1, 4, size=40)
         model = knn_classifier(x[:30], y[:30], k=3)
         report = evaluate(model, x[30:], y[30:], rng.random(10) < 0.5)

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import time
 
 import pytest
 
@@ -556,6 +557,18 @@ class TestRunConfig:
         assert rc == 1 and built == []
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "episodes.jsonl").exists()
+
+    @pytest.mark.parametrize("scenario", [{"street_length": 1e9}, {"building_length": 1e-6}], ids=["long", "short"])
+    def test_too_many_buildings_fail_generate_at_once(self, tmp_path, capsys, scenario):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"scenario": scenario}))
+        start = time.perf_counter()
+        rc = main(["--config", str(path), "--out", str(tmp_path), "generate", "--episodes", "1", "--scenes", "2"])
+        assert rc == 1 and time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: (street_length + 2 * approach_length) / building_length must be at most 10000")
+        assert err.count("\n") == 1
         assert not (tmp_path / "episodes.jsonl").exists()
 
     def test_nan_outage_penalty_flag_fails(self, tmp_path, capsys):

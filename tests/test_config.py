@@ -1,5 +1,6 @@
 """The config rule table: every key's rule, as loaded, flagged and documented."""
 
+import argparse
 import json
 import math
 import re
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from beamcanyon.cli import RunConfig, load_run_config
+from beamcanyon.cli import RunConfig, _apply_overrides, _build_parser, load_run_config
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
 from beamcanyon.rules import Rule
@@ -139,3 +140,108 @@ def test_doc_table_matches_the_rules_and_the_example():
         rule = KEYS[key]
         assert must_be == (f"[nx, ny], each {rule.text()}" if key in ("arrays.tx", "arrays.rx") else rule.text())
         assert json.loads(default) == example[key]
+
+
+def parser_flags() -> dict[str, tuple[str, set[str]]]:
+    """Each flag whose default is suppressed: its dest and the subcommands that take it.
+
+    The top-level flags go before any subcommand; their subcommands read ``{"all"}``.
+    """
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags: dict[str, tuple[str, set[str]]] = {}
+    for command, sub in [("all", parser), *subparsers.choices.items()]:
+        for action in sub._actions:
+            if action.default is argparse.SUPPRESS and not isinstance(action, argparse._HelpAction):
+                (flag,) = action.option_strings
+                flags.setdefault(flag, (action.dest, set()))[1].add(command)
+    return flags
+
+
+def flag_rows() -> dict[str, tuple[str, set[str]]]:
+    rows = re.findall(r"^\| `(--[\w-]+)` \| (.+?) \| `([\w.]+)` \|$", DOC, re.M)
+    return {flag: (key, set(re.findall(r"`(\w+)`", commands)) or {commands}) for flag, commands, key in rows}
+
+
+def key_of(config: RunConfig, key: str) -> object:
+    section, _, name = key.rpartition(".")
+    return getattr(getattr(config, section) if section else config, name)
+
+
+def nested(flat: dict) -> dict:
+    """The config file that sets each ``key`` or ``section.key`` of ``flat``."""
+    config: dict = {}
+    for key, value in flat.items():
+        section, _, name = key.rpartition(".")
+        (config.setdefault(section, {}) if section else config)[name] = value
+    return config
+
+
+def flag_argv(flag: str, commands: set[str], value: str) -> list[str]:
+    """An argv that gives ``flag`` ``value``, after one of its subcommands or before ``report``."""
+    if commands == {"all"}:
+        return [flag, value, "report"]
+    command = sorted(commands)[0]
+    return [command] + (["episodes.jsonl"] if command != "generate" else []) + [flag, value]
+
+
+# a value for each flag that differs from the key's default and from FILE_VALUES
+FLAG_VALUES = {
+    "--seed": ("11", 11),
+    "--out": ("elsewhere", "elsewhere"),
+    "--scenes": ("3", 3),
+    "--test-fraction": ("0.5", 0.5),
+    "--knn-k": ("2", 2),
+    "--n-out": ("5", 5),
+    "--r-out": ("-1.5", -1.5),
+    "--n-rec": ("3", 3),
+}
+FILE_VALUES = {
+    "seed": 4,
+    "output_dir": "from-file",
+    "episode.scenes_per_episode": 9,
+    "test_fraction": 0.4,
+    "knn_k": 7,
+    "scheduler.outage_after": None,
+    "scheduler.outage_penalty": -2.0,
+    "scheduler.num_receivers": 1,
+}
+
+
+def test_doc_flag_table_matches_the_parser():
+    flags = parser_flags()
+    assert flag_rows() == flags
+    assert {key for key, _ in flags.values()} <= set(KEYS)
+    assert set(FLAG_VALUES) == set(flags) and set(FILE_VALUES) == {key for key, _ in flags.values()}
+
+
+@pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+def test_each_flag_sets_its_key_over_the_file(tmp_path, flag):
+    key, commands = flag_rows()[flag]
+    text, value = FLAG_VALUES[flag]
+    loaded = load(tmp_path, nested(FILE_VALUES))
+    config = _apply_overrides(loaded, _build_parser().parse_args(flag_argv(flag, commands, text)))
+    assert key_of(config, key) == value != key_of(loaded, key) != key_of(RunConfig(), key)
+    for other in FILE_VALUES:
+        if other != key:
+            assert key_of(config, other) == key_of(loaded, other) == FILE_VALUES[other]
+
+
+@pytest.mark.parametrize("argv", [["report"], ["generate"], ["export", "e"], ["classify", "e"], ["schedule", "e"]])
+def test_absent_flags_keep_the_file_values(tmp_path, argv):
+    loaded = load(tmp_path, nested(FILE_VALUES))
+    assert _apply_overrides(loaded, _build_parser().parse_args(argv)) == loaded
+
+
+@pytest.mark.parametrize("spelling", ["inf", "none", "INF", "None"])
+def test_n_out_disables_outages(spelling):
+    args = _build_parser().parse_args(["schedule", "e", "--n-out", spelling])
+    assert _apply_overrides(RunConfig(), args).scheduler.outage_after is None
+
+
+def test_seed_and_out_go_before_the_subcommand():
+    args = _build_parser().parse_args(["--seed", "11", "--out", "elsewhere", "classify", "e", "--knn-k", "2"])
+    config = _apply_overrides(RunConfig(), args)
+    assert (config.seed, config.output_dir, config.knn_k) == (11, "elsewhere", 2)
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(["classify", "e", "--seed", "11"])

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from beamcanyon.scenario import (
+    MAX_BUILDINGS_PER_ROW,
     EpisodeParams,
     LaneCar,
     ScenarioConfig,
@@ -70,6 +71,13 @@ class TestCanyonScenario:
     def test_negative_dimension_rejected(self):
         with pytest.raises(ValueError):
             make_canyon_scenario(ScenarioConfig(building_height=-1.0))
+
+    def test_buildings_per_row_bounded(self):
+        # (9,920 + 2 * 40) / 1 is exactly the bound; a shorter building passes it
+        sc = make_canyon_scenario(ScenarioConfig(street_length=9920.0, building_length=1.0))
+        assert len(sc.buildings) == 2 * MAX_BUILDINGS_PER_ROW
+        with pytest.raises(ValueError, match=f"at most {MAX_BUILDINGS_PER_ROW} buildings per row"):
+            make_canyon_scenario(ScenarioConfig(street_length=9920.0, building_length=math.nextafter(1.0, 0.0)))
 
 
 class TestVehicleTypeSampling:
@@ -152,7 +160,7 @@ class TestStepTraffic:
         follower_x = 120.0 - 4.645 / 2 - gap - 4.645 / 2
         follower = _lane_car(vid=2, x=follower_x, speed=8.2)
         cars = [leader, follower]
-        step_lane(cars, sc.lanes[0], 0.1, np.random.default_rng(0), min_gap=2.0)
+        step_lane(cars, sc.lanes[0], 0.1, np.random.default_rng(0))
         assert follower.x == pytest.approx(follower_x)
 
     def test_follower_stops_exactly_at_gap(self):
