@@ -46,14 +46,6 @@ class KnnModel:
     num_classes: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    accuracy_all: float
-    accuracy_nlos: float | None  # None when the test set has no NLOS examples
-    confusion: np.ndarray        # counts, true class by predicted class, 0..M
-    n_examples: int
-
-
 def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, labels, nlos mask) for a table of examples; one int8 feature row per example."""
     x = np.empty((len(examples), int(np.prod(examples.grids.shape[1:]))), dtype=np.int8)
@@ -149,8 +141,11 @@ def evaluate(
     features: np.ndarray,
     labels: np.ndarray,
     nlos_mask: np.ndarray,
-) -> EvalReport:
-    """Accuracy over all examples and over the NLOS subset, plus the confusion matrix."""
+) -> dict:
+    """The model's ``classify_report.json`` entry: the accuracy over all examples and over
+    the NLOS subset (None without NLOS rows), the example count, and the confusion counts,
+    true class by predicted class (0..M), as nested lists.
+    """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise ValueError("empty test set")
@@ -159,23 +154,9 @@ def evaluate(
     top = int(max(model.num_classes, labels.max(), preds.max()))
     confusion = np.zeros((top + 1, top + 1), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
-    accuracy_all = float((preds == labels).mean())
-    if nlos_mask.any():
-        accuracy_nlos = float((preds[nlos_mask] == labels[nlos_mask]).mean())
-    else:
-        accuracy_nlos = None
-    return EvalReport(
-        accuracy_all=accuracy_all,
-        accuracy_nlos=accuracy_nlos,
-        confusion=confusion,
-        n_examples=int(labels.size),
-    )
-
-
-def report_to_obj(report: EvalReport) -> dict:
     return {
-        "accuracy_all": report.accuracy_all,
-        "accuracy_nlos": report.accuracy_nlos,
-        "n_examples": report.n_examples,
-        "confusion": report.confusion.tolist(),
+        "accuracy_all": float((preds == labels).mean()),
+        "accuracy_nlos": float((preds[nlos_mask] == labels[nlos_mask]).mean()) if nlos_mask.any() else None,
+        "n_examples": int(labels.size),
+        "confusion": confusion.tolist(),
     }

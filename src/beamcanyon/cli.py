@@ -14,8 +14,9 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +51,14 @@ from .scheduler import (
 
 log = logging.getLogger("beamcanyon")
 
-AGENT_NAMES = ("greedy", "round_robin", "tabular_q", "dp")
+# agent name -> (reward table, scheduler params, Q-learning hyperparameters) -> plan. Each
+# entry looks its agent up when called, so that a rebinding of the module name reaches it.
+AGENTS = {
+    "greedy": lambda table, params, hyper: greedy_agent(table, params),
+    "round_robin": lambda table, params, hyper: round_robin_agent(table, params),
+    "tabular_q": lambda table, params, hyper: tabular_q_agent(table, params, hyper),
+    "dp": lambda table, params, hyper: dp_optimal(table, params),
+}
 
 # seed-derivation purposes
 _PURPOSE_EPISODE = 1
@@ -157,10 +165,11 @@ def load_run_config(path: str | None) -> RunConfig:
             trace_raw[key] = _parse_complex(f"trace.{key}", trace_raw[key])
     trace = TraceConfig(**trace_raw)
     arrays = _section(data, "arrays")
-    spacing = arrays.pop("spacing_wavelengths", 0.5)
+    default = RunConfig()
+    spacing = arrays.pop("spacing_wavelengths", default.tx_array.spacing_wavelengths)
     tx_array, rx_array = (
-        ArraySpec(*_parse_array_shape(f"arrays.{key}", arrays.pop(key, [4, 4])), spacing_wavelengths=spacing)
-        for key in ("tx", "rx")
+        ArraySpec(*_parse_array_shape(f"arrays.{key}", arrays.pop(key, [spec.nx, spec.ny])), spacing)
+        for key, spec in (("tx", default.tx_array), ("rx", default.rx_array))
     )
     _reject_leftover(arrays, "config section 'arrays'")
     sched_raw = _section(data, "scheduler")
@@ -179,6 +188,12 @@ def load_run_config(path: str | None) -> RunConfig:
         qlearn=qlearn,
         **data,
     )
+
+
+def _write_json(path: Path, obj: object) -> None:
+    """Write a JSON report or map atomically, with sorted keys."""
+    with open_atomic(path) as f:
+        json.dump(obj, f, sort_keys=True, indent=2)
 
 
 def _generate_one(args: tuple) -> tuple[int, int, str]:
@@ -255,16 +270,13 @@ def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(train, out_dir / "train.csv")
     export_csv(test, out_dir / "test.csv")
-    with open_atomic(out_dir / "labelmap.json") as f:
-        json.dump(
-            {
-                "num_classes": label_map.num_classes,
-                "raw_to_class": {str(k): i + 1 for i, k in enumerate(label_map.ordered_keys)},
-            },
-            f,
-            sort_keys=True,
-            indent=2,
-        )
+    _write_json(
+        out_dir / "labelmap.json",
+        {
+            "num_classes": label_map.num_classes,
+            "raw_to_class": {str(k): i + 1 for i, k in enumerate(label_map.ordered_keys)},
+        },
+    )
     los = np.concatenate([train.los, test.los])
     n_los = int(np.count_nonzero(los == LosStatus.LOS.value))
     n_nlos = int(np.count_nonzero(los == LosStatus.NLOS.value))
@@ -274,7 +286,7 @@ def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
 
 
 def _classifier_table(reports: dict[str, dict]) -> str:
-    """The accuracy table of ``report_to_obj`` dicts, as written to or read from the report."""
+    """The accuracy table of a ``classify_report.json`` object, one row per model in key order."""
     lines = [f"{'Classifier':<16} {'All data (%)':>12} {'Only NLOS (%)':>14}"]
     for name, report in reports.items():
         nlos = "-" if report["accuracy_nlos"] is None else f"{100 * report['accuracy_nlos']:.1f}"
@@ -295,107 +307,67 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     del train, x_train  # the kNN model holds a float32 copy of the varying columns
     x_test, y_test, nlos = clf.examples_to_arrays(test)
     del test
-    reports = {name: clf.report_to_obj(clf.evaluate(m, x_test, y_test, nlos)) for name, m in models.items()}
+    reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}
     print(_classifier_table(reports))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open_atomic(out_dir / "classify_report.json") as f:
-        json.dump(reports, f, sort_keys=True, indent=2)
+    _write_json(out_dir / "classify_report.json", reports)
     print(f"wrote {out_dir / 'classify_report.json'}")
+
+
+def _reward_means(report: dict) -> str:
+    """Each agent's mean episode reward in a ``schedule_report.json`` object, in key order."""
+    episodes = report["episodes"]
+    if not episodes:
+        raise ValueError("no episodes")
+    return "\n".join(
+        f"{name}: mean episode reward "
+        f"{sum(episode['agents'][name]['mean_reward'] for episode in episodes) / len(episodes):.4f}"
+        for name in episodes[0]["agents"]
+    )
 
 
 def cmd_schedule(
     config: RunConfig, episodes_path: Path, out_dir: Path, agents: tuple[str, ...]
 ) -> None:
-    """Build reward tables from stored rays and run the requested agents plus DP."""
+    """Build reward tables from stored rays and run the requested agents on each episode."""
     for name in agents:
-        if name not in AGENT_NAMES:
-            raise ValueError(f"unknown agent {name!r}; choose from {', '.join(AGENT_NAMES)}")
-    records = read_episodes(episodes_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for record in records:
+        if name not in AGENTS:
+            raise ValueError(f"unknown agent {name!r}; choose from {', '.join(AGENTS)}")
+    episodes = []
+    for record in read_episodes(episodes_path):
         table = build_reward_table(record, config.tx_array, config.rx_array, config.scheduler)
-        plans = {}
-        for name in agents:
-            if name == "greedy":
-                plans[name] = greedy_agent(table, config.scheduler)
-            elif name == "round_robin":
-                plans[name] = round_robin_agent(table, config.scheduler)
-            elif name == "tabular_q":
-                hyper = replace(
-                    config.qlearn,
-                    seed=derive_seed(config.seed, _PURPOSE_QLEARN, record.episode_id),
-                )
-                plans[name] = tabular_q_agent(table, config.scheduler, hyper)
-            elif name == "dp":
-                plans[name] = dp_optimal(table, config.scheduler)
-        rows.append((record.episode_id, plans))
-
-    report = {
-        "episodes": [
-            {
-                "episode_id": episode_id,
-                "agents": {
-                    name: {
-                        "mean_reward": plan.mean_reward,
-                        "receivers": list(plan.receivers),
-                        "pair_indices": list(plan.pair_indices),
-                    }
-                    for name, plan in plans.items()
-                },
-            }
-            for episode_id, plans in rows
-        ]
-    }
-    with open_atomic(out_dir / "schedule_report.json") as f:
-        json.dump(report, f, sort_keys=True, indent=2)
-
+        hyper = replace(config.qlearn, seed=derive_seed(config.seed, _PURPOSE_QLEARN, record.episode_id))
+        plans = {name: asdict(AGENTS[name](table, config.scheduler, hyper)) for name in agents}
+        episodes.append({"episode_id": record.episode_id, "agents": plans})
+    report = {"episodes": episodes}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "schedule_report.json", report)
     csv_path = out_dir / "rewards.csv"
     with open_atomic(csv_path) as f:
-        f.write(",".join(["episode"] + list(agents)) + "\n")
-        for episode_id, plans in rows:
-            f.write(
-                ",".join([str(episode_id)] + [repr(plans[a].mean_reward) for a in agents]) + "\n"
-            )
-    for name in agents:
-        mean = sum(plans[name].mean_reward for _, plans in rows) / len(rows)
-        print(f"{name}: mean episode reward {mean:.4f}")
+        f.write(",".join(["episode", *episodes[0]["agents"]]) + "\n")
+        for episode in episodes:
+            means = [repr(agent["mean_reward"]) for agent in episode["agents"].values()]
+            f.write(",".join([str(episode["episode_id"]), *means]) + "\n")
+    print(_reward_means(report))
     print(f"wrote {out_dir / 'schedule_report.json'} and {csv_path}")
 
 
-def cmd_report(classify_report: Path | None, rewards_csv: Path | None) -> None:
-    """Summarize previously written classify/schedule reports."""
+def _read_report(path: Path, render: Callable[[dict], str]) -> str:
+    """``render`` applied to the JSON report at ``path``; any fault in it names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return render(json.load(f))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        why = f"no key {e}" if isinstance(e, KeyError) else e
+        raise ValueError(f"cannot read report {path}: {why}") from e
+
+
+def cmd_report(classify_report: Path | None, schedule_report: Path | None) -> None:
+    """Print the tables of previously written classify and schedule reports."""
     if classify_report is not None:
-        try:
-            with open(classify_report, "r", encoding="utf-8") as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            raise ValueError(f"cannot read report {classify_report}: {e}") from e
-        print(_classifier_table(data))
-    if rewards_csv is not None:
-        try:
-            with open(rewards_csv, "r", encoding="utf-8") as f:
-                lines = f.read().splitlines()
-        except OSError as e:
-            raise ValueError(f"cannot read report {rewards_csv}: {e}") from e
-        if not lines:
-            raise ValueError(f"cannot read report {rewards_csv}: empty file")
-        header, *rows = (line.split(",") for line in lines)
-        if not rows:
-            raise ValueError(f"cannot read report {rewards_csv}: no episode rows")
-        for n, row in enumerate(rows, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"cannot read report {rewards_csv}: line {n} has {len(row)} columns, "
-                    f"the header {len(header)}"
-                )
-        try:
-            means = [sum(map(float, column)) / len(rows) for column in list(zip(*rows))[1:]]
-        except ValueError as e:
-            raise ValueError(f"cannot read report {rewards_csv}: {e}") from e
-        print(f"per-episode rewards: {rewards_csv} ({len(rows)} episodes)")
-        for name, mean in zip(header[1:], means):
-            print(f"  {name}: mean {mean:.4f}")
+        print(_read_report(classify_report, _classifier_table))
+    if schedule_report is not None:
+        print(_read_report(schedule_report, _reward_means))
 
 
 def _key_flag(parser: argparse.ArgumentParser, flag: str, key: str, **kwargs) -> None:
@@ -431,15 +403,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("schedule", help="run scheduling agents and the DP optimum")
     p.add_argument("episodes_file", type=str)
-    p.add_argument("--agents", type=str, default="greedy,round_robin,tabular_q,dp")
+    p.add_argument("--agents", type=str, default=",".join(AGENTS))
     _key_flag(p, "--n-out", "scheduler.outage_after", type=_parse_outage_after,
               help="outage threshold (int, 'inf' or 'none')")
     _key_flag(p, "--r-out", "scheduler.outage_penalty", type=float, help="outage penalty")
     _key_flag(p, "--n-rec", "scheduler.num_receivers", type=int, help="number of scheduled receivers")
 
     p = sub.add_parser("report", help="summarize written reports")
-    p.add_argument("--classify-report", type=str, default=None)
-    p.add_argument("--rewards-csv", type=str, default=None)
+    p.add_argument("--classify-report", type=Path, default=None)
+    p.add_argument("--schedule-report", type=Path, default=None)
     return parser
 
 
@@ -470,10 +442,7 @@ def main(argv: list[str] | None = None) -> int:
             agents = tuple(a.strip() for a in args.agents.split(",") if a.strip())
             cmd_schedule(config, Path(args.episodes_file), out_dir, agents)
         elif args.command == "report":
-            cmd_report(
-                Path(args.classify_report) if args.classify_report else None,
-                Path(args.rewards_csv) if args.rewards_csv else None,
-            )
+            cmd_report(args.classify_report, args.schedule_report)
     except Exception as e:  # one-line diagnostic, nonzero exit
         log.debug("command failed", exc_info=True)
         print(f"error: {e}", file=sys.stderr)

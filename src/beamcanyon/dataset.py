@@ -262,6 +262,10 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
         if header.get("version") != FORMAT_VERSION:
             raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
         expected = header.get("episode_count")
+        if type(expected) is not int:  # a bool is not a count
+            raise DatasetFormatError(f"{path}: header episode_count must be an integer, got {expected!r}")
+        if expected < 1:
+            raise DatasetFormatError(f"{path}: no episode records: header episode_count is {expected}")
         records = []
         vehicle_types: dict[tuple, VehicleType] = {}
         for i, line in enumerate(f):
@@ -269,9 +273,7 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
                 records.append(_record_from_obj(json.loads(line.rstrip("\n")), vehicle_types))
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
                 raise DatasetFormatError(f"{path}: record {i}: {e}") from e
-    if not records:
-        raise DatasetFormatError(f"{path}: no episode records")
-    if expected is not None and len(records) != expected:
+    if len(records) != expected:
         raise DatasetFormatError(
             f"{path}: truncated: header promises {expected} episode records, "
             f"found {len(records)}"

@@ -411,8 +411,8 @@ def test_criterion_10_end_to_end_desk_run(desk_dataset):
     train_x, train_y = feats[:40], labels[:40]
     test_x, test_y = feats[40:], labels[40:]
     nlos = np.zeros(len(test_y), dtype=bool)  # LOS-dominant: all flagged LOS
-    knn_acc = evaluate(knn_classifier(train_x, train_y, k=3), test_x, test_y, nlos).accuracy_all
-    maj_acc = evaluate(majority_classifier(train_x, train_y), test_x, test_y, nlos).accuracy_all
+    knn_acc = evaluate(knn_classifier(train_x, train_y, k=3), test_x, test_y, nlos)["accuracy_all"]
+    maj_acc = evaluate(majority_classifier(train_x, train_y), test_x, test_y, nlos)["accuracy_all"]
     assert knn_acc > maj_acc
     _report(
         10,

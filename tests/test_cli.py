@@ -344,31 +344,58 @@ class TestSchedule:
         path = _generate(tmp_path, episodes=2, scenes=2)
         rc = main(["--out", str(tmp_path), "schedule", str(path), "--agents", "alphago"])
         assert rc == 1
-        assert "unknown agent" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unknown agent 'alphago'; choose from {', '.join(cli.AGENTS)}\n"
+
+    def test_repeated_agent_is_one_column(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=2, scenes=2)
+        capsys.readouterr()
+        assert main(["--out", str(tmp_path), "schedule", str(path), "--agents", "greedy,greedy"]) == 0
+        means = capsys.readouterr().out.splitlines()[:-1]
+        assert [line.split(":")[0] for line in means] == ["greedy"]
+        assert (tmp_path / "rewards.csv").read_text().splitlines()[0] == "episode,greedy"
+
+    def test_agents_default_lists_the_table(self):
+        args = _build_parser().parse_args(["schedule", "episodes.jsonl"])
+        assert args.agents.split(",") == list(cli.AGENTS) == ["greedy", "round_robin", "tabular_q", "dp"]
+
+    def test_table_calls_agents_through_their_module_names(self, tmp_path, monkeypatch):
+        # a table that held the function objects would miss a rebinding, such as the bench's spans
+        path = _generate(tmp_path, episodes=2, scenes=2)
+        calls = []
+
+        def spy(name):
+            agent = getattr(cli, name)
+            return lambda *args: calls.append(name) or agent(*args)
+
+        names = ["greedy_agent", "round_robin_agent", "tabular_q_agent", "dp_optimal"]
+        for name in names:
+            monkeypatch.setattr(cli, name, spy(name))
+        assert main(["--out", str(tmp_path), "schedule", str(path), "--n-rec", "2"]) == 0
+        assert calls == names * 2
 
 
 class TestReport:
     def test_summarizes_written_reports(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=3, scenes=3)
-        assert main(["--out", str(tmp_path), "classify", str(path)]) == 0
-        assert (
-            main(["--out", str(tmp_path), "schedule", str(path), "--agents", "greedy,dp", "--n-rec", "2"])
-            == 0
-        )
         capsys.readouterr()
+        assert main(["--out", str(tmp_path), "classify", str(path)]) == 0
+        table = capsys.readouterr().out.splitlines()[:3]
+        assert main(["--out", str(tmp_path), "schedule", str(path), "--n-rec", "2"]) == 0
+        means = capsys.readouterr().out.splitlines()[:-1]
+        assert [line.split(":")[0] for line in means] == list(cli.AGENTS)
         rc = main(
             [
                 "report",
                 "--classify-report",
                 str(tmp_path / "classify_report.json"),
-                "--rewards-csv",
-                str(tmp_path / "rewards.csv"),
+                "--schedule-report",
+                str(tmp_path / "schedule_report.json"),
             ]
         )
         assert rc == 0
-        out = capsys.readouterr().out
-        assert "Classifier" in out
-        assert "per-episode rewards" in out
+        out = capsys.readouterr().out.splitlines()
+        # reports are written with sorted keys, so rows and agents come back in alphabetical order
+        assert out == [table[0], *sorted(table[1:]), *sorted(means)]
 
     def test_malformed_report_names_file(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
@@ -378,29 +405,43 @@ class TestReport:
         assert "broken.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "text, match",
+        "flag, obj, match",
         [
-            pytest.param("episode,greedy,dp\n", "no episode rows", id="header-only"),
-            pytest.param("episode,greedy,dp\n0,0.5,0.75\n1,0.25\n", "line 3 has 2 columns", id="short-row"),
-            pytest.param("episode,greedy\n0,fast\n", "could not convert", id="not-a-number"),
+            pytest.param(
+                "--classify-report", {"knn": {"accuracy_nlos": None}}, "no key 'accuracy_all'", id="classify-no-accuracy"
+            ),
+            pytest.param("--classify-report", [1], "no attribute 'items'", id="classify-list"),
+            pytest.param("--schedule-report", [1], "list indices", id="schedule-list"),
+            pytest.param("--schedule-report", {}, "no key 'episodes'", id="schedule-empty-object"),
+            pytest.param("--schedule-report", {"episodes": []}, "no episodes", id="schedule-no-episodes"),
+            pytest.param(
+                "--schedule-report",
+                {"episodes": [{"episode_id": 0, "agents": {"dp": {"mean_reward": "0.5"}}}]},
+                "unsupported operand",
+                id="schedule-string-mean",
+            ),
         ],
     )
-    def test_malformed_rewards_csv_names_file(self, tmp_path, capsys, text, match):
-        bad = tmp_path / "rewards.csv"
-        bad.write_text(text)
-        rc = main(["report", "--rewards-csv", str(bad)])
+    def test_faulty_report_names_file(self, tmp_path, capsys, flag, obj, match):
+        bad = tmp_path / "report.json"
+        bad.write_text(json.dumps(obj))
+        rc = main(["report", flag, str(bad)])
         captured = capsys.readouterr()
         assert rc == 1
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-        assert str(bad) in captured.err and match in captured.err
+        assert captured.err.startswith(f"error: cannot read report {bad}: ") and captured.err.count("\n") == 1
+        assert match in captured.err
 
     def test_rewards_means(self, tmp_path, capsys):
-        path = tmp_path / "rewards.csv"
-        path.write_text("episode,greedy,dp\n0,0.5,0.75\n1,0.25,1.0\n")
-        assert main(["report", "--rewards-csv", str(path)]) == 0
+        path = tmp_path / "schedule_report.json"
+        episodes = [
+            {"episode_id": 0, "agents": {"dp": {"mean_reward": 0.75}, "greedy": {"mean_reward": 0.5}}},
+            {"episode_id": 1, "agents": {"dp": {"mean_reward": 1.0}, "greedy": {"mean_reward": 0.25}}},
+        ]
+        path.write_text(json.dumps({"episodes": episodes}))
+        assert main(["report", "--schedule-report", str(path)]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert out == [f"per-episode rewards: {path} (2 episodes)", "  greedy: mean 0.3750", "  dp: mean 0.8750"]
+        assert out == ["dp: mean episode reward 0.8750", "greedy: mean episode reward 0.3750"]
 
 
 class TestRunConfig:
@@ -409,6 +450,19 @@ class TestRunConfig:
         assert config.episode.scenes_per_episode == 50
         assert config.trace.max_rays == 25
         assert config.tx_array.size == 16
+
+    def test_empty_arrays_section_loads_the_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"arrays": {}}))
+        assert load_run_config(str(path)) == cli.RunConfig()
+
+    def test_one_array_given_keeps_the_other_defaults(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"arrays": {"tx": [2, 2]}}))
+        config, default = load_run_config(str(path)), cli.RunConfig()
+        assert (config.tx_array.nx, config.tx_array.ny) == (2, 2)
+        assert config.rx_array == default.rx_array
+        assert config.tx_array.spacing_wavelengths == default.tx_array.spacing_wavelengths
 
     def test_file_values_and_inf_outage(self, tmp_path):
         path = tmp_path / "run.json"

@@ -119,6 +119,31 @@ class TestRoundTrip:
             read_episodes(path)
 
     @pytest.mark.parametrize(
+        "count, match",
+        [
+            (None, "header episode_count must be an integer, got None"),
+            (3.0, "header episode_count must be an integer, got 3.0"),
+            ("3", "header episode_count must be an integer, got '3'"),
+            (True, "header episode_count must be an integer, got True"),
+            (0, "no episode records: header episode_count is 0"),
+            (-1, "no episode records: header episode_count is -1"),
+        ],
+        ids=["missing", "float", "string", "bool", "zero", "negative"],
+    )
+    def test_header_count_must_be_an_integer_of_at_least_one(self, records, tmp_path, count, match):
+        path = tmp_path / "episodes.jsonl"
+        _write(records[:3], path)
+        lines = path.read_text().splitlines()
+        header = {"format": "beamcanyon-episodes", "version": 1}
+        if count is not None:
+            header["episode_count"] = count
+        # with no count, a file cut to its first record would otherwise read as complete
+        path.write_text("\n".join([json.dumps(header), lines[1]]) + "\n")
+        with pytest.raises(DatasetFormatError) as raised:
+            read_episodes(path)
+        assert str(raised.value) == f"{path}: {match}"
+
+    @pytest.mark.parametrize(
         "corrupt, match",
         [
             pytest.param(lambda objs: _first_ray(objs[2]).update(gain=[0.1]), "record 1: ", id="one-part-ray-gain"),
