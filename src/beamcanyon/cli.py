@@ -37,7 +37,7 @@ from .dataset import (
 from .features import GridSpec
 from .mimo import ArraySpec, LabelMap
 from .raytrace import LosStatus, TraceConfig
-from .rules import check, check_value, setting
+from .rules import Rule, check, rules_of, setting
 from .scenario import EpisodeParams, ScenarioConfig, generate_episode, make_canyon_scenario
 from .scheduler import (
     QLearningConfig,
@@ -101,20 +101,10 @@ class RunConfig:
         check(self)
 
 
-TOP_LEVEL_KEYS = frozenset(f.name for f in fields(RunConfig) if "rule" in f.metadata)
-
-
-def _section(data: dict, name: str) -> dict:
-    """Take section ``name`` out of ``data``, so that only unknown keys stay behind."""
-    value = data.pop(name, {})
-    if not isinstance(value, dict):
-        raise ValueError(f"config section {name!r} must be an object")
-    return value
-
-
-def _reject_leftover(data: dict, where: str) -> None:
-    if data:
-        raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, data))}")
+TOP_LEVEL_KEYS = frozenset(rules_of(RunConfig))
+# the file's sections, each built from its class's fields; "arrays", read apart, sets tx_array and rx_array
+SECTIONS = {f.name: type(f.default) for f in fields(RunConfig)
+            if "rule" not in f.metadata and type(f.default) is not ArraySpec}
 
 
 def _parse_outage_after(value: object) -> object:
@@ -133,21 +123,24 @@ def _parse_outage_after(value: object) -> object:
         return value
 
 
-def _parse_complex(key: str, value: object) -> object:
-    """A complex number from its ``[re, im]`` pair in the config file; ``TraceConfig`` checks it."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{key} must be two numbers [re, im]; got {value!r}")
-    re, im = value
-    return complex(re, im) if {type(re), type(im)} <= {int, float} else value
-
-
-def _parse_array_shape(key: str, value: object) -> list[int]:
-    """An array's ``[nx, ny]`` element counts from the config file."""
-    if not (isinstance(value, list) and len(value) == 2):
-        raise ValueError(f"{key} must be two integers of at least 1 [nx, ny]; got {value!r}")
-    for count in value:
-        check_value(key, ArraySpec.__dataclass_fields__["nx"].metadata["rule"], count)
+def _read(rule: Rule, value: object) -> object:
+    """A file value as its rule's kind spells it; the rule's check rejects what does not fit."""
+    if rule.kind == "integer or None":
+        return _parse_outage_after(value)
+    pair = isinstance(value, list) and len(value) == 2 and {type(v) for v in value} <= {int, float}
+    if rule.kind == "[re, im]" and pair:  # a bool is not a number
+        return complex(*value)
     return value
+
+
+def _read_object(value: object, rules: dict[str, Rule], where: str) -> dict:
+    """Each key of JSON object ``value``, read by its rule; a key without one is an error naming ``where``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = [key for key in value if key not in rules]
+    if unknown:
+        raise ValueError(f"unknown keys in {where}: {', '.join(map(repr, unknown))}")
+    return {key: _read(rules[key], v) for key, v in value.items()}
 
 
 def load_run_config(path: str | None) -> RunConfig:
@@ -157,37 +150,20 @@ def load_run_config(path: str | None) -> RunConfig:
         data = json.load(f)
     if not isinstance(data, dict):
         raise ValueError("config must be a JSON object")
-    scenario = ScenarioConfig(**_section(data, "scenario"))
-    episode = EpisodeParams(**_section(data, "episode"))
-    trace_raw = _section(data, "trace")
-    for key in ("wall_reflection", "ground_reflection"):
-        if key in trace_raw:
-            trace_raw[key] = _parse_complex(f"trace.{key}", trace_raw[key])
-    trace = TraceConfig(**trace_raw)
-    arrays = _section(data, "arrays")
+    values = {
+        name: cls(**_read_object(data.pop(name, {}), rules_of(cls), f"config section {name!r}"))
+        for name, cls in SECTIONS.items()
+    }
+    count = rules_of(ArraySpec)["nx"]  # the rule of each part of the [nx, ny] pairs "tx" and "rx"
+    known = {"tx": count, "rx": count, "spacing_wavelengths": rules_of(ArraySpec)["spacing_wavelengths"]}
+    arrays = _read_object(data.pop("arrays", {}), known, "config section 'arrays'")
     default = RunConfig()
-    spacing = arrays.pop("spacing_wavelengths", default.tx_array.spacing_wavelengths)
-    tx_array, rx_array = (
-        ArraySpec(*_parse_array_shape(f"arrays.{key}", arrays.pop(key, [spec.nx, spec.ny])), spacing)
-        for key, spec in (("tx", default.tx_array), ("rx", default.rx_array))
-    )
-    _reject_leftover(arrays, "config section 'arrays'")
-    sched_raw = _section(data, "scheduler")
-    if "outage_after" in sched_raw:
-        sched_raw["outage_after"] = _parse_outage_after(sched_raw["outage_after"])
-    scheduler = SchedulerParams(**sched_raw)
-    qlearn = QLearningConfig(**_section(data, "qlearn"))
-    _reject_leftover({k: v for k, v in data.items() if k not in TOP_LEVEL_KEYS}, "config")
-    return RunConfig(
-        scenario=scenario,
-        episode=episode,
-        trace=trace,
-        tx_array=tx_array,
-        rx_array=rx_array,
-        scheduler=scheduler,
-        qlearn=qlearn,
-        **data,
-    )
+    for key, spec in (("tx", default.tx_array), ("rx", default.rx_array)):
+        shape = arrays.get(key, [spec.nx, spec.ny])
+        if not (isinstance(shape, list) and len(shape) == 2 and all(map(count.accepts, shape))):
+            raise ValueError(f"arrays.{key} must be [nx, ny], each {count.text()}, got {shape!r}")
+        values[f"{key}_array"] = ArraySpec(*shape, arrays.get("spacing_wavelengths", spec.spacing_wavelengths))
+    return RunConfig(**values, **_read_object(data, rules_of(RunConfig), "config"))
 
 
 def _write_json(path: Path, obj: object) -> None:
@@ -330,6 +306,8 @@ def cmd_schedule(
     config: RunConfig, episodes_path: Path, out_dir: Path, agents: tuple[str, ...]
 ) -> None:
     """Build reward tables from stored rays and run the requested agents on each episode."""
+    if not agents:
+        raise ValueError(f"no agent named; choose from {', '.join(AGENTS)}")
     for name in agents:
         if name not in AGENTS:
             raise ValueError(f"unknown agent {name!r}; choose from {', '.join(AGENTS)}")

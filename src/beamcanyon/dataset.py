@@ -269,6 +269,8 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
         records = []
         vehicle_types: dict[tuple, VehicleType] = {}
         for i, line in enumerate(f):
+            if i == expected:
+                raise DatasetFormatError(f"{path}: more episode records than the {expected} the header promises")
             try:
                 records.append(_record_from_obj(json.loads(line.rstrip("\n")), vehicle_types))
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:

@@ -57,8 +57,12 @@ def check_value(name: str, rule: Rule, value: object) -> None:
         raise ValueError(f"{name} must be {rule.text()}, got {value!r}")
 
 
+def rules_of(config: object) -> dict[str, Rule]:
+    """The rule of each field of a config dataclass, or of its instance, that has one, by field name."""
+    return {f.name: f.metadata["rule"] for f in fields(config) if "rule" in f.metadata}
+
+
 def check(config: object, section: str = "") -> None:
     """Check each field of ``config`` that has a rule; an error names ``<section>.<key>``."""
-    for f in fields(config):
-        if "rule" in f.metadata:
-            check_value(f"{section}.{f.name}" if section else f.name, f.metadata["rule"], getattr(config, f.name))
+    for name, rule in rules_of(config).items():
+        check_value(f"{section}.{name}" if section else name, rule, getattr(config, name))

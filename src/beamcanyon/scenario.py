@@ -360,15 +360,11 @@ def _tag_receivers(
         raise ValueError(f"only {len(vehicles)} vehicles spawned, cannot tag {count} receivers")
     rsu = scenario.rsu_position
 
-    def dist2(v: Vehicle) -> float:
-        return (v.position.x - rsu.x) ** 2 + (v.position.y - rsu.y) ** 2
+    def rank(v: Vehicle) -> tuple[bool, float, int]:
+        x, y = v.position.x, v.position.y
+        return not scenario.v2i_area.contains(x, y), (x - rsu.x) ** 2 + (y - rsu.y) ** 2, v.id
 
-    inside = [v for v in vehicles if scenario.v2i_area.contains(v.position.x, v.position.y)]
-    inside_ids = {v.id for v in inside}
-    outside = [v for v in vehicles if v.id not in inside_ids]
-    ranked = sorted(inside, key=lambda v: (dist2(v), v.id)) + sorted(
-        outside, key=lambda v: (dist2(v), v.id)
-    )
+    ranked = sorted(vehicles, key=rank)
     return {v.id: i + 1 for i, v in enumerate(ranked[:count])}
 
 

@@ -342,9 +342,14 @@ class TestSchedule:
 
     def test_unknown_agent_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=2, scenes=2)
+        choices = ", ".join(cli.AGENTS)
         rc = main(["--out", str(tmp_path), "schedule", str(path), "--agents", "alphago"])
         assert rc == 1
-        assert capsys.readouterr().err == f"error: unknown agent 'alphago'; choose from {', '.join(cli.AGENTS)}\n"
+        assert capsys.readouterr().err == f"error: unknown agent 'alphago'; choose from {choices}\n"
+        for agents in ("", ","):  # checked before the episodes file is read, so a missing one is not named
+            rc = main(["--out", str(tmp_path), "schedule", str(tmp_path / "missing.jsonl"), "--agents", agents])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: no agent named; choose from {choices}\n"
 
     def test_repeated_agent_is_one_column(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=2, scenes=2)
@@ -684,6 +689,11 @@ class TestRunConfig:
             pytest.param({"grid_cel": 0.5}, "'grid_cel'", id="top-level"),
             pytest.param({"knn-k": 1}, "'knn-k'", id="top-level-hyphen"),
             pytest.param({"arrays": {"spacing": 0.25}}, "'spacing'", id="arrays"),
+            pytest.param({"scenario": {"street_lenght": 250.0}}, "'street_lenght'", id="scenario"),
+            pytest.param({"episode": {"scenes": 5}}, "'scenes'", id="episode"),
+            pytest.param({"trace": {"max_ray": 5}}, "'max_ray'", id="trace"),
+            pytest.param({"scheduler": {"n_out": 3}}, "'n_out'", id="scheduler"),
+            pytest.param({"qlearn": {"epsilon": 0.1}}, "'epsilon'", id="qlearn"),
         ],
     )
     def test_unknown_key_fails(self, tmp_path, capsys, config, key):

@@ -96,6 +96,14 @@ class TestRoundTrip:
         with pytest.raises(DatasetFormatError, match="record 1"):
             read_episodes(path)
 
+    def test_extra_record_named_at_the_first_extra_line(self, records, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        _write(records[:2], path)
+        with open(path, "a", encoding="utf-8") as f:
+            f.write(encode_record(records[2]) + "\n{not a record\n")  # the extra lines are never decoded
+        with pytest.raises(DatasetFormatError, match="more episode records than the 2 the header promises"):
+            read_episodes(path)
+
     def test_missing_record_detected(self, records, tmp_path):
         path = tmp_path / "episodes.jsonl"
         _write(records[:2], path)
