@@ -15,7 +15,6 @@ import logging
 import os
 import sys
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -127,8 +126,8 @@ def _read(rule: Rule, value: object) -> object:
     """A file value as its rule's kind spells it; the rule's check rejects what does not fit."""
     if rule.kind == "integer or None":
         return _parse_outage_after(value)
-    pair = isinstance(value, list) and len(value) == 2 and {type(v) for v in value} <= {int, float}
-    if rule.kind == "[re, im]" and pair:  # a bool is not a number
+    pair = isinstance(value, list) and len(value) == 2 and all(map(Rule("number").accepts, value))
+    if rule.kind == "[re, im]" and pair:  # two finite numbers, so complex() neither overflows nor takes a bool
         return complex(*value)
     return value
 
@@ -191,6 +190,7 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
         raise ValueError("need at least one episode")
     if jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {jobs}")
+    from concurrent.futures import ProcessPoolExecutor  # here, so no other stage loads multiprocessing
     tasks = [
         (
             config.scenario,

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Scene, VehicleKind, vehicle_bounding_box
+from .scenario import Scene, VehicleKind, vehicle_boxes
 
 HEIGHT_CODES = {VehicleKind.CAR: -1, VehicleKind.TRUCK: -2, VehicleKind.BUS: -3}
 
@@ -71,30 +71,24 @@ def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
 
     Cell conflicts: a receiver index always wins over a blocker code; between
     blockers the more negative (taller) code wins; between receivers the
-    smaller index wins. No rule depends on vehicle order, so all boxes are laid
-    at once and each cell keeps the smallest key, receivers keyed below blockers.
+    smaller index wins. No rule depends on vehicle order, so the boxes of all
+    scenes' vehicles are built in one ``vehicle_boxes`` call and laid at once,
+    and each cell keeps the smallest key, receivers keyed below blockers.
     Receiver indices must lie in 1..MAX_RECEIVER_INDEX.
     """
-    for scene in scenes:
-        for v in scene.vehicles:
-            if v.receiver_index is not None and not 1 <= v.receiver_index <= MAX_RECEIVER_INDEX:
-                raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
+    vehicles = [v for scene in scenes for v in scene.vehicles]
+    for v in vehicles:
+        if v.receiver_index is not None and not 1 <= v.receiver_index <= MAX_RECEIVER_INDEX:
+            raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
     out = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
-    boxes = np.fromiter(  # (scene, key, xmin, ymin, xmax, ymax) per vehicle
-        (
-            (k, HEIGHT_CODES[v.type.kind] if v.receiver_index is None else RECEIVER_KEY + v.receiver_index,
-             b.min.x, b.min.y, b.max.x, b.max.y)
-            for k, scene in enumerate(scenes)
-            for v in scene.vehicles
-            for b in (vehicle_bounding_box(v, 0.0),)
-        ),
-        dtype=np.dtype((np.float64, 6)),
-    )
-    key, base = boxes[:, 1].astype(np.int16), boxes[:, 0].astype(np.intp) * grid.rows
+    lo, hi = vehicle_boxes(vehicles, 0.0)
+    key = np.array([HEIGHT_CODES[v.type.kind] if v.receiver_index is None else RECEIVER_KEY + v.receiver_index
+                    for v in vehicles], dtype=np.int16)
+    base = np.repeat(np.arange(len(scenes)) * grid.rows, [len(scene.vehicles) for scene in scenes])
     threshold = OVERLAP_FRACTION * grid.cell * grid.cell
     # the few row windows are kept; column windows are built one offset at a time to bound memory
-    rows = list(_windows(boxes[:, 3], boxes[:, 5], grid.origin[1], grid.rows, grid.cell))
-    for j, overlap_x in _windows(boxes[:, 2], boxes[:, 4], grid.origin[0], grid.cols, grid.cell):
+    rows = list(_windows(lo[:, 1], hi[:, 1], grid.origin[1], grid.rows, grid.cell))
+    for j, overlap_x in _windows(lo[:, 0], hi[:, 0], grid.origin[0], grid.cols, grid.cell):
         for i, overlap_y in rows:
             hit = np.flatnonzero(overlap_x * overlap_y >= threshold)
             np.minimum.at(out.reshape(-1), (base[hit] + i[hit]) * grid.cols + j[hit], key[hit])

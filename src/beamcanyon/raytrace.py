@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .rules import check, setting
-from .scenario import Box, Scenario, Scene, vehicle_bounding_box
+from .scenario import Box, Scenario, Scene, vehicle_boxes
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -250,8 +250,8 @@ def trace_scenes(
     Returns one tuple per scene, holding one record per vehicle with a
     receiver index, in receiver-index order. Every sub-segment of a candidate
     path must clear all building boxes and the boxes of the scene's vehicles
-    except the receiver's own; full blockage yields a record with an empty
-    ray tuple rather than an error.
+    (one ``vehicle_boxes`` call per scene) except the receiver's own; full
+    blockage yields a record with an empty ray tuple rather than an error.
     """
     receivers = [
         sorted((v for v in s.vehicles if v.receiver_index is not None), key=lambda v: v.receiver_index)
@@ -301,13 +301,14 @@ def trace_scenes(
     ends = np.concatenate(seg_end)[order]
     owners = rx_ids[seg_row[order]]
     buildings = scenario.buildings
+    building_lo = np.array([[bx.min.x, bx.min.y, bx.min.z] for bx in buildings])
+    building_hi = np.array([[bx.max.x, bx.max.y, bx.max.z] for bx in buildings])
     seg_hit = np.empty(n_segs, dtype=bool)
     for scene, a, b in zip(scenes, bounds[:-1].tolist(), bounds[1:].tolist()):
         if a == b:
             continue
-        blockers = list(buildings) + [vehicle_bounding_box(v, g) for v in scene.vehicles]
-        lo = np.array([[bx.min.x, bx.min.y, bx.min.z] for bx in blockers])
-        hi = np.array([[bx.max.x, bx.max.y, bx.max.z] for bx in blockers])
+        lo, hi = vehicle_boxes(scene.vehicles, g)
+        lo, hi = np.concatenate([building_lo, lo]), np.concatenate([building_hi, hi])
         box_owner = np.array([-1] * len(buildings) + [v.id for v in scene.vehicles])
         hit = _slab_hits(starts[a:b], ends[a:b], lo, hi)
         hit &= owners[a:b, None] != box_owner[None, :]

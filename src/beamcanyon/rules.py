@@ -2,7 +2,7 @@
 
 Each config dataclass declares its keys' rules on its fields with ``setting``,
 so the dataclasses are the rule table, and its ``__post_init__`` calls
-``check``. A number must be finite, and a bool is never a number.
+``check``. A number must be finite, also as a float, and a bool is never a number.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ class Rule:
             return value is None and self.kind == "integer or None"
         if isinstance(value, complex):
             value = math.hypot(value.real, value.imag)
-        if isinstance(value, float) and not math.isfinite(value):
-            return False
-        return all(_OPS[sign](value, float(limit)) for sign, limit in map(str.split, self.bounds))
+        try:  # isfinite takes an integer as a float, and one past the float range overflows
+            finite = not (isinstance(value, float) or self.kind == "number") or math.isfinite(value)
+        except OverflowError:
+            finite = False
+        return finite and all(_OPS[sign](value, float(limit)) for sign, limit in map(str.split, self.bounds))
 
     def text(self) -> str:
         """What a value must be, in the words of the error message and docs/config.md."""

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -72,8 +74,14 @@ class Rect:
 class Lane:
     start: Vec3
     end: Vec3
-    width: float
     direction: tuple[float, float]  # unit vector in the ground plane
+
+    @cached_property
+    def frame(self) -> tuple[float, float, float, float, float, float]:
+        """(dx, dy, start x, start y, s0, s1), with s0 and s1 the progress x * dx + y * dy at each end."""
+        dx, dy = self.direction
+        s0 = self.start.x * dx + self.start.y * dy
+        return dx, dy, self.start.x, self.start.y, s0, self.end.x * dx + self.end.y * dy
 
 
 class VehicleKind(str, Enum):
@@ -200,9 +208,9 @@ def make_canyon_scenario(config: ScenarioConfig = ScenarioConfig()) -> Scenario:
         yc = first_center + i * config.lane_width
         forward = i < config.lane_count / 2.0
         if forward:
-            lanes.append(Lane(Vec3(0.0, yc, g), Vec3(length, yc, g), config.lane_width, (1.0, 0.0)))
+            lanes.append(Lane(Vec3(0.0, yc, g), Vec3(length, yc, g), (1.0, 0.0)))
         else:
-            lanes.append(Lane(Vec3(length, yc, g), Vec3(0.0, yc, g), config.lane_width, (-1.0, 0.0)))
+            lanes.append(Lane(Vec3(length, yc, g), Vec3(0.0, yc, g), (-1.0, 0.0)))
 
     rt_area = Rect(0.0, -config.building_depth, length, width + config.building_depth)
     v2i_area = Rect(config.approach_length, 0.0, config.approach_length + config.street_length, width)
@@ -224,25 +232,24 @@ def sample_vehicle_type(
     return types[-1]
 
 
-def vehicle_bounding_box(vehicle: Vehicle, ground_z: float) -> Box:
-    """Axis-aligned box around the (possibly rotated) footprint, extruded upward."""
-    half_l = vehicle.type.length / 2.0
-    half_w = vehicle.type.width / 2.0
-    c = abs(math.cos(vehicle.heading))
-    s = abs(math.sin(vehicle.heading))
+def vehicle_boxes(vehicles: Sequence[Vehicle], ground_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) min and max corners of the boxes around the vehicles' (possibly rotated) footprints.
+
+    Each footprint's axis-aligned bounding rectangle is extruded upward from
+    ``ground_z``; one cosine and sine are taken per distinct heading.
+    """
+    trig = {h: (abs(math.cos(h)), abs(math.sin(h))) for h in {v.heading for v in vehicles}}
+    size = np.array([(v.type.length, v.type.width, v.type.height, v.position.x, v.position.y,
+                      *trig[v.heading]) for v in vehicles], dtype=float).reshape(-1, 7)
+    length, width, height, x, y, c, s = size.T
+    half_l, half_w = length / 2.0, width / 2.0
     hx = c * half_l + s * half_w
     hy = s * half_l + c * half_w
-    p = vehicle.position
-    return Box(
-        Vec3(p.x - hx, p.y - hy, ground_z),
-        Vec3(p.x + hx, p.y + hy, ground_z + vehicle.type.height),
-    )
-
-
-def _place(lane: Lane, progress: float) -> tuple[float, float]:
-    dx, dy = lane.direction
-    s0 = lane.start.x * dx + lane.start.y * dy
-    return lane.start.x + (progress - s0) * dx, lane.start.y + (progress - s0) * dy
+    lo = np.stack([x - hx, y - hy, np.full_like(x, ground_z)], axis=1)
+    hi = np.stack([x + hx, y + hy, ground_z + height], axis=1)
+    if not (lo <= hi).all():
+        raise ValueError("box min corner must not exceed max corner")
+    return lo, hi
 
 
 def _draw_speed(rng: np.random.Generator, avg_speed: float) -> float:
@@ -263,12 +270,7 @@ class LaneCar:
 
 
 def step_lane(
-    cars: list[LaneCar],
-    lane: Lane,
-    dt: float,
-    rng: np.random.Generator,
-    *,
-    avg_speed: float = 8.2,
+    cars: list[LaneCar], lane: Lane, dt: float, rng: np.random.Generator, *, avg_speed: float = 8.2
 ) -> None:
     """Advance the cars of one lane, held in id order, by one time step in place.
 
@@ -276,21 +278,23 @@ def step_lane(
     ``MIN_GAP_M`` behind their leader. A car reaching the end of the lane is
     recycled at the entrance with a freshly drawn type and speed, at most one
     per lane and step; cars carrying a receiver keep their identity, type and
-    speed so the receiver set of an episode stays fixed.
+    speed so the receiver set of an episode stays fixed. Cars are moved front
+    to back, but the list keeps its order, so the cars stay in id order.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    dx, dy = lane.direction
-    s0 = lane.start.x * dx + lane.start.y * dy
-    s1 = lane.end.x * dx + lane.end.y * dy
+    dx, dy, x0, y0, s0, s1 = lane.frame
     progress = [c.x * dx + c.y * dy for c in cars]
     prev_rear = math.inf
     recycled_this_step = False
-    for i in sorted(range(len(cars)), key=lambda i: -progress[i]):
+    for i in sorted(range(len(cars)), key=progress.__getitem__, reverse=True):
         car, prog = cars[i], progress[i]
         half = car.type.length / 2.0
-        new = min(prog + car.speed * dt, prev_rear - MIN_GAP_M - half)
-        new = max(new, prog)  # gap rule never pushes a car backwards
+        new, cap = prog + car.speed * dt, prev_rear - MIN_GAP_M - half
+        if cap < new:
+            new = cap
+        if new < prog:
+            new = prog  # gap rule never pushes a car backwards
         if new + half > s1:
             if not recycled_this_step:
                 if car.receiver_index is None:
@@ -305,36 +309,35 @@ def step_lane(
                 )
                 if entry + new_type.length / 2.0 <= rear_min - MIN_GAP_M:
                     car.type, car.speed = new_type, new_speed
-                    car.x, car.y = _place(lane, entry)
+                    car.x, car.y = x0 + (entry - s0) * dx, y0 + (entry - s0) * dy
                     recycled_this_step = True
                     continue
             # entrance blocked (or one recycle already done): hold at the end
-            new = min(new, s1 - half)
-        car.x, car.y = _place(lane, new)
+            if s1 - half < new:
+                new = s1 - half
+        car.x, car.y = x0 + (new - s0) * dx, y0 + (new - s0) * dy
         prev_rear = new - half
 
 
 def _spawn(
-    lanes: list[list[LaneCar]],
-    scenario: Scenario,
-    dt: float,
-    rng: np.random.Generator,
-    avg_speed: float,
-    next_id: int,
+    lanes: list[list[LaneCar]], scenario: Scenario, dt: float, rng: np.random.Generator,
+    avg_speed: float, next_id: int,
 ) -> int:
     """Try one spawn at the entrance of each lane; return the next free id."""
     for lane, cars in zip(scenario.lanes, lanes):
         if rng.random() >= dt / SPAWN_HEADWAY_S:
             continue
         vtype = sample_vehicle_type(float(rng.random()))
-        dx, dy = lane.direction
-        s0 = lane.start.x * dx + lane.start.y * dy
-        rear_min = min(
-            (c.x * dx + c.y * dy - c.type.length / 2.0 for c in cars), default=math.inf
-        )
+        dx, dy, x0, y0, s0, _ = lane.frame
+        rear_min = math.inf
+        for c in cars:
+            rear = c.x * dx + c.y * dy - c.type.length / 2.0
+            if rear < rear_min:
+                rear_min = rear
         if s0 + vtype.length > rear_min - MIN_GAP_M:
             continue  # entrance occupied, drop this attempt
-        x, y = _place(lane, s0 + vtype.length / 2.0)
+        entry = s0 + vtype.length / 2.0
+        x, y = x0 + (entry - s0) * dx, y0 + (entry - s0) * dy
         cars.append(LaneCar(next_id, vtype, _draw_speed(rng, avg_speed), x, y, scenario.ground_z))
         next_id += 1
     return next_id

@@ -1,7 +1,7 @@
 """Reference implementations of the rewritten production paths.
 
-These are the per-pair channel composition and beam sweep, the scene-by-scene
-occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
+These are the one-vehicle bounding box, the per-pair channel composition and
+beam sweep, the scene-by-scene occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
 that kept one feature grid per example with the table-driven CSV writer over it, the
 table-driven writer over one grid per scene that encoded every cell of every row, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time and
@@ -86,8 +86,22 @@ from beamcanyon.scenario import (
     VehicleType,
     _draw_speed,
     sample_vehicle_type,
-    vehicle_bounding_box,
 )
+
+
+def vehicle_bounding_box(vehicle: Vehicle, ground_z: float) -> Box:
+    """Axis-aligned box around the (possibly rotated) footprint, extruded upward."""
+    half_l = vehicle.type.length / 2.0
+    half_w = vehicle.type.width / 2.0
+    c = abs(math.cos(vehicle.heading))
+    s = abs(math.sin(vehicle.heading))
+    hx = c * half_l + s * half_w
+    hy = s * half_l + c * half_w
+    p = vehicle.position
+    return Box(
+        Vec3(p.x - hx, p.y - hy, ground_z),
+        Vec3(p.x + hx, p.y + hy, ground_z + vehicle.type.height),
+    )
 
 
 def upa_steering(azimuth: float, elevation: float, spec: ArraySpec) -> np.ndarray:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import multiprocessing
@@ -128,7 +129,7 @@ class TestGenerate:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         _generate(tmp_path, episodes=episodes, scenes=1, jobs=jobs)
         assert sizes == pools
 
@@ -259,6 +260,18 @@ class TestExport:
         assert rc == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: receiver index 40000 outside 1..32764"]
+        assert not (tmp_path / "train.csv").exists()
+
+    def test_negative_vehicle_length_fails_with_the_box_message(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        header, first, *records = path.read_text().splitlines()
+        obj = json.loads(first)
+        obj["scenes"][1]["vehicles"][0]["length"] = -4.645  # a hand-edited file: the box turns inside out
+        path.write_text("\n".join([header, json.dumps(obj)] + records) + "\n")
+        capsys.readouterr()
+        rc = main(["--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == ["error: box min corner must not exceed max corner"]
         assert not (tmp_path / "train.csv").exists()
 
 
@@ -574,6 +587,8 @@ class TestRunConfig:
             pytest.param('{"tx_power_dbm": NaN}', "tx_power_dbm", id="tx_power_dbm-nan"),
             pytest.param('{"tx_power_dbm": "0"}', "tx_power_dbm", id="tx_power_dbm-string"),
             pytest.param('{"wall_reflection": [NaN, 0]}', "wall_reflection", id="wall_reflection-nan"),
+            pytest.param(f'{{"carrier_hz": {10**400}}}', "carrier_hz", id="carrier_hz-huge-integer"),
+            pytest.param(f'{{"wall_reflection": [{10**400}, 0]}}', "wall_reflection", id="wall_reflection-huge-integer"),
         ],
     )
     def test_bad_trace_value_fails_before_tracing(self, tmp_path, capsys, monkeypatch, trace, key):
@@ -591,6 +606,8 @@ class TestRunConfig:
         "config, key",
         [
             pytest.param('{"scenario": {"street_length": 1e400}}', "scenario.street_length", id="street_length-infinite"),
+            pytest.param(f'{{"scenario": {{"street_length": {10**400}}}}}', "scenario.street_length",
+                         id="street_length-huge-integer"),
             pytest.param('{"scenario": {"rsu_height": NaN}}', "scenario.rsu_height", id="rsu_height-nan"),
             pytest.param('{"scenario": {"lane_count": true}}', "scenario.lane_count", id="lane_count-bool"),
             pytest.param('{"scenario": {"lane_count": 1.5}}', "scenario.lane_count", id="lane_count-float"),

@@ -97,6 +97,22 @@ def test_every_key_rejects_a_bad_value_naming_the_key(tmp_path_factory, data):
     assert "\n" not in str(excinfo.value)
 
 
+@pytest.mark.parametrize("key", sorted(k for k, rule in KEYS.items() if rule.kind in ("number", "[re, im]")))
+@pytest.mark.parametrize("sign", [1, -1])
+def test_number_key_rejects_an_integer_past_the_float_range(tmp_path, key, sign):
+    # JSON reads 10**400 as an exact integer, whose float() overflows
+    with pytest.raises(ValueError) as excinfo:
+        load(tmp_path, as_config(key, sign * 10**400))
+    assert str(excinfo.value).startswith(f"{key} must be ")
+
+
+def test_integer_past_the_float_range_fails_only_number_rules():
+    assert not Rule("number").accepts(10**400)
+    assert not Rule("number").accepts(-(10**400))
+    assert Rule("number").accepts(10**300)
+    assert Rule("integer", (">= 0",)).accepts(10**400)
+
+
 def range_ends(rule: Rule) -> list:
     """Each closed bound, and the nearest value inside each open one."""
     ends = []

@@ -2,21 +2,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from beamcanyon.scenario import (
     MAX_BUILDINGS_PER_ROW,
+    Box,
     EpisodeParams,
     LaneCar,
+    Scene,
     ScenarioConfig,
+    Vec3,
     Vehicle,
     VehicleKind,
+    VehicleType,
     DEFAULT_VEHICLE_TYPES,
     generate_episode,
     make_canyon_scenario,
     sample_vehicle_type,
     step_lane,
-    vehicle_bounding_box,
+    vehicle_boxes,
 )
 
 
@@ -107,6 +113,12 @@ class TestVehicleTypeSampling:
         for kind, p in ((VehicleKind.CAR, 0.7), (VehicleKind.TRUCK, 0.1), (VehicleKind.BUS, 0.2)):
             se = math.sqrt(p * (1 - p) / n)
             assert abs(counts[kind] / n - p) <= 3 * se
+
+
+def vehicle_bounding_box(vehicle, ground_z):
+    """The one box of ``vehicle_boxes`` over a single vehicle, as a Box."""
+    (lo,), (hi,) = vehicle_boxes([vehicle], ground_z)
+    return Box(Vec3(*lo), Vec3(*hi))
 
 
 class TestBoundingBox:
@@ -237,6 +249,97 @@ class TestMatchesOracle:
         assert generate_episode(sc, params) == expected
         if avg_speed == 20.0:  # fast traffic reaches the lane ends inside the window
             assert _recycles(expected, sc) > 0
+
+
+def _lane_cars(draw, lane):
+    """A drawn car set of one lane, in id order, some cars near each end and some carrying receivers."""
+    dx, dy, x0, y0, s0, s1 = lane.frame
+    cars = []
+    for vid in range(draw(st.integers(1, 6))):
+        vtype = draw(st.sampled_from(DEFAULT_VEHICLE_TYPES))
+        along = draw(st.one_of(st.floats(0.0, 12.0), st.floats(s1 - s0 - 12.0, s1 - s0), st.floats(0.0, s1 - s0)))
+        prog = s0 + along
+        speed = draw(st.floats(0.0, 25.0))
+        cars.append(LaneCar(vid, vtype, speed, x0 + (prog - s0) * dx, y0 + (prog - s0) * dy, 0.0))
+    receivers = [c for c in cars if draw(st.booleans())]
+    for index, car in enumerate(receivers, start=1):
+        car.receiver_index = index
+    return cars
+
+
+class TestPropertiesAgainstOracles:
+    def test_step_lane_is_one_oracle_step(self):
+        """step_lane moves one lane's cars as oracles.step_traffic moves them, field for field."""
+        sc = make_canyon_scenario()
+        reached = set()
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(st.data())
+        def check(data):
+            index = data.draw(st.sampled_from([0, 3]), label="lane")  # eastbound, westbound
+            lane = sc.lanes[index]
+            cars = _lane_cars(data.draw, lane)
+            dt = data.draw(st.sampled_from([0.05, 0.1, 0.3, 1.0]), label="dt")
+            avg_speed = data.draw(st.floats(1.0, 25.0), label="avg_speed")
+            seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+            heading = math.atan2(lane.direction[1], lane.direction[0])
+            before = [(c.x, c.y, c.type, c.speed) for c in cars]
+            scene = Scene(0.0, tuple(
+                Vehicle(c.id, c.type, Vec3(c.x, c.y, c.z), heading, c.speed, c.receiver_index) for c in cars
+            ))
+            oracle_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            expected = oracles.step_traffic(scene, sc, dt, oracle_rng, avg_speed=avg_speed)
+            step_lane(cars, lane, dt, rng, avg_speed=avg_speed)
+            assert [(c.id, c.type, c.speed, c.x, c.y, c.z, c.receiver_index) for c in cars] == [
+                (v.id, v.type, v.speed, v.position.x, v.position.y, v.position.z, v.receiver_index)
+                for v in expected.vehicles
+            ]
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            dx, dy, _, _, _, s1 = lane.frame
+            for car, (x, y, vtype, speed) in zip(cars, before):
+                if car.x * dx + car.y * dy < x * dx + y * dy:  # moved back to the entrance
+                    if car.receiver_index is not None:
+                        assert (car.type, car.speed) == (vtype, speed)
+                        reached.add("receiver recycled")
+                    else:
+                        reached.add("recycled")
+                elif car.x * dx + car.y * dy + car.type.length / 2.0 == pytest.approx(s1, abs=1e-9):
+                    reached.add("held at the end")
+
+        check()
+        assert reached == {"recycled", "receiver recycled", "held at the end"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-2.0, 20.0),  # a negative size inverts the box
+                st.floats(-1.0, 5.0),
+                st.floats(-1.0, 5.0),
+                st.floats(-1e3, 1e3),
+                st.floats(-1e3, 1e3),
+                st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, math.pi / 4, -math.pi / 2]),
+                          st.floats(-2 * math.pi, 2 * math.pi)),
+            ),
+            max_size=8,
+        ),
+        st.floats(-10.0, 10.0),
+    )
+    def test_vehicle_boxes_match_the_oracle_bit_for_bit(self, rows, ground_z):
+        vehicles = [
+            Vehicle(i, VehicleType(VehicleKind.CAR, length, width, height, 1.0), Vec3(x, y, 0.0), heading, 0.0)
+            for i, (length, width, height, x, y, heading) in enumerate(rows)
+        ]
+        try:
+            boxes = [oracles.vehicle_bounding_box(v, ground_z) for v in vehicles]
+        except ValueError as e:
+            with pytest.raises(ValueError, match=str(e)):
+                vehicle_boxes(vehicles, ground_z)
+            return
+        lo, hi = vehicle_boxes(vehicles, ground_z)
+        assert lo.shape == hi.shape == (len(vehicles), 3)
+        assert lo.tobytes() == np.array([[b.min.x, b.min.y, b.min.z] for b in boxes], dtype=float).reshape(-1, 3).tobytes()
+        assert hi.tobytes() == np.array([[b.max.x, b.max.y, b.max.z] for b in boxes], dtype=float).reshape(-1, 3).tobytes()
 
 
 class TestGenerateEpisode:
