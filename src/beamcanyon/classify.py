@@ -9,8 +9,10 @@ largest magnitude m satisfies 4 * d * m**2 < 2**24 (d features per row),
 in training and query rows alike. Every term of |x|^2 + |y|^2 - 2 x.y is
 then an integer below 2**24, so float32 gets the float64 distances whatever
 the summation order. The per-receiver grid codes (-3..1) are such features.
-Test rows go through CHUNK at a time, and equidistant neighbours resolve to
-the lower train index.
+Test rows go through 256 (CHUNK) at a time. A row's distances d2 are exact,
+so the int64 key d2 * n_train + train_index is unique within the row, and
+its k smallest values pick the k nearest train rows, equidistant ones
+resolving to the lower train index.
 
 The model keeps only the feature columns that vary over its training rows.
 A column that holds the same value c in every training row adds the same
@@ -28,7 +30,7 @@ from .dataset import Examples
 from .features import receiver_view
 from .raytrace import LosStatus
 
-CHUNK = 512  # rows per block of feature stacking and of kNN distances
+CHUNK = 256  # rows per block of feature stacking and of kNN distances
 
 
 @dataclass(frozen=True)
@@ -94,25 +96,20 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
 
 
 def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
-    """Majority label of each row's k nearest train rows (ties: smallest label).
-
-    The neighbours are every train row closer than the k-th smallest
-    distance, then the lowest-indexed rows at exactly that distance: the
-    first k of a stable sort.
-    """
-    k = model.k
+    """Majority label of each row's k nearest train rows (ties: smallest label)."""
+    n_train = len(model.labels)
     d2 = x @ model.features.T
     d2 *= -2
     d2 += (x * x).sum(axis=1)[:, None]
     d2 += train_norms
-    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
-    closer = d2 < kth
-    tied = d2 == kth
+    key = d2.astype(np.int64)
     del d2
-    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= k - closer.sum(axis=1, keepdims=True)
-    rows, cols = np.nonzero(closer | tied)
+    key *= n_train
+    key += np.arange(n_train)
+    nearest = np.argpartition(key, model.k - 1, axis=1)[:, :model.k]
     width = model.num_classes + 1
-    counts = np.bincount(rows * width + model.labels[cols], minlength=len(x) * width)
+    votes = np.arange(len(x))[:, None] * width + model.labels[nearest]
+    counts = np.bincount(votes.ravel(), minlength=len(x) * width)
     return counts.reshape(len(x), width).argmax(axis=1)
 
 

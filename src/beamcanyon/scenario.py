@@ -270,7 +270,8 @@ class LaneCar:
 
 
 def step_lane(
-    cars: list[LaneCar], lane: Lane, dt: float, rng: np.random.Generator, *, avg_speed: float = 8.2
+    cars: list[LaneCar], lane: Lane, dt: float, rng: np.random.Generator,
+    *, avg_speed: float = EpisodeParams.avg_speed,
 ) -> None:
     """Advance the cars of one lane, held in id order, by one time step in place.
 

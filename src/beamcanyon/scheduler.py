@@ -36,7 +36,6 @@ class SchedulerParams:
 @dataclass(frozen=True)
 class RewardTable:
     normalized: np.ndarray  # (scenes, receivers, pairs), entries in [0, 1]
-    raw_db: np.ndarray      # same shape, 20*log10 |sweep output|, -inf for dead pairs
 
     @property
     def n_scenes(self) -> int:
@@ -73,7 +72,9 @@ class QLearningConfig:
         check(self, "qlearn")
 
 
-def normalize_powers(raw_scene_db: np.ndarray, floor_offset_db: float = 200.0) -> np.ndarray:
+def normalize_powers(
+    raw_scene_db: np.ndarray, floor_offset_db: float = SchedulerParams.floor_offset_db
+) -> np.ndarray:
     """Affine map of one scene's dB powers onto [0, 1].
 
     The scene minimum is floored at (max - floor_offset_db); entries below
@@ -125,7 +126,7 @@ def build_reward_table(
     for s in range(raw.shape[0]):
         if np.isfinite(raw[s]).any():
             normalized[s] = normalize_powers(raw[s], params.floor_offset_db)
-    return RewardTable(normalized=normalized, raw_db=raw)
+    return RewardTable(normalized=normalized)
 
 
 def _starve_cap(params: SchedulerParams) -> int:

@@ -9,7 +9,9 @@ finished each ray with its own norm, the
 dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the numpy tabular Q-learning
 agent, the float64 feature matrix, the kNN prediction that sorted every
-float64 distance row, and the episode-file codec that spelled out every key of
+float64 distance row, the chunk kNN vote that partitioned each float32
+distance row at its k-th value and filled the ties from a cumulative count,
+and the episode-file codec that spelled out every key of
 each record type in one writer and one reader helper per type, with the writer
 that took the whole list of records before writing any, exactly as they were
 before the rewrites. The production code must reproduce them bit for bit.
@@ -1011,3 +1013,26 @@ def episode_reward(plan: AllocationPlan, table: RewardTable, params: SchedulerPa
     if len(plan.receivers) != table.n_scenes:
         raise ValueError("plan length does not match the episode")
     return _replay(plan.receivers, plan.pair_indices, table, params)
+
+
+def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
+    """Majority label of each row's k nearest train rows (ties: smallest label).
+
+    The neighbours are every train row closer than the k-th smallest
+    distance, then the lowest-indexed rows at exactly that distance: the
+    first k of a stable sort.
+    """
+    k = model.k
+    d2 = x @ model.features.T
+    d2 *= -2
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += train_norms
+    kth = np.partition(d2, k - 1, axis=1)[:, [k - 1]]
+    closer = d2 < kth
+    tied = d2 == kth
+    del d2
+    tied &= np.cumsum(tied, axis=1, dtype=np.int32) <= k - closer.sum(axis=1, keepdims=True)
+    rows, cols = np.nonzero(closer | tied)
+    width = model.num_classes + 1
+    counts = np.bincount(rows * width + model.labels[cols], minlength=len(x) * width)
+    return counts.reshape(len(x), width).argmax(axis=1)

@@ -240,7 +240,7 @@ def test_criterion_05_scheduler_exactness():
     for _ in range(50):
         n_scenes = int(rng.integers(3, 7))
         zbar = rng.random((n_scenes, 2, 3))
-        table = RewardTable(normalized=zbar, raw_db=zbar)
+        table = RewardTable(normalized=zbar)
         best_pair = zbar.argmax(axis=2)
         brute = max(
             episode_reward(
@@ -281,7 +281,7 @@ def test_criterion_07_outage_semantics():
             [[0.75, 0.85], [0.20, 0.40]],
         ]
     )
-    table = RewardTable(normalized=zbar, raw_db=zbar)
+    table = RewardTable(normalized=zbar)
     params = SchedulerParams(outage_after=3, outage_penalty=-3.0, num_receivers=2)
     state = env_reset(table, params)
     rewards = []

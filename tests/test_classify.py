@@ -9,6 +9,7 @@ import oracles
 from beamcanyon.classify import (
     CHUNK,
     KnnModel,
+    _knn_votes,
     evaluate,
     examples_to_arrays,
     knn_classifier,
@@ -267,6 +268,41 @@ class TestKnnOnVaryingColumns:
         kept_bytes = n * (d // 2) * np.dtype(np.float32).itemsize
         assert model.features.nbytes == kept_bytes
         assert peak <= kept_bytes + CHUNK * d * np.dtype(np.float32).itemsize
+
+
+class TestKnnVotesMatchTieFillOracle:
+    """The composite-key selection votes exactly as the partition and tie fill it replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_train=st.integers(1, 40),
+        d=st.integers(1, 12),
+        distinct=st.integers(1, 4),
+        n_test=st.sampled_from([1, CHUNK + 1, 2 * CHUNK + 3]),
+        data=st.data(),
+    )
+    def test_grid_codes_with_ties(self, seed, n_train, d, distinct, n_test, data):
+        # train rows drawn from a few distinct rows -1 + s * t (a sign s per
+        # cell, a spread t in 0..2 per column): all of them lie at the same
+        # distance from the all -1 row, which is one of the queries
+        rng = np.random.default_rng(seed)
+        spread = rng.integers(0, 3, size=d)
+        pool = -1 + rng.choice([-1, 1], size=(distinct, d)) * spread
+        train = pool[rng.integers(distinct, size=n_train)].astype(np.int8)
+        queries = rng.integers(-3, 2, size=(n_test, d)).astype(np.int8)
+        queries[rng.integers(n_test)] = -1
+        assert len(np.unique(((train.astype(int) + 1) ** 2).sum(axis=1))) == 1
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.just(n_train) | st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        x = queries[:, model.columns].astype(np.float32)
+        norms = np.einsum("ij,ij->i", model.features, model.features)
+        expected = oracles._knn_votes(model, x, norms)
+        votes = _knn_votes(model, x, norms)
+        assert votes.dtype == expected.dtype
+        assert np.array_equal(votes, expected)
+        assert np.array_equal(predict(model, queries), expected)
 
 
 def test_examples_to_arrays_is_int8_and_equal_to_the_oracle():

@@ -32,7 +32,7 @@ ARRAY = ArraySpec(4, 4)
 
 
 def _table(zbar: np.ndarray) -> RewardTable:
-    return RewardTable(normalized=zbar, raw_db=zbar * 10.0 - 100.0)
+    return RewardTable(normalized=zbar)
 
 
 # six-scene fixture used for the hand-traced outage sequences
@@ -239,7 +239,7 @@ class TestAgents:
         rng = np.random.default_rng(36)
         raw = rng.uniform(-120, -60, size=(6, 2, 4))
         zbar = np.stack([normalize_powers(raw[s]) for s in range(6)])
-        table = RewardTable(normalized=zbar, raw_db=raw)
+        table = RewardTable(normalized=zbar)
         plan = greedy_agent(table, SchedulerParams(outage_after=None, num_receivers=2))
         assert plan.mean_reward == 1.0
 
@@ -422,7 +422,6 @@ class TestBuildRewardTable:
         params = SchedulerParams(outage_after=3, outage_penalty=-3.0, num_receivers=2)
         table = build_reward_table(blanked, ARRAY, ARRAY, params)
         full = build_reward_table(record, ARRAY, ARRAY, params)
-        assert np.isneginf(table.raw_db[1]).all()
         assert (table.normalized[1] == 0.0).all()
         kept = [0, 2, 3]
         assert np.array_equal(table.normalized[kept], full.normalized[kept])
