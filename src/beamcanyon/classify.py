@@ -88,7 +88,7 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
     if labels.min() < 0:
         raise ValueError("labels must be non-negative")
     _check_exact(features)
-    columns = (features != features[:1]).any(axis=0)
+    columns = features.min(axis=0) != features.max(axis=0)
     kept = np.empty((len(features), int(columns.sum())), dtype=np.float32)
     for start in range(0, len(features), CHUNK):
         kept[start:start + CHUNK] = features[start:start + CHUNK, columns]

@@ -37,7 +37,7 @@ from .features import GridSpec
 from .mimo import ArraySpec, LabelMap
 from .raytrace import LosStatus, TraceConfig
 from .rules import Rule, check, rules_of, setting
-from .scenario import EpisodeParams, ScenarioConfig, generate_episode, make_canyon_scenario
+from .scenario import EpisodeParams, ScenarioConfig, make_canyon_scenario
 from .scheduler import (
     QLearningConfig,
     SchedulerParams,
@@ -171,20 +171,18 @@ def _write_json(path: Path, obj: object) -> None:
         json.dump(obj, f, sort_keys=True, indent=2)
 
 
-def _generate_one(args: tuple) -> tuple[int, int, str]:
-    """Trace one episode; its id, scene count and encoded line, so that no record is pickled."""
+def _generate_one(args: tuple) -> str:
+    """Simulate and trace one episode; its encoded line, so that no record is pickled."""
     scenario_cfg, params, trace_cfg, episode_id = args
     scenario = make_canyon_scenario(scenario_cfg)
-    episode = generate_episode(scenario, params, episode_id)
-    record = build_episode_record(scenario, episode, trace_cfg)
-    return record.episode_id, len(record.scenes), encode_record(record)
+    return encode_record(build_episode_record(scenario, params, trace_cfg, episode_id))
 
 
 def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int = 1) -> None:
     """Simulate episodes, trace all pairs, and stream them to the episodes file atomically.
 
-    Episodes are traced in ``min(jobs, n_episodes)`` worker processes, and each line is
-    written as soon as it is its turn, so the records are never all held at once.
+    Each episode's record is built from its derived seed in ``min(jobs, n_episodes)`` worker processes,
+    and its line is written and logged as soon as it is its turn, so the records are never all held at once.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")
@@ -202,8 +200,8 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
     ]
 
     def lines(results):
-        for episode_id, n_scenes, line in results:
-            log.info("episode %d: %d scenes traced", episode_id, n_scenes)
+        for episode_id, line in enumerate(results):
+            log.info("episode %d: %d scenes traced", episode_id, config.episode.scenes_per_episode)
             yield line
 
     workers = min(jobs, n_episodes)
@@ -274,11 +272,10 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     """Run the in-repo baselines on an episode-wise split and print the table."""
     _, train, test, _ = _load_split_examples(config, episodes_path)
     x_train, y_train, _ = clf.examples_to_arrays(train)
+    k = min(config.knn_k, len(y_train))  # the report names the k the model uses
     models = {
         "majority": clf.majority_classifier(x_train, y_train),
-        f"knn(k={config.knn_k})": clf.knn_classifier(
-            x_train, y_train, min(config.knn_k, len(y_train))
-        ),
+        f"knn(k={k})": clf.knn_classifier(x_train, y_train, k),
     }
     del train, x_train  # the kNN model holds a float32 copy of the varying columns
     x_test, y_test, nlos = clf.examples_to_arrays(test)

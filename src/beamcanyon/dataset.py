@@ -24,14 +24,15 @@ from .features import GridSpec, encode_scenes, scene_view
 from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
 from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scenes
 from .scenario import (
-    Episode,
     EpisodeParams,
     Rect,
     Scenario,
+    Scene,
     Vec3,
     Vehicle,
     VehicleKind,
     VehicleType,
+    generate_episode,
 )
 
 FORMAT_NAME = "beamcanyon-episodes"
@@ -40,13 +41,6 @@ FORMAT_VERSION = 1
 
 class DatasetFormatError(ValueError):
     """Raised when an episodes file cannot be decoded."""
-
-
-@dataclass(frozen=True)
-class SceneRecord:
-    time: float
-    vehicles: tuple[Vehicle, ...]
-    pairs: tuple[PairRecord, ...]
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class EpisodeRecord:
     v2i_area: Rect
     rsu_position: Vec3
     receiver_vehicles: dict[int, int]  # receiver index -> vehicle id
-    scenes: tuple[SceneRecord, ...]
+    scenes: tuple[Scene, ...]
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,26 @@ class Split:
 
 
 def build_episode_record(
-    scenario: Scenario, episode: Episode, cfg: TraceConfig
+    scenario: Scenario, params: EpisodeParams, cfg: TraceConfig, episode_id: int = 0
 ) -> EpisodeRecord:
-    """Trace every (scene, receiver) pair of an episode into a storable record."""
-    first = episode.scenes[0]
+    """Simulate one episode from ``params`` (its seed included) and trace every (scene, receiver) pair."""
+    scenes = generate_episode(scenario, params)
     receiver_vehicles = {
-        v.receiver_index: v.id for v in first.vehicles if v.receiver_index is not None
+        v.receiver_index: v.id for v in scenes[0].vehicles if v.receiver_index is not None
     }
-    scene_records = [
-        SceneRecord(scene.time, scene.vehicles, pairs)
-        for scene, pairs in zip(episode.scenes, trace_scenes(scenario, episode.scenes, cfg))
-    ]
     return EpisodeRecord(
-        episode_id=episode.id,
-        start_time=episode.start_time,
-        params=episode.params,
+        episode_id=episode_id,
+        start_time=scenes[0].time,
+        params=params,
         max_rays=cfg.max_rays,
         rt_area=scenario.rt_area,
         v2i_area=scenario.v2i_area,
         rsu_position=scenario.rsu_position,
         receiver_vehicles=receiver_vehicles,
-        scenes=tuple(scene_records),
+        scenes=tuple(
+            Scene(s.time, s.vehicles, pairs)
+            for s, pairs in zip(scenes, trace_scenes(scenario, scenes, cfg))
+        ),
     )
 
 
@@ -171,6 +164,9 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
     """Decode one episode object; ``vehicle_types`` interns the types met so far in its file."""
     if not o["scenes"]:
         raise ValueError("no scenes")
+    receivers = {int(k): v for k, v in o["receiver_vehicles"].items()}
+    if min(receivers, default=1) < 1:
+        raise ValueError(f"receiver_vehicles holds receiver index {min(receivers)}; indices start at 1")
     scenes = []
     for s in o["scenes"]:
         vehicles = []
@@ -188,7 +184,10 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
             # unpacking the gain rejects any but exactly two parts
             rays = tuple(Ray(complex(re, im), *_ray_items(r)) for r in p["rays"] for re, im in (r["gain"],))
             pairs.append(PairRecord(tx_id, rx_id, rays, mean_toa, p_tx_dbm, p_rx_dbm))
-        scenes.append(SceneRecord(s["time"], tuple(vehicles), tuple(pairs)))
+        rx_ids = [p.rx_id for p in pairs]
+        if not receivers.keys() >= set(rx_ids) or len(set(rx_ids)) < len(rx_ids):
+            raise ValueError(f"scene {len(scenes)}: pair rx_ids {rx_ids}: not distinct receiver_vehicles keys")
+        scenes.append(Scene(s["time"], tuple(vehicles), tuple(pairs)))
     return EpisodeRecord(
         o["episode_id"],
         o["start_time"],
@@ -197,7 +196,7 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
         Rect(*o["rt_area"]),
         Rect(*o["v2i_area"]),
         Vec3(*o["rsu_position"]),
-        {int(k): v for k, v in o["receiver_vehicles"].items()},
+        receivers,
         tuple(scenes),
     )
 

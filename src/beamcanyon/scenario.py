@@ -119,8 +119,11 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class Scene:
+    """The vehicles at one sample time; once traced, ``pairs`` has one record per receiver, by index."""
+
     time: float
     vehicles: tuple[Vehicle, ...]
+    pairs: tuple = ()  # of raytrace.PairRecord, which cannot be imported here: raytrace imports this module
 
 
 @dataclass(frozen=True)
@@ -133,14 +136,6 @@ class EpisodeParams:
 
     def __post_init__(self) -> None:
         check(self, "episode")
-
-
-@dataclass(frozen=True)
-class Episode:
-    id: int
-    start_time: float
-    params: EpisodeParams
-    scenes: tuple[Scene, ...]
 
 
 @dataclass(frozen=True)
@@ -372,10 +367,8 @@ def _tag_receivers(
     return {v.id: i + 1 for i, v in enumerate(ranked[:count])}
 
 
-def generate_episode(
-    scenario: Scenario, params: EpisodeParams, episode_id: int = 0
-) -> Episode:
-    """Warm up traffic, tag the receivers nearest the RSU, and sample the scenes.
+def generate_episode(scenario: Scenario, params: EpisodeParams) -> tuple[Scene, ...]:
+    """Warm up traffic, tag the receivers nearest the RSU, and return the untraced scenes from ``WARMUP_S`` on.
 
     Fully deterministic for a given (scenario, params): the episode's random
     generator is seeded from ``params.seed`` and owned by this call.
@@ -403,4 +396,4 @@ def generate_episode(
         if k > 0:
             step()
         scenes.append(Scene(WARMUP_S + k * dt, _snapshot(scenario, lanes)))
-    return Episode(episode_id, WARMUP_S, params, tuple(scenes))
+    return tuple(scenes)

@@ -39,7 +39,6 @@ from beamcanyon.dataset import (
     FORMAT_VERSION,
     EpisodeRecord,
     Examples,
-    SceneRecord,
     open_atomic,
 )
 from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
@@ -76,7 +75,6 @@ from beamcanyon.scenario import (
     SPAWN_HEADWAY_S,
     WARMUP_S,
     Box,
-    Episode,
     EpisodeParams,
     Lane,
     Rect,
@@ -498,9 +496,7 @@ def _tag_receivers(scene: Scene, scenario: Scenario, count: int) -> Scene:
     )
 
 
-def generate_episode(
-    scenario: Scenario, params: EpisodeParams, episode_id: int = 0
-) -> Episode:
+def generate_episode(scenario: Scenario, params: EpisodeParams) -> tuple[Scene, ...]:
     """Warm up traffic, tag the receivers nearest the RSU, and sample the scenes."""
     if params.sample_period <= 0:
         raise ValueError("sample_period must be positive")
@@ -522,7 +518,7 @@ def generate_episode(
         if k > 0:
             scene = step_traffic(scene, scenario, dt, rng, avg_speed=params.avg_speed)
         scenes.append(replace(scene, time=WARMUP_S + k * dt))
-    return Episode(episode_id, WARMUP_S, params, tuple(scenes))
+    return tuple(scenes)
 
 
 def _segments_hit_boxes(p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -971,7 +967,7 @@ def _record_from_obj(o: dict) -> EpisodeRecord:
         rsu_position=Vec3(*o["rsu_position"]),
         receiver_vehicles={int(k): v for k, v in o["receiver_vehicles"].items()},
         scenes=tuple(
-            SceneRecord(
+            Scene(
                 time=s["time"],
                 vehicles=tuple(_vehicle_from_obj(v) for v in s["vehicles"]),
                 pairs=tuple(_pair_from_obj(p) for p in s["pairs"]),

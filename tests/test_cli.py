@@ -11,7 +11,7 @@ from beamcanyon import cli
 from beamcanyon.cli import _apply_overrides, _build_parser, derive_seed, load_run_config, main, splitmix64
 from beamcanyon.dataset import build_episode_record, read_episodes, split_episodes
 from beamcanyon.raytrace import TraceConfig
-from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
+from beamcanyon.scenario import EpisodeParams, make_canyon_scenario
 
 
 def _generate(tmp_path, episodes=2, scenes=3, seed=42, name="episodes.jsonl", jobs=1):
@@ -86,10 +86,9 @@ class TestGenerate:
         records = [
             build_episode_record(
                 scenario,
-                generate_episode(
-                    scenario, EpisodeParams(scenes_per_episode=2, seed=derive_seed(5, cli._PURPOSE_EPISODE, i)), i
-                ),
+                EpisodeParams(scenes_per_episode=2, seed=derive_seed(5, cli._PURPOSE_EPISODE, i)),
                 TraceConfig(),
+                i,
             )
             for i in range(3)
         ]
@@ -101,12 +100,12 @@ class TestGenerate:
         if jobs > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched module only when forked")
 
-        def generate_or_fail(scenario, params, episode_id):
+        def build_or_fail(scenario, params, cfg, episode_id):
             if episode_id == 1:
                 raise RuntimeError("episode 1 failed")
-            return generate_episode(scenario, params, episode_id)
+            return build_episode_record(scenario, params, cfg, episode_id)
 
-        monkeypatch.setattr(cli, "generate_episode", generate_or_fail)
+        monkeypatch.setattr(cli, "build_episode_record", build_or_fail)
         argv = ["--out", str(tmp_path), "generate", "--episodes", "3", "--scenes", "1", "--jobs", str(jobs)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: episode 1 failed\n"
@@ -239,6 +238,40 @@ class TestExport:
         assert err == [f"error: no examples on the {side} side: none of its pairs has a ray"]
         assert {name: (tmp_path / name).read_text() for name in earlier} == earlier
 
+    @pytest.mark.parametrize(
+        "corrupt, reason",
+        [
+            pytest.param(
+                lambda o: o["receiver_vehicles"].update({"0": o["receiver_vehicles"].pop("1")}),
+                "receiver_vehicles holds receiver index 0; indices start at 1",
+                id="receiver-index-0",
+            ),
+            pytest.param(
+                lambda o: o["scenes"][1]["pairs"][0].update(rx_id=0),
+                f"scene 1: pair rx_ids {[0, *range(2, 11)]}: not distinct receiver_vehicles keys",
+                id="rx-id-not-a-receiver",
+            ),
+            pytest.param(
+                lambda o: o["scenes"][1]["pairs"][1].update(rx_id=1),
+                f"scene 1: pair rx_ids {[1, 1, *range(3, 11)]}: not distinct receiver_vehicles keys",
+                id="rx-id-repeated",
+            ),
+        ],
+    )
+    def test_bad_receiver_fails_every_read_stage(self, tmp_path, capsys, corrupt, reason):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        header, *lines = path.read_text().splitlines()
+        obj = json.loads(lines[1])
+        corrupt(obj)
+        lines[1] = json.dumps(obj)
+        path.write_text("\n".join([header, *lines]) + "\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for stage in ("export", "classify", "schedule"):
+            assert main(["--out", str(out), stage, str(path)]) == 1
+            assert capsys.readouterr().err.splitlines() == [f"error: {path}: record 1: {reason}"]
+        assert not out.exists()
+
     def test_receiver_index_beyond_grid_range_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=3, scenes=2)
         header, *records = path.read_text().splitlines()
@@ -286,6 +319,20 @@ class TestClassify:
         assert set(report) == {"majority", "knn(k=3)"}
         for obj in report.values():
             assert 0.0 <= obj["accuracy_all"] <= 1.0
+
+
+    def test_report_names_the_k_used_when_training_rows_are_fewer(self, tmp_path, capsys):
+        path = _generate(tmp_path, episodes=3, scenes=2)
+        records = read_episodes(path)
+        split = split_episodes([r.episode_id for r in records], 0.25, derive_seed(42, cli._PURPOSE_SPLIT))
+        n_train = sum(
+            bool(pair.rays) for r in records if r.episode_id in split.train_episode_ids
+            for scene in r.scenes for pair in scene.pairs
+        )
+        assert main(["--seed", "42", "--out", str(tmp_path), "classify", str(path), "--knn-k", "1000"]) == 0
+        report = json.loads((tmp_path / "classify_report.json").read_text())
+        assert set(report) == {"majority", f"knn(k={n_train})"}
+        assert f"knn(k={n_train})" in capsys.readouterr().out
 
 
 class TestSchedule:

@@ -30,7 +30,6 @@ from beamcanyon.scenario import (
     EpisodeParams,
     Vehicle,
     VehicleType,
-    generate_episode,
     make_canyon_scenario,
 )
 
@@ -48,7 +47,7 @@ def records(canyon):
     out = []
     for i in range(3):
         params = EpisodeParams(scenes_per_episode=4, receiver_count=5, seed=100 + i)
-        out.append(build_episode_record(canyon, generate_episode(canyon, params, i), cfg))
+        out.append(build_episode_record(canyon, params, cfg, i))
     return out
 
 
@@ -161,6 +160,21 @@ class TestRoundTrip:
             pytest.param(lambda objs: _first_ray(objs[1]).update(gain=[]), "record 0: ", id="empty-ray-gain"),
             pytest.param(lambda objs: objs[2].update(receiver_vehicles=[]), "record 1: ", id="receivers-as-list"),
             pytest.param(lambda objs: objs[2].update(scenes=[]), "record 1: no scenes", id="no-scenes"),
+            pytest.param(
+                lambda objs: objs[1]["receiver_vehicles"].update({"0": objs[1]["receiver_vehicles"].pop("1")}),
+                "record 0: receiver_vehicles holds receiver index 0; indices start at 1",
+                id="receiver-index-0",
+            ),
+            pytest.param(
+                lambda objs: objs[2]["scenes"][3]["pairs"][4].update(rx_id=6),
+                r"record 1: scene 3: pair rx_ids \[1, 2, 3, 4, 6\]: not distinct receiver_vehicles keys",
+                id="rx-id-not-a-receiver",
+            ),
+            pytest.param(
+                lambda objs: objs[1]["scenes"][2]["pairs"][0].update(rx_id=5),
+                r"record 0: scene 2: pair rx_ids \[5, 2, 3, 4, 5\]: not distinct receiver_vehicles keys",
+                id="rx-id-repeated",
+            ),
             pytest.param(lambda objs: objs.__setitem__(0, [1, 2]), "not a beamcanyon-episodes file", id="list-header"),
         ],
     )
@@ -212,7 +226,7 @@ class TestRoundTrip:
         import time
 
         params = EpisodeParams(scenes_per_episode=50, receiver_count=10, seed=4242)
-        base = build_episode_record(canyon, generate_episode(canyon, params, 0), TraceConfig())
+        base = build_episode_record(canyon, params, TraceConfig())
         big = [dataclasses.replace(base, episode_id=i) for i in range(116)]
         path = tmp_path / "big.jsonl"
         started = time.monotonic()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import segment_intersects_box
-from beamcanyon.dataset import SceneRecord, build_episode_record, encode_record
+from beamcanyon.dataset import build_episode_record, encode_record
 from beamcanyon.raytrace import (
     LosStatus,
     PairRecord,
@@ -245,9 +245,9 @@ class TestMatchesOracle:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_default_canyon(self, canyon, seed):
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=seed))
+        scenes = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=seed))
         cfg = TraceConfig()
-        for scene in ep.scenes:
+        for scene in scenes:
             _assert_exact(trace_scenes(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
 
     @pytest.mark.parametrize(
@@ -267,9 +267,9 @@ class TestMatchesOracle:
         params = EpisodeParams(
             scenes_per_episode=3, receiver_count=receivers, seed=lane_count + max_rays
         )
-        ep = generate_episode(sc, params)
+        scenes = generate_episode(sc, params)
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
-        for scene in ep.scenes:
+        for scene in scenes:
             _assert_exact(trace_scenes(sc, (scene,), cfg)[0], _oracle_scene(sc, scene, cfg))
 
     def test_gapped_walls_and_narrow_area(self, canyon):
@@ -280,10 +280,10 @@ class TestMatchesOracle:
             buildings=tuple(b for i, b in enumerate(canyon.buildings) if i % 3 != 2),
             rt_area=Rect(150.0, -20.0, 180.0, 43.0),
         )
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=3, receiver_count=10, seed=3))
+        scenes = generate_episode(canyon, EpisodeParams(scenes_per_episode=3, receiver_count=10, seed=3))
         cfg = TraceConfig()
         counts = {"R": [0, 0], "RG": [0, 0]}
-        for scene in ep.scenes:
+        for scene in scenes:
             records = trace_scenes(sc, (scene,), cfg)[0]
             _assert_exact(records, _oracle_scene(sc, scene, cfg))
             for i, recs in enumerate((trace_scenes(canyon, (scene,), cfg)[0], records)):
@@ -365,10 +365,10 @@ class TestEpisodeMatchesOracle:
     )
     def test_whole_episode(self, seed, lane_count, receivers, max_reflections, max_rays):
         sc = make_canyon_scenario(ScenarioConfig(lane_count=lane_count))
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=5, receiver_count=receivers, seed=seed))
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=5, receiver_count=receivers, seed=seed))
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
-        expected = tuple(_oracle_scene(sc, scene, cfg) for scene in ep.scenes)
-        _assert_exact(trace_scenes(sc, ep.scenes, cfg), expected)
+        expected = tuple(_oracle_scene(sc, scene, cfg) for scene in scenes)
+        _assert_exact(trace_scenes(sc, scenes, cfg), expected)
 
     @pytest.mark.parametrize(
         "untagged",
@@ -376,8 +376,8 @@ class TestEpisodeMatchesOracle:
         ids=["start", "middle", "end", "alternate", "all"],
     )
     def test_scenes_without_receivers(self, canyon, untagged):
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=5, receiver_count=10, seed=8))
-        scenes = tuple(_untagged(s) if i in untagged else s for i, s in enumerate(ep.scenes))
+        episode = generate_episode(canyon, EpisodeParams(scenes_per_episode=5, receiver_count=10, seed=8))
+        scenes = tuple(_untagged(s) if i in untagged else s for i, s in enumerate(episode))
         cfg = TraceConfig()
         got = trace_scenes(canyon, scenes, cfg)
         assert len(got) == len(scenes)
@@ -389,8 +389,8 @@ class TestEpisodeMatchesOracle:
 
     def test_fully_blocked_receiver_among_open_scenes(self, canyon):
         ringed = _ringed_scene(canyon)
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=2, receiver_count=10, seed=9))
-        scenes = (ringed, ep.scenes[0], ringed, ep.scenes[1], ringed)
+        episode = generate_episode(canyon, EpisodeParams(scenes_per_episode=2, receiver_count=10, seed=9))
+        scenes = (ringed, episode[0], ringed, episode[1], ringed)
         cfg = TraceConfig(max_reflections=0)
         got = trace_scenes(canyon, scenes, cfg)
         assert [len(records) for records in got] == [1, 10, 1, 10, 1]
@@ -406,23 +406,22 @@ class TestEpisodeMatchesOracle:
         assert _rays_with(open_[0], "LOS") != []
 
     def test_episode_record_bytes_match_oracle(self, canyon):
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=10), 3)
         cfg = TraceConfig()
-        record = build_episode_record(canyon, ep, cfg)
+        record = build_episode_record(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=10), cfg, 3)
         traced_by_oracle = replace(
             record,
             scenes=tuple(
-                SceneRecord(scene.time, scene.vehicles, _oracle_scene(canyon, scene, cfg))
-                for scene in ep.scenes
+                Scene(scene.time, scene.vehicles, _oracle_scene(canyon, scene, cfg))
+                for scene in record.scenes
             ),
         )
         assert encode_record(record) == encode_record(traced_by_oracle)
 
     def test_traced_peak_of_an_80_scene_episode(self, canyon):
-        ep = generate_episode(canyon, EpisodeParams(scenes_per_episode=80, receiver_count=10, seed=7))
+        scenes = generate_episode(canyon, EpisodeParams(scenes_per_episode=80, receiver_count=10, seed=7))
         tracemalloc.start()
         try:
-            trace_scenes(canyon, ep.scenes, TraceConfig())
+            trace_scenes(canyon, scenes, TraceConfig())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

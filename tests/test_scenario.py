@@ -201,10 +201,10 @@ class TestStepTraffic:
         assert cars[0].x == pytest.approx(100.0 - 0.82)
 
 
-def _recycles(episode, scenario):
+def _recycles(scenes, scenario):
     """Count vehicles that jump back to a lane entrance between sampled scenes."""
     count = 0
-    for before, after in zip(episode.scenes, episode.scenes[1:]):
+    for before, after in zip(scenes, scenes[1:]):
         prev = {v.id: v.position.x for v in before.vehicles}
         count += sum(
             abs(v.position.x - prev[v.id]) > scenario.rt_area.x_extent / 2 for v in after.vehicles
@@ -345,14 +345,14 @@ class TestPropertiesAgainstOracles:
 class TestGenerateEpisode:
     def test_scene_count_and_span(self):
         sc = make_canyon_scenario()
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=50, seed=3))
-        assert len(ep.scenes) == 50
-        assert ep.scenes[-1].time - ep.scenes[0].time == pytest.approx(4.9)
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=50, seed=3))
+        assert len(scenes) == 50
+        assert scenes[-1].time - scenes[0].time == pytest.approx(4.9)
 
     def test_times_form_arithmetic_sequence(self):
         sc = make_canyon_scenario()
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=20, seed=3))
-        steps = np.diff([s.time for s in ep.scenes])
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=20, seed=3))
+        steps = np.diff([s.time for s in scenes])
         assert np.allclose(steps, 0.1, rtol=0, atol=1e-12)
 
     def test_deterministic_given_seed(self):
@@ -362,13 +362,13 @@ class TestGenerateEpisode:
 
     def test_receiver_count_and_persistence(self):
         sc = make_canyon_scenario()
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=15, receiver_count=10, seed=5))
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=15, receiver_count=10, seed=5))
         expected = set(range(1, 11))
-        for scene in ep.scenes:
+        for scene in scenes:
             tags = sorted(v.receiver_index for v in scene.vehicles if v.receiver_index)
             assert tags == sorted(expected)
             by_index = {v.receiver_index: v.id for v in scene.vehicles if v.receiver_index}
-            if scene is ep.scenes[0]:
+            if scene is scenes[0]:
                 mapping = by_index
             assert by_index == mapping
 
@@ -379,8 +379,8 @@ class TestGenerateEpisode:
 
     def test_vehicles_inside_study_area(self):
         sc = make_canyon_scenario()
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=30, seed=9))
-        for scene in ep.scenes:
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=30, seed=9))
+        for scene in scenes:
             for v in scene.vehicles:
                 box = vehicle_bounding_box(v, sc.ground_z)
                 assert box.min.x >= sc.rt_area.xmin - 1e-9
@@ -388,8 +388,8 @@ class TestGenerateEpisode:
 
     def test_no_same_lane_overlap(self):
         sc = make_canyon_scenario()
-        ep = generate_episode(sc, EpisodeParams(scenes_per_episode=30, seed=13))
-        for scene in ep.scenes:
+        scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=30, seed=13))
+        for scene in scenes:
             lanes: dict[float, list] = {}
             for v in scene.vehicles:
                 lanes.setdefault(round(v.position.y, 6), []).append(v)
@@ -405,9 +405,9 @@ class TestGenerateEpisode:
         # surviving vehicles move at most v_max * dt per step (recycles excluded)
         sc = make_canyon_scenario()
         params = EpisodeParams(scenes_per_episode=30, seed=17)
-        ep = generate_episode(sc, params)
+        scenes = generate_episode(sc, params)
         v_max = 1.2 * params.avg_speed
-        for before, after in zip(ep.scenes, ep.scenes[1:]):
+        for before, after in zip(scenes, scenes[1:]):
             prev = {v.id: v for v in before.vehicles}
             for v in after.vehicles:
                 if v.id not in prev:

@@ -10,7 +10,7 @@ from oracles import episode_reward
 from beamcanyon.dataset import build_episode_record
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
-from beamcanyon.scenario import EpisodeParams, generate_episode, make_canyon_scenario
+from beamcanyon.scenario import EpisodeParams, make_canyon_scenario
 from beamcanyon.scheduler import (
     AllocationPlan,
     QLearningConfig,
@@ -396,8 +396,7 @@ class TestQLearningConfig:
 @pytest.fixture(scope="module")
 def record():
     sc = make_canyon_scenario()
-    episode = generate_episode(sc, EpisodeParams(scenes_per_episode=4, receiver_count=4, seed=77))
-    return build_episode_record(sc, episode, TraceConfig())
+    return build_episode_record(sc, EpisodeParams(scenes_per_episode=4, receiver_count=4, seed=77), TraceConfig())
 
 
 class TestBuildRewardTable:
