@@ -10,6 +10,7 @@ the exact optimum to benchmark agents against.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -19,7 +20,7 @@ from .dataset import EpisodeRecord
 from .mimo import ArraySpec, sweep_rays
 from .rules import check, setting
 
-MAX_DP_STATES = 1_000_000
+MAX_SCHEDULER_STATES = 200_000
 
 
 @dataclass(frozen=True)
@@ -40,16 +41,6 @@ class RewardTable:
     @property
     def n_scenes(self) -> int:
         return self.normalized.shape[0]
-
-    @property
-    def n_pairs(self) -> int:
-        return self.normalized.shape[2]
-
-
-@dataclass(frozen=True)
-class SchedulerState:
-    scene_index: int
-    starve: tuple[int, ...]  # consecutive unserved scenes per receiver, capped
 
 
 @dataclass(frozen=True)
@@ -129,51 +120,19 @@ def build_reward_table(
     return RewardTable(normalized=normalized)
 
 
-def _starve_cap(params: SchedulerParams) -> int:
-    return params.outage_after if params.outage_after is not None else 1
+def _step(
+    starve: tuple[int, ...], action: int, params: SchedulerParams
+) -> tuple[tuple[int, ...], bool]:
+    """The scheduling MDP's one step rule: serve receiver ``action`` for one scene.
 
-
-def _advance(starve: tuple[int, ...], action: int, cap: int) -> tuple[int, ...]:
-    return tuple(0 if i == action else min(c + 1, cap) for i, c in enumerate(starve))
-
-
-def env_reset(table: RewardTable, params: SchedulerParams) -> SchedulerState:
-    return SchedulerState(scene_index=0, starve=(0,) * params.num_receivers)
-
-
-def env_step(
-    state: SchedulerState,
-    table: RewardTable,
-    params: SchedulerParams,
-    action: tuple[int, int],
-) -> tuple[SchedulerState, float]:
-    """Serve one receiver with one beam pair; return the new state and reward."""
-    s = state.scene_index
-    if s >= table.n_scenes:
-        raise ValueError("episode already finished")
-    receiver, pair = action
-    if not 0 <= receiver < params.num_receivers:
-        raise ValueError(f"receiver {receiver} out of range")
-    if not 0 <= pair < table.n_pairs:
-        raise ValueError(f"beam pair {pair} out of range")
-    starve = _advance(state.starve, receiver, _starve_cap(params))
-    outage = params.outage_after is not None and max(starve) >= params.outage_after
-    reward = params.outage_penalty if outage else float(table.normalized[s, receiver, pair])
-    return SchedulerState(scene_index=s + 1, starve=starve), reward
-
-
-def _replay(
-    receivers: tuple[int, ...],
-    pairs: tuple[int, ...],
-    table: RewardTable,
-    params: SchedulerParams,
-) -> float:
-    state = env_reset(table, params)
-    total = 0.0
-    for receiver, pair in zip(receivers, pairs):
-        state, reward = env_step(state, table, params, (receiver, pair))
-        total += reward
-    return total / table.n_scenes
+    Its starve counter resets to 0 and every other counter ages by one, capped.
+    The step is an outage when a counter reaches ``outage_after``.
+    """
+    cap = params.outage_after if params.outage_after is not None else 1
+    aged = [c + 1 if c < cap else cap for c in starve]
+    aged[action] = 0
+    starve = tuple(aged)
+    return starve, params.outage_after is not None and max(starve) >= params.outage_after
 
 
 def _best_beams(table: RewardTable) -> tuple[np.ndarray, np.ndarray]:
@@ -184,10 +143,16 @@ def _best_beams(table: RewardTable) -> tuple[np.ndarray, np.ndarray]:
 def _make_plan(
     receivers: list[int], table: RewardTable, params: SchedulerParams
 ) -> AllocationPlan:
+    """Serve each receiver on its strongest beam pair; score the plan on its own starve vectors."""
     _, best_pair = _best_beams(table)
-    pairs = tuple(int(best_pair[s, r]) for s, r in enumerate(receivers))
     receivers_t = tuple(int(r) for r in receivers)
-    return AllocationPlan(receivers_t, pairs, _replay(receivers_t, pairs, table, params))
+    pairs = tuple(int(best_pair[s, r]) for s, r in enumerate(receivers_t))
+    starve = (0,) * params.num_receivers
+    total = 0.0
+    for s, (r, pair) in enumerate(zip(receivers_t, pairs)):
+        starve, outage = _step(starve, r, params)
+        total += params.outage_penalty if outage else float(table.normalized[s, r, pair])
+    return AllocationPlan(receivers_t, pairs, total / table.n_scenes)
 
 
 def greedy_agent(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
@@ -202,34 +167,38 @@ def round_robin_agent(table: RewardTable, params: SchedulerParams) -> Allocation
     return _make_plan(receivers, table, params)
 
 
-def _state_machinery(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray, int]:
-    """The scheduling MDP over capped starve vectors: transitions, outages, start state.
+@functools.lru_cache(maxsize=1)  # schedule plans every episode under one params
+def _state_machinery(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray]:
+    """The scheduling MDP over the starve vectors reachable from the start: transitions, outages.
 
     ``transitions[i, a]`` is the state reached from state i by serving
     receiver a, and ``outage[i, a]`` says whether that step is an outage.
-    Refuses, before enumerating, a state space larger than MAX_DP_STATES.
+    State 0 is the start, ``(0,) * num_receivers``; the others are numbered
+    breadth first. Refuses a state space larger than MAX_SCHEDULER_STATES as
+    soon as the walk finds one state more. The tables are read-only: the
+    last params' pair is kept and shared by every later call with them.
     """
-    cap = _starve_cap(params)
     n_rec = params.num_receivers
-    n_states = (cap + 1) ** n_rec
-    if n_states > MAX_DP_STATES:
-        raise ValueError(
-            f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
-            "reduce num_receivers or outage_after"
-        )
-    # state i is its starve vector read as mixed-radix digits in base cap + 1,
-    # receiver 0 most significant: the order of itertools.product
-    digits = np.indices((cap + 1,) * n_rec).reshape(n_rec, n_states).T.copy()
-    place = (cap + 1) ** np.arange(n_rec - 1, -1, -1)
-    aged = np.minimum(digits + 1, cap)  # every receiver unserved for one more scene
-    # serving receiver a resets its digit to 0
-    transitions = (aged @ place)[:, None] - aged * place
-    # an outage when a receiver other than the served one reaches the threshold;
-    # without outages the threshold is cap + 1, which no counter reaches
-    threshold = cap + 1 if params.outage_after is None else params.outage_after
-    starved = aged >= threshold
-    outage = starved.sum(axis=1, keepdims=True) - starved > 0
-    return transitions, outage, 0
+    states = [(0,) * n_rec]
+    index = {states[0]: 0}
+    transitions, outage = [], []
+    for starve in states:  # the list grows as the walk finds new states
+        for a in range(n_rec):
+            nxt, out = _step(starve, a, params)
+            if nxt not in index:
+                if len(states) == MAX_SCHEDULER_STATES:
+                    raise ValueError(
+                        f"more than {MAX_SCHEDULER_STATES} reachable scheduler states exceed the guard; "
+                        "reduce num_receivers or outage_after"
+                    )
+                index[nxt] = len(states)
+                states.append(nxt)
+            transitions.append(index[nxt])
+            outage.append(out)
+    tables = np.array(transitions).reshape(-1, n_rec), np.array(outage).reshape(-1, n_rec)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
 def _step_rewards(best_val_of_scene: np.ndarray, outage: np.ndarray, params: SchedulerParams) -> np.ndarray:
@@ -242,13 +211,13 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
 
     The beam pair per scene is fixed to the strongest pair of the served
     receiver (lossless: the pair affects the reward only through its power
-    and never the starvation state). Backward induction runs over all states
-    of one scene at a time; value ties break toward the smaller receiver
+    and never the starvation state). Backward induction runs over all reachable
+    states of one scene at a time; value ties break toward the smaller receiver
     index, scene by scene.
     """
     if params.outage_after is None:
         return greedy_agent(table, params)  # no constraint: per-scene maximum is optimal
-    transitions, outage, si = _state_machinery(params)
+    transitions, outage = _state_machinery(params)
     best_val, _ = _best_beams(table)
     value = np.zeros(transitions.shape[0])
     choice = np.empty((table.n_scenes, transitions.shape[0]), dtype=np.int64)
@@ -258,6 +227,7 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
         value = q.max(axis=1)
 
     receivers = []
+    si = 0
     for s in range(table.n_scenes):
         receivers.append(int(choice[s, si]))
         si = int(transitions[si, receivers[-1]])
@@ -316,7 +286,7 @@ def tabular_q_agent(
     Lemire's rejection on 32-bit halves for ``integers``. So the plan is the
     same to the bit, and a draw costs a fraction of a numpy scalar call.
     """
-    transitions, outage, start = _state_machinery(params)
+    transitions, outage = _state_machinery(params)
     best_val, _ = _best_beams(table)
     n_scenes = table.n_scenes
     n_rec = params.num_receivers
@@ -333,7 +303,7 @@ def tabular_q_agent(
         else:
             frac = 1.0
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
-        si = start
+        si = 0
         for s in range(n_scenes):
             row = q[s][si]
             if rng.random() < epsilon:
@@ -346,7 +316,7 @@ def tabular_q_agent(
             si = nxt
 
     receivers = []
-    si = start
+    si = 0
     for s in range(n_scenes):
         row = q[s][si]
         a = row.index(max(row))

@@ -7,8 +7,9 @@ table-driven writer over one grid per scene that encoded every cell of every row
 per-pair tracer that enumerated and tested one candidate path at a time and
 finished each ray with its own norm, the
 dynamic-programming optimum that scanned states and receivers one at a time
-over state tables enumerated in Python loops, the numpy tabular Q-learning
-agent, the float64 feature matrix, the kNN prediction that sorted every
+over state tables enumerated in Python loops, the array-built tables over every
+capped starve vector, the scalar scheduling environment that replayed plans,
+the numpy tabular Q-learning agent, the float64 feature matrix, the kNN prediction that sorted every
 float64 distance row, the chunk kNN vote that partitioned each float32
 distance row at its k-th value and filled the ties from a cumulative count,
 and the episode-file codec that spelled out every key of
@@ -18,7 +19,7 @@ before the rewrites. The production code must reproduce them bit for bit.
 
 Two helpers that only tests call live here too: the one-segment box test over
 the tracer's slab test, and the mean reward of a plan replayed through the
-scheduling environment.
+scalar scheduling environment.
 """
 
 from __future__ import annotations
@@ -58,16 +59,12 @@ from beamcanyon.raytrace import (
     free_space_gain,
 )
 from beamcanyon.scheduler import (
-    MAX_DP_STATES,
     AllocationPlan,
     QLearningConfig,
     RewardTable,
     SchedulerParams,
-    _advance,
     _best_beams,
     _make_plan,
-    _replay,
-    _starve_cap,
     greedy_agent,
 )
 from beamcanyon.scenario import (
@@ -702,6 +699,63 @@ def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig)
     )
 
 
+# the full-table guard: (cap + 1) ** n_rec states at most
+MAX_DP_STATES = 1_000_000
+
+
+@dataclass(frozen=True)
+class SchedulerState:
+    scene_index: int
+    starve: tuple[int, ...]  # consecutive unserved scenes per receiver, capped
+
+
+def _starve_cap(params: SchedulerParams) -> int:
+    return params.outage_after if params.outage_after is not None else 1
+
+
+def _advance(starve: tuple[int, ...], action: int, cap: int) -> tuple[int, ...]:
+    return tuple(0 if i == action else min(c + 1, cap) for i, c in enumerate(starve))
+
+
+def env_reset(table: RewardTable, params: SchedulerParams) -> SchedulerState:
+    return SchedulerState(scene_index=0, starve=(0,) * params.num_receivers)
+
+
+def env_step(
+    state: SchedulerState,
+    table: RewardTable,
+    params: SchedulerParams,
+    action: tuple[int, int],
+) -> tuple[SchedulerState, float]:
+    """Serve one receiver with one beam pair; return the new state and reward."""
+    s = state.scene_index
+    if s >= table.n_scenes:
+        raise ValueError("episode already finished")
+    receiver, pair = action
+    if not 0 <= receiver < params.num_receivers:
+        raise ValueError(f"receiver {receiver} out of range")
+    if not 0 <= pair < table.normalized.shape[2]:
+        raise ValueError(f"beam pair {pair} out of range")
+    starve = _advance(state.starve, receiver, _starve_cap(params))
+    outage = params.outage_after is not None and max(starve) >= params.outage_after
+    reward = params.outage_penalty if outage else float(table.normalized[s, receiver, pair])
+    return SchedulerState(scene_index=s + 1, starve=starve), reward
+
+
+def _replay(
+    receivers: tuple[int, ...],
+    pairs: tuple[int, ...],
+    table: RewardTable,
+    params: SchedulerParams,
+) -> float:
+    state = env_reset(table, params)
+    total = 0.0
+    for receiver, pair in zip(receivers, pairs):
+        state, reward = env_step(state, table, params, (receiver, pair))
+        total += reward
+    return total / table.n_scenes
+
+
 def _state_machinery(params: SchedulerParams):
     """Enumerate capped starve vectors with transition and outage tables.
 
@@ -725,6 +779,36 @@ def _state_machinery(params: SchedulerParams):
             transitions[si, a] = index[nxt]
             outage[si, a] = params.outage_after is not None and max(nxt) >= params.outage_after
     return states, index, transitions, outage
+
+
+def full_state_tables(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray, int]:
+    """The scheduling MDP over all capped starve vectors: transitions, outages, start state.
+
+    ``transitions[i, a]`` is the state reached from state i by serving
+    receiver a, and ``outage[i, a]`` says whether that step is an outage.
+    Refuses, before enumerating, a state space larger than MAX_DP_STATES.
+    """
+    cap = _starve_cap(params)
+    n_rec = params.num_receivers
+    n_states = (cap + 1) ** n_rec
+    if n_states > MAX_DP_STATES:
+        raise ValueError(
+            f"{n_states} scheduler states exceed the guard of {MAX_DP_STATES}; "
+            "reduce num_receivers or outage_after"
+        )
+    # state i is its starve vector read as mixed-radix digits in base cap + 1,
+    # receiver 0 most significant: the order of itertools.product
+    digits = np.indices((cap + 1,) * n_rec).reshape(n_rec, n_states).T.copy()
+    place = (cap + 1) ** np.arange(n_rec - 1, -1, -1)
+    aged = np.minimum(digits + 1, cap)  # every receiver unserved for one more scene
+    # serving receiver a resets its digit to 0
+    transitions = (aged @ place)[:, None] - aged * place
+    # an outage when a receiver other than the served one reaches the threshold;
+    # without outages the threshold is cap + 1, which no counter reaches
+    threshold = cap + 1 if params.outage_after is None else params.outage_after
+    starved = aged >= threshold
+    outage = starved.sum(axis=1, keepdims=True) - starved > 0
+    return transitions, outage, 0
 
 
 def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import episode_reward, segment_intersects_box
+from oracles import env_reset, env_step, episode_reward, segment_intersects_box
 from beamcanyon.cli import main
 from beamcanyon.classify import evaluate, knn_classifier, majority_classifier
 from beamcanyon.dataset import (
@@ -47,8 +47,6 @@ from beamcanyon.scheduler import (
     SchedulerParams,
     build_reward_table,
     dp_optimal,
-    env_reset,
-    env_step,
     greedy_agent,
     normalize_powers,
     round_robin_agent,

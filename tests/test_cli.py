@@ -394,11 +394,14 @@ class TestSchedule:
         assert len((tmp_path / "rewards.csv").read_text().splitlines()) == 4
 
     def test_oversized_state_space_fails_before_q_learning(self, tmp_path, capsys):
-        # 10 receivers with the default outage rule make 4**10 states, over the guard
+        # 10 receivers with outages after 9 scenes reach more states than the guard admits
         path = _generate(tmp_path, episodes=2, scenes=2)
-        argv = ["--out", str(tmp_path), "schedule", str(path), "--n-rec", "10"]
+        argv = ["--out", str(tmp_path), "schedule", str(path), "--n-rec", "10", "--n-out", "9"]
         assert main(argv + ["--agents", "tabular_q"]) == 1
-        assert "exceed the guard" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "exceed the guard" in err and err.count("\n") == 1 and err.startswith("error: ")
+        # the plans that need no state tables are scored at the same config
+        assert main(argv + ["--agents", "greedy,round_robin"]) == 0
 
     def test_unknown_agent_fails(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=2, scenes=2)

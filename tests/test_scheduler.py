@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import episode_reward
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import env_reset, env_step, episode_reward
 from beamcanyon.dataset import build_episode_record
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
@@ -17,11 +19,10 @@ from beamcanyon.scheduler import (
     RewardTable,
     SchedulerParams,
     _PCG64Draws,
+    _make_plan,
     _state_machinery,
     build_reward_table,
     dp_optimal,
-    env_reset,
-    env_step,
     greedy_agent,
     normalize_powers,
     round_robin_agent,
@@ -218,7 +219,7 @@ class TestDpOptimal:
             assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
 
     def test_state_space_guard(self):
-        # both users of the state space refuse it before enumerating 101**4 states
+        # both users of the state space refuse it: 4 receivers reach more states than the guard
         table = _table(np.random.default_rng(0).random((2, 4, 2)))
         params = SchedulerParams(outage_after=100, num_receivers=4)
         for agent in (dp_optimal, tabular_q_agent):
@@ -268,19 +269,77 @@ class TestAgents:
 
 
 class TestStateTablesMatchOracle:
-    """The array-built transitions, outages and start state equal the Python-loop tables."""
+    """The reachable transitions and outages are the full tables' walked from the start."""
 
     @pytest.mark.parametrize("outage_after", [None, 1, 2, 3, 4])
     @pytest.mark.parametrize("num_receivers", [1, 2, 3, 4, 5])
     def test_equal_tables(self, num_receivers, outage_after):
         params = SchedulerParams(outage_after=outage_after, num_receivers=num_receivers)
-        transitions, outage, start = _state_machinery(params)
+        full_transitions, full_outage, full_start = oracles.full_state_tables(params)
+        # the array-built full tables equal the Python-loop ones
         _, index, expected_transitions, expected_outage = oracles._state_machinery(params)
-        cap = 1 if outage_after is None else outage_after
-        assert transitions.shape == ((cap + 1) ** num_receivers, num_receivers)
-        assert np.array_equal(transitions, expected_transitions)
-        assert np.array_equal(outage, expected_outage)
-        assert start == index[(0,) * num_receivers]
+        assert np.array_equal(full_transitions, expected_transitions)
+        assert np.array_equal(full_outage, expected_outage)
+        assert full_start == index[(0,) * num_receivers]
+        self._assert_walks_in_lockstep(params, full_transitions, full_outage, full_start)
+
+    @pytest.mark.parametrize(
+        "num_receivers, outage_after, reachable", [(2, 3, 7), (6, 4, 1_045), (8, 4, 3_393)]
+    )
+    def test_reachable_counts(self, num_receivers, outage_after, reachable):
+        params = SchedulerParams(outage_after=outage_after, num_receivers=num_receivers)
+        transitions, outage = _state_machinery(params)
+        assert transitions.shape == outage.shape == (reachable, num_receivers)
+        # built once per params and shared, so no caller may write to them
+        assert _state_machinery(params)[0] is transitions
+        assert not transitions.flags.writeable and not outage.flags.writeable
+        self._assert_walks_in_lockstep(params, *oracles.full_state_tables(params))
+
+    @staticmethod
+    def _assert_walks_in_lockstep(params, full_transitions, full_outage, full_start):
+        transitions, outage = _state_machinery(params)
+        full_of = {0: full_start}  # reachable state -> full-table state
+        for i in range(transitions.shape[0]):  # breadth first: every state is met before its row
+            assert np.array_equal(outage[i], full_outage[full_of[i]])
+            for a in range(params.num_receivers):
+                expected = int(full_transitions[full_of[i], a])
+                assert full_of.setdefault(int(transitions[i, a]), expected) == expected
+        assert sorted(full_of) == list(range(transitions.shape[0]))
+        assert len(set(full_of.values())) == len(full_of)  # one to one
+        # the full tables reach no more states from their start than the reachable tables hold
+        seen, frontier = {full_start}, [full_start]
+        while frontier:
+            frontier = [int(j) for i in frontier for j in full_transitions[i] if int(j) not in seen]
+            seen.update(frontier)
+        assert len(seen) == transitions.shape[0]
+
+
+class TestPlanRewardMatchesReplay:
+    """A plan's mean reward is the scalar environment's replay of it, to the bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        num_receivers=st.integers(1, 10),
+        outage_after=st.one_of(st.none(), st.integers(1, 9)),
+        outage_penalty=st.sampled_from([0.0, -1, -3.0, -0.7]),
+        n_scenes=st.integers(1, 30),
+        n_pairs=st.integers(1, 4),
+        coarse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_to_the_oracle(self, num_receivers, outage_after, outage_penalty, n_scenes, n_pairs, coarse, seed):
+        rng = np.random.default_rng(seed)
+        shape = (n_scenes, num_receivers, n_pairs)
+        # coarse values tie the beam pairs; fine ones make the sum order show in the last bit
+        table = _table(rng.integers(0, 3, size=shape) / 2.0 if coarse else rng.random(shape))
+        params = SchedulerParams(
+            outage_after=outage_after, outage_penalty=outage_penalty, num_receivers=num_receivers
+        )
+        # runs of one receiver starve the others; switches reset them
+        receivers = np.repeat(rng.integers(0, num_receivers, size=n_scenes), rng.integers(1, 12, size=n_scenes))
+        plan = _make_plan(receivers[:n_scenes].tolist(), table, params)
+        assert plan.pair_indices == tuple(table.normalized.argmax(axis=2)[range(n_scenes), plan.receivers].tolist())
+        assert plan.mean_reward == oracles._replay(plan.receivers, plan.pair_indices, table, params)
 
 
 class TestDpMatchesOracle:
