@@ -34,7 +34,7 @@ from .dataset import (
     write_episodes,
 )
 from .features import GridSpec
-from .mimo import ArraySpec, LabelMap
+from .mimo import ArraySpec
 from .raytrace import LosStatus, TraceConfig
 from .rules import Rule, check, rules_of, setting
 from .scenario import EpisodeParams, ScenarioConfig, make_canyon_scenario
@@ -213,7 +213,8 @@ def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int =
 
 def _load_split_examples(
     config: RunConfig, episodes_path: Path
-) -> tuple[Split, Examples, Examples, LabelMap]:
+) -> tuple[Split, Examples, Examples, np.ndarray]:
+    """The split, both sides' examples and the train side's beam-pair keys (see ``extract_examples``)."""
     records = read_episodes(episodes_path)
     split = split_episodes(
         [r.episode_id for r in records],
@@ -226,36 +227,35 @@ def _load_split_examples(
             f"{len(records)} episodes); adjust --test-fraction"
         )
     by_id = {r.episode_id: r for r in records}
-    grid = GridSpec.from_area(records[0].v2i_area, config.grid_cell)
-    train_records = [by_id[i] for i in split.train_episode_ids]
-    test_records = [by_id[i] for i in split.test_episode_ids]
+    train, test, keys = extract_examples(
+        [by_id[i] for i in split.train_episode_ids],
+        [by_id[i] for i in split.test_episode_ids],
+        GridSpec.from_area(records[0].v2i_area, config.grid_cell),
+        config.tx_array,
+        config.rx_array,
+    )
     # before any file is written, so that a failed export leaves an earlier one's files as they were
-    for side, side_records in (("train", train_records), ("test", test_records)):
-        if not any(pair.rays for rec in side_records for scene in rec.scenes for pair in scene.pairs):
+    for side, examples in (("train", train), ("test", test)):
+        if not len(examples):
             raise ValueError(f"no examples on the {side} side: none of its pairs has a ray")
-    train, label_map = extract_examples(train_records, grid, config.tx_array, config.rx_array)
-    test, _ = extract_examples(test_records, grid, config.tx_array, config.rx_array, label_map)
-    return split, train, test, label_map
+    return split, train, test, keys
 
 
 def cmd_export(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
-    """Fit the label map on the train side and write train/test CSVs plus the map."""
-    split, train, test, label_map = _load_split_examples(config, episodes_path)
+    """Fit the beam classes on the train side and write train/test CSVs plus the label map."""
+    split, train, test, keys = _load_split_examples(config, episodes_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     export_csv(train, out_dir / "train.csv")
     export_csv(test, out_dir / "test.csv")
     _write_json(
         out_dir / "labelmap.json",
-        {
-            "num_classes": label_map.num_classes,
-            "raw_to_class": {str(k): i + 1 for i, k in enumerate(label_map.ordered_keys)},
-        },
+        {"num_classes": len(keys), "raw_to_class": {str(k): i + 1 for i, k in enumerate(keys.tolist())}},
     )
     los = np.concatenate([train.los, test.los])
     n_los = int(np.count_nonzero(los == LosStatus.LOS.value))
     n_nlos = int(np.count_nonzero(los == LosStatus.NLOS.value))
     print(f"episodes: {len(split.train_episode_ids)} train / {len(split.test_episode_ids)} test")
-    print(f"classes: {label_map.num_classes}")
+    print(f"classes: {len(keys)}")
     print(f"examples: {len(train)} train / {len(test)} test (LOS {n_los}, NLOS {n_nlos})")
 
 

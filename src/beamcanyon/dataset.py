@@ -21,7 +21,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .features import GridSpec, encode_scenes, scene_view
-from .mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
+from .mimo import ArraySpec, strongest_ray_angles, sweep_rays
 from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scenes
 from .scenario import (
     EpisodeParams,
@@ -178,6 +178,10 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
                 vtype = vehicle_types[key] = VehicleType(VehicleKind(kind), *size)
             vid, heading, speed, receiver_index = _vehicle_items(v)
             vehicles.append(Vehicle(vid, vtype, Vec3(*v["position"]), heading, speed, receiver_index))
+        tags = [(v.receiver_index, v.id) for v in vehicles if v.receiver_index is not None]
+        if len(dict(tags)) < len(tags) or not receivers.items() >= set(tags):
+            raise ValueError(f"scene {len(scenes)}: vehicle (receiver_index, id) tags {tags}: "
+                             "not distinct receiver_vehicles entries")
         pairs = []
         for p in s["pairs"]:
             tx_id, rx_id, mean_toa, p_tx_dbm, p_rx_dbm = _pair_items(p)
@@ -301,43 +305,50 @@ def split_episodes(ids: Sequence[int], test_fraction: float, seed: int) -> Split
 
 
 def extract_examples(
-    records: Iterable[EpisodeRecord],
+    train_records: Iterable[EpisodeRecord],
+    test_records: Iterable[EpisodeRecord],
     grid: GridSpec,
     tx_spec: ArraySpec,
     rx_spec: ArraySpec,
-    label_map: LabelMap | None = None,
-) -> tuple[Examples, LabelMap]:
-    """One example per (scene, receiver) with a beam-sweep label.
+) -> tuple[Examples, Examples, np.ndarray]:
+    """One example per (scene, receiver) with a beam-sweep label, on each side of a split.
 
-    Without ``label_map`` the map is fitted on these records; a given map
-    sends unseen beam pairs to class 0. Pairs with no rays are dropped.
-    Receivers outside the service strip keep their label and get an all-zero
-    view.
+    Returns the train and test examples and ``keys``, the train side's
+    distinct best beam-pair indices in ascending order. A label is its
+    index's position in ``keys`` plus 1, or 0 for an index that ``keys``
+    lacks. Pairs with no rays are dropped. Receivers outside the service
+    strip keep their label and get an all-zero view.
     """
-    scenes = [(rec.episode_id, i, s) for rec in records for i, s in enumerate(rec.scenes)]
-    kept = [
-        (k, pair) for k, (_, _, scene_rec) in enumerate(scenes) for pair in scene_rec.pairs if pair.rays
-    ]
-    # sweep before encoding any grid, so that the sweep's scratch arrays are freed before the
-    # grids are written and add nothing to peak memory
-    raw_keys = [
+    sides = [[(rec.episode_id, i, s) for rec in records for i, s in enumerate(rec.scenes)]
+             for records in (train_records, test_records)]
+    kept = [[(k, pair) for k, (_, _, scene_rec) in enumerate(scenes) for pair in scene_rec.pairs if pair.rays]
+            for scenes in sides]
+    # both sides in one sweep, before encoding any grid, so that the sweep's scratch arrays
+    # are freed before the grids are written and add nothing to peak memory
+    raw = np.array([
         key
-        for result in sweep_rays([p.rays for _, p in kept], tx_spec, rx_spec)
+        for result in sweep_rays([p.rays for side in kept for _, p in side], tx_spec, rx_spec)
         for key in result.best_index.tolist()
-    ]
-    if label_map is None:
-        label_map = compact_labels(raw_keys)
-    examples = Examples(
-        grids=encode_scenes([scene_rec for _, _, scene_rec in scenes], grid),
-        grid_row=np.array([k for k, _ in kept], dtype=np.intp),
-        receiver=np.array([p.rx_id for _, p in kept], dtype=np.int64),
-        label=np.array([label_map.apply(key) for key in raw_keys], dtype=np.int64),
-        los=np.array([classify_los(p).value for _, p in kept], dtype=str),
-        episode=np.array([scenes[k][0] for k, _ in kept], dtype=np.int64),
-        scene=np.array([scenes[k][1] for k, _ in kept], dtype=np.int64),
-        angles=np.array([strongest_ray_angles(p.rays) for _, p in kept], dtype=np.float64).reshape(-1, 4),
+    ], dtype=np.int64)
+    keys = np.array(sorted(set(raw[: len(kept[0])].tolist())), dtype=np.int64)
+    at = np.searchsorted(keys, raw)
+    # the -1 after the last key is no beam index, so an index past every key reads class 0
+    labels = np.where(np.append(keys, -1)[at] == raw, at + 1, 0)
+    # one grid stack per side, so that the train side's grids are freed with its examples
+    train, test = (
+        Examples(
+            grids=encode_scenes([scene_rec for _, _, scene_rec in scenes], grid),
+            grid_row=np.array([k for k, _ in side], dtype=np.intp),
+            receiver=np.array([p.rx_id for _, p in side], dtype=np.int64),
+            label=label,
+            los=np.array([classify_los(p).value for _, p in side], dtype=str),
+            episode=np.array([scenes[k][0] for k, _ in side], dtype=np.int64),
+            scene=np.array([scenes[k][1] for k, _ in side], dtype=np.int64),
+            angles=np.array([strongest_ray_angles(p.rays) for _, p in side], dtype=np.float64).reshape(-1, 4),
+        )
+        for scenes, side, label in zip(sides, kept, np.split(labels, [len(kept[0])]))
     )
-    return examples, label_map
+    return train, test, keys
 
 
 CSV_FIXED_COLUMNS = (

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass
-from typing import Hashable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .raytrace import Ray
 from .rules import check, setting
 
-UNKNOWN_CLASS = 0  # label assigned to raw keys never seen while fitting
 SWEEP_CHUNK = 256  # ray lists per batched sweep in sweep_rays
 
 
@@ -141,35 +140,4 @@ def strongest_ray_angles(rays: Sequence[Ray]) -> tuple[float, float, float, floa
         raise ValueError("empty ray list")
     best = min(rays, key=lambda r: (-abs(r.gain), r.delay))
     return (best.dep_azimuth, best.dep_elevation, best.arr_azimuth, best.arr_elevation)
-
-
-@dataclass(frozen=True)
-class LabelMap:
-    """Bijection between the raw keys seen at fit time and classes 1..M.
-
-    Keys never seen while fitting map to the reserved class 0.
-    """
-
-    ordered_keys: tuple[Hashable, ...]
-
-    def __post_init__(self) -> None:
-        index = {key: i + 1 for i, key in enumerate(self.ordered_keys)}
-        if len(index) != len(self.ordered_keys):
-            raise ValueError("duplicate keys in label map")
-        object.__setattr__(self, "_index", index)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.ordered_keys)
-
-    def apply(self, key: Hashable) -> int:
-        return self._index.get(key, UNKNOWN_CLASS)
-
-
-def compact_labels(raw_keys: Iterable[Hashable]) -> LabelMap:
-    """Assign classes 1..M to the distinct keys, in canonical sorted order."""
-    keys = sorted(set(raw_keys))
-    if not keys:
-        raise ValueError("no raw keys to compact")
-    return LabelMap(tuple(keys))
 

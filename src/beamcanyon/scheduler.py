@@ -201,11 +201,6 @@ def _state_machinery(params: SchedulerParams) -> tuple[np.ndarray, np.ndarray]:
     return tables
 
 
-def _step_rewards(best_val_of_scene: np.ndarray, outage: np.ndarray, params: SchedulerParams) -> np.ndarray:
-    """Per (state, receiver) reward in one scene: the outage penalty, else the strongest beam value."""
-    return np.where(outage, params.outage_penalty, best_val_of_scene)
-
-
 def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
     """Exact maximizer of the mean episode reward over receiver sequences.
 
@@ -222,7 +217,8 @@ def dp_optimal(table: RewardTable, params: SchedulerParams) -> AllocationPlan:
     value = np.zeros(transitions.shape[0])
     choice = np.empty((table.n_scenes, transitions.shape[0]), dtype=np.int64)
     for s in range(table.n_scenes - 1, -1, -1):
-        q = _step_rewards(best_val[s], outage, params) + value[transitions]
+        # per (state, receiver) reward: the outage penalty, else the strongest beam value
+        q = np.where(outage, params.outage_penalty, best_val[s]) + value[transitions]
         choice[s] = q.argmax(axis=1)  # first maximum: ties go to the smaller receiver
         value = q.max(axis=1)
 
@@ -276,9 +272,11 @@ def tabular_q_agent(
 
     Trains on the episode's own reward table (the environment is fully
     known), then rolls out the greedy policy. Deterministic for a given
-    ``hyper.seed``. Q, the transitions and the rewards are nested lists of
-    Python floats: the loop does one scalar update per step, which plain
-    Python does faster than numpy scalar indexing.
+    ``hyper.seed``. Q is one dict per scene, from state index to a list of
+    Python floats made on the state's first visit (an unvisited state reads
+    as zeros), so it grows with the states that training visits. The loop
+    does one scalar update per step, which plain Python does faster than
+    numpy scalar indexing.
 
     The exploration draws are ``np.random.default_rng(hyper.seed)``'s own,
     decoded from PCG64 raw outputs by ``_PCG64Draws`` with numpy's integer
@@ -290,12 +288,12 @@ def tabular_q_agent(
     best_val, _ = _best_beams(table)
     n_scenes = table.n_scenes
     n_rec = params.num_receivers
-    n_states = transitions.shape[0]
 
-    nxt_of = transitions.tolist()
-    reward = [_step_rewards(row, outage, params).tolist() for row in best_val]
+    nxt_of, outage_of, best_of = transitions.tolist(), outage.tolist(), best_val.tolist()
+    penalty = params.outage_penalty
     rng = _PCG64Draws(hyper.seed)
-    q = [[[0.0] * n_rec for _ in range(n_states)] for _ in range(n_scenes + 1)]
+    q: list[dict[int, list[float]]] = [{} for _ in range(n_scenes + 1)]
+    zeros = [0.0] * n_rec
     rate, discount = hyper.learning_rate, hyper.discount
     for episode in range(hyper.training_episodes):
         if hyper.training_episodes > 1:
@@ -305,20 +303,23 @@ def tabular_q_agent(
         epsilon = hyper.epsilon_start + frac * (hyper.epsilon_end - hyper.epsilon_start)
         si = 0
         for s in range(n_scenes):
-            row = q[s][si]
+            row = q[s].get(si)
+            if row is None:
+                row = q[s][si] = [0.0] * n_rec
             if rng.random() < epsilon:
                 a = rng.integers(n_rec)
             else:
                 a = row.index(max(row))  # first maximum, as np.argmax
             nxt = nxt_of[si][a]
-            target = reward[s][si][a] + discount * max(q[s + 1][nxt])
+            reward = penalty if outage_of[si][a] else best_of[s][a]
+            target = reward + discount * max(q[s + 1].get(nxt, zeros))
             row[a] += rate * (target - row[a])
             si = nxt
 
     receivers = []
     si = 0
     for s in range(n_scenes):
-        row = q[s][si]
+        row = q[s].get(si, zeros)
         a = row.index(max(row))
         receivers.append(a)
         si = nxt_of[si][a]

@@ -2,7 +2,8 @@
 
 These are the one-vehicle bounding box, the per-pair channel composition and
 beam sweep, the scene-by-scene occupancy-grid rasterizer, the cell-by-cell CSV writer, the example extraction
-that kept one feature grid per example with the table-driven CSV writer over it, the
+that kept one feature grid per example and fitted a label map on one side of a split to
+apply on the other, with the table-driven CSV writer over it, the
 table-driven writer over one grid per scene that encoded every cell of every row, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time and
 finished each ray with its own norm, the
@@ -29,7 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from beamcanyon.dataset import (
     open_atomic,
 )
 from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
-from beamcanyon.mimo import ArraySpec, LabelMap, compact_labels, strongest_ray_angles, sweep_rays
+from beamcanyon.mimo import ArraySpec, strongest_ray_angles, sweep_rays
 from beamcanyon.raytrace import (
     _FACE_TOL,
     SPEED_OF_LIGHT,
@@ -193,6 +194,37 @@ def encode_for_receiver(grid_values: np.ndarray, receiver_index: int) -> np.ndar
     out[others] = -1
     out[target] = 1
     return out
+
+
+@dataclass(frozen=True)
+class LabelMap:
+    """Bijection between the raw keys seen at fit time and classes 1..M.
+
+    Keys never seen while fitting map to the reserved class 0.
+    """
+
+    ordered_keys: tuple[Hashable, ...]
+
+    def __post_init__(self) -> None:
+        index = {key: i + 1 for i, key in enumerate(self.ordered_keys)}
+        if len(index) != len(self.ordered_keys):
+            raise ValueError("duplicate keys in label map")
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def num_classes(self) -> int:
+        return len(self.ordered_keys)
+
+    def apply(self, key: Hashable) -> int:
+        return self._index.get(key, 0)
+
+
+def compact_labels(raw_keys: Iterable[Hashable]) -> LabelMap:
+    """Assign classes 1..M to the distinct keys, in canonical sorted order."""
+    keys = sorted(set(raw_keys))
+    if not keys:
+        raise ValueError("no raw keys to compact")
+    return LabelMap(tuple(keys))
 
 
 def extract_examples(

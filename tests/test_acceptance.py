@@ -311,8 +311,8 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     by_id = {r.episode_id: r for r in records}
     train_records = [by_id[i] for i in split.train_episode_ids]
     test_records = [by_id[i] for i in split.test_episode_ids]
-    train, label_map = extract_examples(train_records, grid, ARRAY, ARRAY)
-    test, _ = extract_examples(test_records, grid, ARRAY, ARRAY, label_map)
+    train, test, keys = extract_examples(train_records, test_records, grid, ARRAY, ARRAY)
+    classes = {key: i + 1 for i, key in enumerate(keys.tolist())}
     codebook = dft_codebook(ARRAY)
     pairs = {
         (r.episode_id, s, p.rx_id): p
@@ -326,7 +326,7 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
         ):
             pair = pairs[(episode, scene, receiver)]
             reswept = sweep(compose_channel([pair.rays], ARRAY, ARRAY), codebook, codebook).best_index[0]
-            assert label_map.apply(reswept) == label
+            assert classes.get(reswept, 0) == label
     _report(
         8,
         started,

@@ -316,11 +316,10 @@ def test_csv_matches_oracle_extraction_on_seed_7_records(tmp_path, capsys):
     capsys.readouterr()
     records = read_episodes(tmp_path / "episodes.jsonl")
     grid = GridSpec.from_area(records[0].v2i_area)
-    train, label_map = extract_examples(records[:2], grid, TX, RX)
-    test, _ = extract_examples(records[2:], grid, TX, RX, label_map)
+    train, test, keys = extract_examples(records[:2], records[2:], grid, TX, RX)
     old_train, old_map = oracles.extract_examples(records[:2], grid, TX, RX, mode="fit")
     old_test, _ = oracles.extract_examples(records[2:], grid, TX, RX, mode="apply", label_map=old_map)
-    assert label_map == old_map
+    assert keys.tolist() == list(old_map.ordered_keys)
     for examples, old in ((train, old_train), (test, old_test)):
         off_strip = sum(not ex.in_service_area for ex in old)
         assert 0 < off_strip < len(old)

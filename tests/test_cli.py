@@ -14,6 +14,20 @@ from beamcanyon.raytrace import TraceConfig
 from beamcanyon.scenario import EpisodeParams, make_canyon_scenario
 
 
+def _retag(scene_obj, new_index):
+    """Give each vehicle of the scene tagged with a key of ``new_index`` that key's value instead."""
+    for v in scene_obj["vehicles"]:
+        if v["receiver_index"] in new_index:
+            v["receiver_index"] = new_index[v["receiver_index"]]
+
+
+def _tags_reason(record_obj):
+    """The reader's reason for rejecting the vehicle receiver tags of scene 1 of the record."""
+    vehicles = record_obj["scenes"][1]["vehicles"]
+    tags = [(v["receiver_index"], v["id"]) for v in vehicles if v["receiver_index"] is not None]
+    return f"scene 1: vehicle (receiver_index, id) tags {tags}: not distinct receiver_vehicles entries"
+
+
 def _generate(tmp_path, episodes=2, scenes=3, seed=42, name="episodes.jsonl", jobs=1):
     rc = main(
         [
@@ -256,6 +270,21 @@ class TestExport:
                 f"scene 1: pair rx_ids {[1, 1, *range(3, 11)]}: not distinct receiver_vehicles keys",
                 id="rx-id-repeated",
             ),
+            pytest.param(
+                lambda o: _retag(o["scenes"][1], {1: 0}),
+                _tags_reason,
+                id="vehicle-receiver-index-0",
+            ),
+            pytest.param(
+                lambda o: _retag(o["scenes"][1], {2: 1}),
+                _tags_reason,
+                id="vehicle-receiver-index-repeated",
+            ),
+            pytest.param(
+                lambda o: _retag(o["scenes"][1], {1: 2, 2: 1}),
+                _tags_reason,
+                id="vehicle-receiver-index-of-another-vehicle",
+            ),
         ],
     )
     def test_bad_receiver_fails_every_read_stage(self, tmp_path, capsys, corrupt, reason):
@@ -263,6 +292,8 @@ class TestExport:
         header, *lines = path.read_text().splitlines()
         obj = json.loads(lines[1])
         corrupt(obj)
+        if callable(reason):
+            reason = reason(obj)
         lines[1] = json.dumps(obj)
         path.write_text("\n".join([header, *lines]) + "\n")
         capsys.readouterr()

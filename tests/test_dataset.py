@@ -71,6 +71,13 @@ def _first_ray(record_obj):
     return next(r for s in record_obj["scenes"] for p in s["pairs"] for r in p["rays"])
 
 
+def _retag(scene_obj, new_index):
+    """Give each vehicle of the scene tagged with a key of ``new_index`` that key's value instead."""
+    for v in scene_obj["vehicles"]:
+        if v["receiver_index"] in new_index:
+            v["receiver_index"] = new_index[v["receiver_index"]]
+
+
 def _views(examples):
     return receiver_view(examples.grids[examples.grid_row], examples.receiver)
 
@@ -174,6 +181,26 @@ class TestRoundTrip:
                 lambda objs: objs[1]["scenes"][2]["pairs"][0].update(rx_id=5),
                 r"record 0: scene 2: pair rx_ids \[5, 2, 3, 4, 5\]: not distinct receiver_vehicles keys",
                 id="rx-id-repeated",
+            ),
+            pytest.param(
+                lambda objs: _retag(objs[1]["scenes"][0], {1: 0}),
+                r"record 0: scene 0: vehicle \(receiver_index, id\) tags \[.*\]: not distinct receiver_vehicles entries",
+                id="vehicle-receiver-index-0",
+            ),
+            pytest.param(
+                lambda objs: _retag(objs[2]["scenes"][3], {2: 6}),
+                r"record 1: scene 3: vehicle \(receiver_index, id\) tags \[.*\]: not distinct receiver_vehicles entries",
+                id="vehicle-receiver-index-not-a-receiver",
+            ),
+            pytest.param(
+                lambda objs: _retag(objs[1]["scenes"][1], {3: 4}),
+                r"record 0: scene 1: vehicle \(receiver_index, id\) tags \[.*\]: not distinct receiver_vehicles entries",
+                id="vehicle-receiver-index-repeated",
+            ),
+            pytest.param(
+                lambda objs: _retag(objs[2]["scenes"][2], {1: 2, 2: 1}),
+                r"record 1: scene 2: vehicle \(receiver_index, id\) tags \[.*\]: not distinct receiver_vehicles entries",
+                id="vehicle-receiver-index-of-another-vehicle",
             ),
             pytest.param(lambda objs: objs.__setitem__(0, [1, 2]), "not a beamcanyon-episodes file", id="list-header"),
         ],
@@ -338,25 +365,23 @@ class TestSplitEpisodes:
 
 class TestExtractExamples:
     def test_example_count_bounded(self, records, grid):
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records, [], grid, ARRAY, ARRAY)
         assert 0 < len(examples) <= sum(len(r.scenes) for r in records) * 5
         assert {len(getattr(examples, f.name)) for f in fields(Examples) if f.name != "grids"} == {
             len(examples)
         }
 
     def test_train_labels_one_based(self, records, grid):
-        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY)
-        assert ((1 <= examples.label) & (examples.label <= label_map.num_classes)).all()
+        examples, _, keys = extract_examples(records, [], grid, ARRAY, ARRAY)
+        assert ((1 <= examples.label) & (examples.label <= len(keys))).all()
 
     def test_apply_mode_may_produce_unknown(self, records, grid):
-        _, label_map = extract_examples(records[:1], grid, ARRAY, ARRAY)
-        test_examples, applied = extract_examples(records[1:], grid, ARRAY, ARRAY, label_map)
-        assert applied is label_map
-        assert ((0 <= test_examples.label) & (test_examples.label <= label_map.num_classes)).all()
+        _, test_examples, keys = extract_examples(records[:1], records[1:], grid, ARRAY, ARRAY)
+        assert ((0 <= test_examples.label) & (test_examples.label <= len(keys))).all()
 
     def test_labels_match_relooked_sweeps(self, records, grid):
         # stored label reproduces when the stored rays are swept again
-        examples, label_map = extract_examples(records, grid, ARRAY, ARRAY)
+        examples, _, keys = extract_examples(records, [], grid, ARRAY, ARRAY)
         cb = dft_codebook(ARRAY)
         by_key = {(r.episode_id, s, p.rx_id): p for r in records for s, sr in enumerate(r.scenes) for p in sr.pairs}
         for episode, scene, receiver, label in zip(
@@ -364,12 +389,12 @@ class TestExtractExamples:
         ):
             pair = by_key[(episode, scene, receiver)]
             raw = sweep(compose_channel([pair.rays], ARRAY, ARRAY), cb, cb).best_index[0]
-            assert label_map.apply(raw) == label
+            assert keys.tolist().index(raw) + 1 == label
 
     def test_outside_strip_receiver_flagged_with_zero_grid(self, records, grid):
         # receivers in the study area but off the service strip keep a label
         # and carry the all-zero sentinel grid
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records, [], grid, ARRAY, ARRAY)
         present = (examples.grids[examples.grid_row] == examples.receiver[:, None, None]).any(axis=(1, 2))
         assert present.any(), "expected at least some receivers on the service strip"
         views = _views(examples)
@@ -378,18 +403,18 @@ class TestExtractExamples:
         assert (views[present] == 1).any(axis=(1, 2)).all()
 
     def test_features_shape_matches_grid(self, records, grid):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records[:1], [], grid, ARRAY, ARRAY)
         assert examples.grids.shape == (len(records[0].scenes), grid.rows, grid.cols)
         assert _views(examples).shape == (len(examples), grid.rows, grid.cols)
 
     def test_los_flags_recorded(self, records, grid):
-        examples, _ = extract_examples(records, grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records, [], grid, ARRAY, ARRAY)
         assert set(examples.los.tolist()) <= {LosStatus.LOS.value, LosStatus.NLOS.value}
 
 
 class TestExportCsv:
     def test_row_and_column_counts(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records[:1], [], grid, ARRAY, ARRAY)
         path = tmp_path / "examples.csv"
         export_csv(_rows(examples, slice(3)), path)
         lines = path.read_text().splitlines()
@@ -397,7 +422,7 @@ class TestExportCsv:
         assert all(len(line.split(",")) == 23 * 250 + 8 for line in lines)
 
     def test_reimport_reproduces_labels(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records[:1], [], grid, ARRAY, ARRAY)
         path = tmp_path / "examples.csv"
         export_csv(examples, path)
         with open(path) as f:
@@ -414,13 +439,13 @@ class TestExportCsv:
             assert (grid_back == views[i, :10]).all()
 
     def test_empty_examples_rejected(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records[:1], [], grid, ARRAY, ARRAY)
         with pytest.raises(ValueError, match="no examples"):
             export_csv(_rows(examples, slice(0)), tmp_path / "x.csv")
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_export_leaves_no_partial_or_temp_file(self, records, grid, tmp_path):
-        examples, _ = extract_examples(records[:1], grid, ARRAY, ARRAY)
+        examples, _, _ = extract_examples(records[:1], [], grid, ARRAY, ARRAY)
         # the third row points past the scene grids, after two rows have been written
         first = _rows(examples, slice(3))
         broken = replace(first, grid_row=np.array([0, 0, len(examples.grids)]))

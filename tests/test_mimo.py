@@ -2,18 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from beamcanyon.dataset import EpisodeRecord, extract_examples
+from beamcanyon.features import GridSpec
 from beamcanyon.mimo import (
     ArraySpec,
-    LabelMap,
-    compact_labels,
     compose_channel,
     dft_codebook,
     strongest_ray_angles,
     sweep,
     upa_steering,
 )
-from beamcanyon.raytrace import Ray
+from beamcanyon.raytrace import PairRecord, Ray
+from beamcanyon.scenario import EpisodeParams, Rect, Scene, Vec3
 
 
 def _ray(gain=1.0 + 0j, delay=1e-8, dep=(0.0, 0.0), arr=(0.0, 0.0)):
@@ -250,25 +254,63 @@ class TestStrongestRayAngles:
             strongest_ray_angles([])
 
 
+# each of a 4 x 1 array's four DFT beams points at a real direction, so every one of
+# the 16 beam-pair indices is the best pair of one grid-aligned ray
+LINE = ArraySpec(4, 1)
+N_INDICES = LINE.size * LINE.size
+
+
+def _record(episode_id, indices):
+    """An episode whose scene s holds one pair, with best beam-pair index ``indices[s]``."""
+    scenes = []
+    for index in indices:
+        tx_beam, rx_beam = divmod(index, LINE.size)
+        ray = _ray(dep=_grid_angles(tx_beam, 0, LINE), arr=_grid_angles(rx_beam, 0, LINE))
+        scenes.append(Scene(float(len(scenes)), (), (PairRecord(0, 1, (ray,), 0.0, 0.0, 0.0),)))
+    area = Rect(0.0, 0.0, 1.0, 1.0)
+    origin = Vec3(0.0, 0.0, 0.0)
+    return EpisodeRecord(episode_id, 0.0, EpisodeParams(), 1, area, area, origin, {1: 0}, tuple(scenes))
+
+
+def _classes(train_indices, test_indices):
+    """Train labels, test labels and beam-pair keys of ``extract_examples`` on one episode per side."""
+    train, test, keys = extract_examples(
+        [_record(0, train_indices)], [_record(1, test_indices)], GridSpec((0.0, 0.0), 1, 1), LINE, LINE
+    )
+    return train.label.tolist(), test.label.tolist(), keys.tolist()
+
+
 class TestLabelMap:
+    """The beam classes that ``extract_examples`` fits on the train side of a split."""
+
     def test_distinct_keys_counted(self):
-        lm = compact_labels([(0, 0), (1, 2), (0, 0)])
-        assert lm.num_classes == 2
+        _, _, keys = _classes([5, 3, 9, 3, 5], [9])
+        assert len(keys) == 3
 
     def test_round_trip(self):
-        keys = [5, 3, 9, 3]
-        lm = compact_labels(keys)
-        for key in set(keys):
-            assert lm.ordered_keys[lm.apply(key) - 1] == key
+        train, _, keys = _classes([5, 3, 9, 3], [])
+        assert [keys[label - 1] for label in train] == [5, 3, 9, 3]
 
     def test_unseen_maps_to_zero(self):
-        lm = compact_labels([1, 2, 3])
-        assert lm.apply(99) == 0
+        _, test, _ = _classes([1, 2, 3], [2, 15, 0, 3])
+        assert test == [2, 0, 0, 3]
 
     def test_labels_are_one_based_and_sorted(self):
-        lm = compact_labels([30, 10, 20])
-        assert [lm.apply(k) for k in (10, 20, 30)] == [1, 2, 3]
+        train, _, keys = _classes([12, 10, 11], [])
+        assert keys == [10, 11, 12]
+        assert train == [3, 1, 2]
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            compact_labels([])
+    def test_no_train_index_gives_no_classes(self):
+        assert _classes([], [4, 7]) == ([], [0, 0], [])
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.integers(0, N_INDICES - 1), min_size=1, max_size=12),
+        st.lists(st.integers(0, N_INDICES - 1), max_size=12),
+    )
+    def test_classes_match_the_label_map_oracle(self, train_indices, test_indices):
+        train, test, keys = _classes(train_indices, test_indices)
+        label_map = oracles.compact_labels(train_indices)
+        assert keys == list(label_map.ordered_keys)
+        assert train == [label_map.apply(i) for i in train_indices]
+        assert test == [label_map.apply(i) for i in test_indices]
