@@ -9,15 +9,23 @@ largest magnitude m satisfies 4 * d * m**2 < 2**24 (d features per row),
 in training and query rows alike. Every term of |x|^2 + |y|^2 - 2 x.y is
 then an integer below 2**24, so float32 gets the float64 distances whatever
 the summation order. The per-receiver grid codes (-3..1) are such features.
-Test rows go through 256 (CHUNK) at a time. A row's distances d2 are exact,
-so the int64 key d2 * n_train + train_index is unique within the row, and
-its k smallest values pick the k nearest train rows, equidistant ones
-resolving to the lower train index.
 
-The model keeps only the feature columns that vary over its training rows.
-A column that holds the same value c in every training row adds the same
-(x_j - c)**2 to every distance of a query row, so dropping it shifts each
-row of distances by one constant and leaves the neighbours as they were.
+``examples_to_arrays`` builds one int8 feature row per example, 64 (STACK)
+rows at a time. The kNN model keeps only the feature columns that vary over
+its training rows, in the input's own dtype (int8 from
+``examples_to_arrays``), with no float32 copy. A column that holds the same
+value c in every training row adds the same (x_j - c)**2 to every distance
+of a query row, so dropping it shifts each row of distances by one constant
+and leaves the neighbours as they were.
+
+Prediction goes over the training rows 512 (BLOCK) at a time, each block
+cast to float32 once, and over the test rows 256 (CHUNK) at a time, so the
+float32 operands never hold more than one block and one chunk. A row's
+distances d2 are exact, so the int64 key d2 * n_train + train_index is
+unique within the row. Each test row keeps its k smallest keys over the
+blocks seen so far; after the last block they pick its k nearest train
+rows, equidistant ones resolving to the lower train index, whatever the
+block edges.
 """
 
 from __future__ import annotations
@@ -30,7 +38,9 @@ from .dataset import Examples
 from .features import receiver_view
 from .raytrace import LosStatus
 
-CHUNK = 256  # rows per block of feature stacking and of kNN distances
+STACK = 64  # rows per block of feature stacking: a block's receiver views take 6 bytes a cell at their peak
+CHUNK = 256  # query rows per block of kNN distances
+BLOCK = 512  # training rows per float32 block of kNN distances
 
 
 @dataclass(frozen=True)
@@ -41,7 +51,7 @@ class MajorityModel:
 
 @dataclass(frozen=True)
 class KnnModel:
-    features: np.ndarray  # the training rows' varying columns only
+    features: np.ndarray  # the training rows' varying columns only, in the input's dtype
     columns: np.ndarray   # bool over the input width: which columns `features` holds
     labels: np.ndarray
     k: int
@@ -51,8 +61,8 @@ class KnnModel:
 def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(features, labels, nlos mask) for a table of examples; one int8 feature row per example."""
     x = np.empty((len(examples), int(np.prod(examples.grids.shape[1:]))), dtype=np.int8)
-    for start in range(0, len(examples), CHUNK):
-        rows = slice(start, start + CHUNK)
+    for start in range(0, len(examples), STACK):
+        rows = slice(start, start + STACK)
         views = receiver_view(examples.grids[examples.grid_row[rows]], examples.receiver[rows])
         x[rows] = views.reshape(len(views), -1)
     return x, examples.label, examples.los == LosStatus.NLOS.value
@@ -89,26 +99,47 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
         raise ValueError("labels must be non-negative")
     _check_exact(features)
     columns = features.min(axis=0) != features.max(axis=0)
-    kept = np.empty((len(features), int(columns.sum())), dtype=np.float32)
-    for start in range(0, len(features), CHUNK):
-        kept[start:start + CHUNK] = features[start:start + CHUNK, columns]
+    kept = np.compress(columns, features, axis=1)  # faster than features[:, columns]
     return KnnModel(features=kept, columns=columns, labels=labels, k=k, num_classes=int(labels.max()))
 
 
-def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
+def _k_smallest(key: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest values of each row of ``key`` (all of a row of k or fewer), in no order.
+
+    Partitions ``key`` in place.
+    """
+    if key.shape[1] > k:
+        key.partition(k - 1, axis=1)
+    return key[:, :k]
+
+
+def _knn_predict(model: KnnModel, x: np.ndarray) -> np.ndarray:
     """Majority label of each row's k nearest train rows (ties: smallest label)."""
-    n_train = len(model.labels)
-    d2 = x @ model.features.T
-    d2 *= -2
-    d2 += (x * x).sum(axis=1)[:, None]
-    d2 += train_norms
-    key = d2.astype(np.int64)
-    del d2
-    key *= n_train
-    key += np.arange(n_train)
-    nearest = np.argpartition(key, model.k - 1, axis=1)[:, :model.k]
+    n_train, k = len(model.labels), model.k
+    queries = np.compress(model.columns, x, axis=1)
+    query_norms = np.einsum("ij,ij->i", queries, queries, dtype=np.float32, casting="same_kind")
+    best = np.empty((len(x), 0), dtype=np.int64)  # each row's k smallest keys over the blocks so far
+    for offset in range(0, n_train, BLOCK):
+        block = model.features[offset:offset + BLOCK].astype(np.float32)
+        block_norms = np.einsum("ij,ij->i", block, block)
+        index = np.arange(offset, offset + len(block))
+        merged = np.empty((len(x), min(k, best.shape[1] + len(block))), dtype=np.int64)
+        for start in range(0, len(x), CHUNK):
+            rows = slice(start, start + CHUNK)
+            d2 = queries[rows].astype(np.float32) @ block.T
+            d2 *= -2
+            d2 += query_norms[rows, None]
+            d2 += block_norms
+            key = d2.astype(np.int64)
+            del d2
+            key *= n_train
+            key += index
+            merged[rows] = _k_smallest(np.concatenate([best[rows], _k_smallest(key, k)], axis=1), k)
+            del key
+        best = merged
+        del block  # before the next block is cast
     width = model.num_classes + 1
-    votes = np.arange(len(x))[:, None] * width + model.labels[nearest]
+    votes = np.arange(len(x))[:, None] * width + model.labels[best % n_train]
     counts = np.bincount(votes.ravel(), minlength=len(x) * width)
     return counts.reshape(len(x), width).argmax(axis=1)
 
@@ -124,12 +155,7 @@ def predict(model, features: np.ndarray) -> np.ndarray:
                 f"feature dimension {x.shape[1]} does not match training dimension {model.columns.size}"
             )
         _check_exact(x)
-        train_norms = np.einsum("ij,ij->i", model.features, model.features)
-        out = np.empty(len(x), dtype=np.int64)
-        for start in range(0, len(x), CHUNK):
-            chunk = x[start:start + CHUNK, model.columns].astype(np.float32, copy=False)
-            out[start:start + CHUNK] = _knn_votes(model, chunk, train_norms)
-        return out
+        return _knn_predict(model, x)
     raise TypeError(f"unknown model type {type(model).__name__}")
 
 

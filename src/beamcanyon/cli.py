@@ -277,7 +277,7 @@ def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
         "majority": clf.majority_classifier(x_train, y_train),
         f"knn(k={k})": clf.knn_classifier(x_train, y_train, k),
     }
-    del train, x_train  # the kNN model holds a float32 copy of the varying columns
+    del train, x_train  # the kNN model holds its own int8 copy of the varying columns
     x_test, y_test, nlos = clf.examples_to_arrays(test)
     del test
     reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}

@@ -167,6 +167,10 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
     receivers = {int(k): v for k, v in o["receiver_vehicles"].items()}
     if min(receivers, default=1) < 1:
         raise ValueError(f"receiver_vehicles holds receiver index {min(receivers)}; indices start at 1")
+    params = EpisodeParams(*_params_items(o["params"]))
+    if sorted(receivers) != list(range(1, params.receiver_count + 1)):
+        raise ValueError(f"receiver_vehicles keys {sorted(receivers)}: not the receiver indices "
+                         f"1..{params.receiver_count} of receiver_count {params.receiver_count}")
     scenes = []
     for s in o["scenes"]:
         vehicles = []
@@ -195,7 +199,7 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
     return EpisodeRecord(
         o["episode_id"],
         o["start_time"],
-        EpisodeParams(*_params_items(o["params"])),
+        params,
         o["max_rays"],
         Rect(*o["rt_area"]),
         Rect(*o["v2i_area"]),

@@ -13,7 +13,8 @@ capped starve vector, the scalar scheduling environment that replayed plans,
 the numpy tabular Q-learning agent, the float64 feature matrix, the kNN prediction that sorted every
 float64 distance row, the chunk kNN vote that partitioned each float32
 distance row at its k-th value and filled the ties from a cumulative count,
-and the episode-file codec that spelled out every key of
+the chunk kNN vote that took each row's k smallest composite keys over every
+train row at once, and the episode-file codec that spelled out every key of
 each record type in one writer and one reader helper per type, with the writer
 that took the whole list of records before writing any, exactly as they were
 before the rewrites. The production code must reproduce them bit for bit.
@@ -1128,6 +1129,28 @@ def episode_reward(plan: AllocationPlan, table: RewardTable, params: SchedulerPa
 
 
 def _knn_votes(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
+    """Majority label of each row's k nearest train rows (ties: smallest label).
+
+    Each row's exact distances to every train row become int64 keys
+    d2 * n_train + train_index, and its k smallest keys are its neighbours.
+    """
+    n_train = len(model.labels)
+    d2 = x @ model.features.T
+    d2 *= -2
+    d2 += (x * x).sum(axis=1)[:, None]
+    d2 += train_norms
+    key = d2.astype(np.int64)
+    del d2
+    key *= n_train
+    key += np.arange(n_train)
+    nearest = np.argpartition(key, model.k - 1, axis=1)[:, :model.k]
+    width = model.num_classes + 1
+    votes = np.arange(len(x))[:, None] * width + model.labels[nearest]
+    counts = np.bincount(votes.ravel(), minlength=len(x) * width)
+    return counts.reshape(len(x), width).argmax(axis=1)
+
+
+def _knn_votes_tie_fill(model: KnnModel, x: np.ndarray, train_norms: np.ndarray) -> np.ndarray:
     """Majority label of each row's k nearest train rows (ties: smallest label).
 
     The neighbours are every train row closer than the k-th smallest

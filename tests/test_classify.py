@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from beamcanyon import classify
 from beamcanyon.classify import (
+    BLOCK,
     CHUNK,
     KnnModel,
-    _knn_votes,
     evaluate,
     examples_to_arrays,
     knn_classifier,
@@ -127,6 +129,13 @@ def _oracle_predict(train, labels, k, queries):
     return oracles.predict_knn(model, queries)
 
 
+def _composite_key_votes(model, queries):
+    """oracles._knn_votes over every train row at once, on float32 copies of the kept columns."""
+    train = model.features.astype(np.float32)
+    x = queries[:, model.columns].astype(np.float32)
+    return oracles._knn_votes(replace(model, features=train), x, np.einsum("ij,ij->i", train, train))
+
+
 # test sets of one row, of one full chunk and of one chunk plus a row
 N_TEST = st.sampled_from([1, CHUNK, CHUNK + 1])
 
@@ -153,7 +162,7 @@ class TestKnnMatchesStableSortOracle:
         labels = rng.integers(0, 5, size=n_train)
         k = data.draw(st.integers(1, n_train), label="k")
         model = knn_classifier(train, labels, k)
-        assert model.features.dtype == np.float32
+        assert model.features.dtype == train.dtype
         assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
 
     def test_non_integer_non_finite_and_past_bound_features_rejected(self):
@@ -176,7 +185,7 @@ class TestKnnMatchesStableSortOracle:
         queries = np.array([[2047], [-2047], [0], [1024], [-1024], [2], [-1]])
         for k in range(1, len(train) + 1):
             model = knn_classifier(train, labels, k)
-            assert model.features.dtype == np.float32
+            assert model.features.dtype == train.dtype
             assert np.array_equal(predict(model, queries), _oracle_predict(train, labels, k, queries))
 
     def test_query_outside_the_exact_range_rejected(self):
@@ -252,7 +261,7 @@ class TestKnnOnVaryingColumns:
         assert np.array_equal(preds, _oracle_predict(train, [label], 1, queries))
 
     def test_fit_allocates_the_kept_columns_and_one_chunk(self):
-        # half the columns vary; a float32 copy of every column would exceed the bound
+        # half the columns vary; a float32 copy of them, or of one chunk of rows, would exceed the bound
         rng = np.random.default_rng(18)
         n, d = 4 * CHUNK, 256
         x = np.full((n, d), -1, dtype=np.int8)
@@ -265,9 +274,40 @@ class TestKnnOnVaryingColumns:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept_bytes = n * (d // 2) * np.dtype(np.float32).itemsize
+        kept_bytes = n * (d // 2)
+        assert model.features.dtype == np.int8
         assert model.features.nbytes == kept_bytes
-        assert peak <= kept_bytes + CHUNK * d * np.dtype(np.float32).itemsize
+        # the int8 kept columns, plus a few arrays of one entry per column: the
+        # column minima and maxima, the mask and its int64 indices
+        assert peak <= kept_bytes + 16 * d
+
+    def test_predict_allocates_one_block_and_one_chunk(self):
+        # 8 blocks of training rows: a float32 copy of the training set, or one chunk's
+        # keys over every training row, would exceed the bound
+        rng = np.random.default_rng(19)
+        n_train, d, k = 8 * BLOCK, 1024, 5
+        x = np.full((n_train, d), -1, dtype=np.int8)
+        x[:, ::2] = rng.integers(-3, 2, size=(n_train, d // 2))
+        model = knn_classifier(x, rng.integers(0, 5, size=n_train), k)
+        kept = int(model.columns.sum())
+        queries = rng.integers(-3, 2, size=(CHUNK + 1, d)).astype(np.int8)
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (
+            len(queries) * kept           # the query rows' int8 kept columns
+            + BLOCK * kept * 4            # one float32 block of training rows
+            + CHUNK * kept * 4            # one float32 chunk of query rows
+            + CHUNK * BLOCK * (4 + 8)     # the chunk's float32 distances and int64 keys
+            + 4 * len(queries) * k * 8    # the running and merged k best, and the votes
+            + 2**16                       # norms, indices and the merge of one chunk
+        )
+        assert n_train * kept * 4 > bound
+        assert CHUNK * n_train * 8 > bound
+        assert peak <= bound
 
 
 class TestKnnVotesMatchTieFillOracle:
@@ -297,12 +337,56 @@ class TestKnnVotesMatchTieFillOracle:
         k = data.draw(st.just(n_train) | st.integers(1, n_train), label="k")
         model = knn_classifier(train, labels, k)
         x = queries[:, model.columns].astype(np.float32)
-        norms = np.einsum("ij,ij->i", model.features, model.features)
-        expected = oracles._knn_votes(model, x, norms)
-        votes = _knn_votes(model, x, norms)
+        train_f32 = model.features.astype(np.float32)
+        expected = oracles._knn_votes_tie_fill(
+            replace(model, features=train_f32), x, np.einsum("ij,ij->i", train_f32, train_f32)
+        )
+        votes = predict(model, queries)
         assert votes.dtype == expected.dtype
         assert np.array_equal(votes, expected)
-        assert np.array_equal(predict(model, queries), expected)
+        assert np.array_equal(_composite_key_votes(model, queries), expected)
+
+
+class TestBlockedKnnMatchesOracles:
+    """predict over blocks of BLOCK train rows picks the neighbours that one pass over every train row picks."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        block=st.integers(1, 7),
+        n_train=st.integers(1, 40),
+        d=st.integers(1, 8),
+        distinct=st.integers(1, 4),
+        n_test=st.sampled_from([1, 5, CHUNK + 1]),
+        data=st.data(),
+    )
+    def test_grid_codes_with_ties_across_blocks(self, seed, block, n_train, d, distinct, n_test, data):
+        # train rows drawn from a few distinct rows -1 + s * t, all at one distance
+        # from the all -1 query row, so duplicates and equidistant rows fall in
+        # different blocks; k reaches n_train, so it often exceeds the block size
+        rng = np.random.default_rng(seed)
+        spread = rng.integers(0, 3, size=d)
+        pool = -1 + rng.choice([-1, 1], size=(distinct, d)) * spread
+        train = pool[rng.integers(distinct, size=n_train)].astype(np.int8)
+        queries = rng.integers(-3, 2, size=(n_test, d)).astype(np.int8)
+        queries[rng.integers(n_test)] = -1
+        labels = rng.integers(0, 5, size=n_train)
+        k = data.draw(st.just(n_train) | st.integers(1, n_train), label="k")
+        model = knn_classifier(train, labels, k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "BLOCK", block)
+            votes = predict(model, queries)
+        assert np.array_equal(votes, _composite_key_votes(model, queries))
+        assert np.array_equal(votes, _oracle_predict(train, labels, k, queries))
+
+    def test_tie_across_a_block_edge_takes_the_lower_index(self):
+        # rows 0 and 3 lie at distance 1 from the query, in different blocks of 2
+        train = np.array([[1], [5], [6], [-1]], dtype=np.int8)
+        queries = np.array([[0]], dtype=np.int8)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(classify, "BLOCK", 2)
+            assert predict(knn_classifier(train, [4, 2, 2, 3], 1), queries).tolist() == [4]
+            assert predict(knn_classifier(train[::-1], [3, 2, 2, 4], 1), queries).tolist() == [3]
 
 
 def test_examples_to_arrays_is_int8_and_equal_to_the_oracle():

@@ -21,6 +21,17 @@ def _retag(scene_obj, new_index):
             v["receiver_index"] = new_index[v["receiver_index"]]
 
 
+def _renumber(record_obj, old, new):
+    """Give receiver ``old`` of the record the index ``new`` everywhere: its key, its vehicle's tags, its pairs."""
+    receivers = record_obj["receiver_vehicles"]
+    receivers[str(new)] = receivers.pop(str(old))
+    for scene_obj in record_obj["scenes"]:
+        _retag(scene_obj, {old: new})
+        for pair in scene_obj["pairs"]:
+            if pair["rx_id"] == old:
+                pair["rx_id"] = new
+
+
 def _tags_reason(record_obj):
     """The reader's reason for rejecting the vehicle receiver tags of scene 1 of the record."""
     vehicles = record_obj["scenes"][1]["vehicles"]
@@ -261,6 +272,16 @@ class TestExport:
                 id="receiver-index-0",
             ),
             pytest.param(
+                lambda o: _renumber(o, 1, 40000),
+                f"receiver_vehicles keys {[*range(2, 11), 40000]}: not the receiver indices 1..10 of receiver_count 10",
+                id="receiver-index-past-the-grid-range",
+            ),
+            pytest.param(
+                lambda o: _renumber(o, 2, 11),
+                f"receiver_vehicles keys {[1, *range(3, 12)]}: not the receiver indices 1..10 of receiver_count 10",
+                id="receiver-indices-with-a-gap",
+            ),
+            pytest.param(
                 lambda o: o["scenes"][1]["pairs"][0].update(rx_id=0),
                 f"scene 1: pair rx_ids {[0, *range(2, 11)]}: not distinct receiver_vehicles keys",
                 id="rx-id-not-a-receiver",
@@ -302,29 +323,6 @@ class TestExport:
             assert main(["--out", str(out), stage, str(path)]) == 1
             assert capsys.readouterr().err.splitlines() == [f"error: {path}: record 1: {reason}"]
         assert not out.exists()
-
-    def test_receiver_index_beyond_grid_range_fails(self, tmp_path, capsys):
-        path = _generate(tmp_path, episodes=3, scenes=2)
-        header, *records = path.read_text().splitlines()
-        renumbered = []
-        for line in records:
-            obj = json.loads(line)
-            obj["receiver_vehicles"]["40000"] = obj["receiver_vehicles"].pop("1")
-            for scene in obj["scenes"]:
-                for v in scene["vehicles"]:
-                    if v["receiver_index"] == 1:
-                        v["receiver_index"] = 40000
-                for pair in scene["pairs"]:
-                    if pair["rx_id"] == 1:
-                        pair["rx_id"] = 40000
-            renumbered.append(json.dumps(obj))
-        path.write_text("\n".join([header] + renumbered) + "\n")
-        capsys.readouterr()
-        rc = main(["--out", str(tmp_path), "export", str(path), "--test-fraction", "0.34"])
-        assert rc == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err == ["error: receiver index 40000 outside 1..32764"]
-        assert not (tmp_path / "train.csv").exists()
 
     def test_negative_vehicle_length_fails_with_the_box_message(self, tmp_path, capsys):
         path = _generate(tmp_path, episodes=3, scenes=2)

@@ -78,6 +78,17 @@ def _retag(scene_obj, new_index):
             v["receiver_index"] = new_index[v["receiver_index"]]
 
 
+def _renumber(record_obj, old, new):
+    """Give receiver ``old`` of the record the index ``new`` everywhere: its key, its vehicle's tags, its pairs."""
+    receivers = record_obj["receiver_vehicles"]
+    receivers[str(new)] = receivers.pop(str(old))
+    for scene_obj in record_obj["scenes"]:
+        _retag(scene_obj, {old: new})
+        for pair in scene_obj["pairs"]:
+            if pair["rx_id"] == old:
+                pair["rx_id"] = new
+
+
 def _views(examples):
     return receiver_view(examples.grids[examples.grid_row], examples.receiver)
 
@@ -171,6 +182,17 @@ class TestRoundTrip:
                 lambda objs: objs[1]["receiver_vehicles"].update({"0": objs[1]["receiver_vehicles"].pop("1")}),
                 "record 0: receiver_vehicles holds receiver index 0; indices start at 1",
                 id="receiver-index-0",
+            ),
+            pytest.param(
+                lambda objs: _renumber(objs[2], 1, 40000),
+                r"record 1: receiver_vehicles keys \[2, 3, 4, 5, 40000\]: not the receiver indices 1..5 of "
+                "receiver_count 5",
+                id="receiver-index-past-the-grid-range",
+            ),
+            pytest.param(
+                lambda objs: _renumber(objs[1], 2, 6),
+                r"record 0: receiver_vehicles keys \[1, 3, 4, 5, 6\]: not the receiver indices 1..5",
+                id="receiver-indices-with-a-gap",
             ),
             pytest.param(
                 lambda objs: objs[2]["scenes"][3]["pairs"][4].update(rx_id=6),
