@@ -11,12 +11,15 @@ then an integer below 2**24, so float32 gets the float64 distances whatever
 the summation order. The per-receiver grid codes (-3..1) are such features.
 
 ``examples_to_arrays`` builds one int8 feature row per example, 64 (STACK)
-rows at a time. The kNN model keeps only the feature columns that vary over
-its training rows, in the input's own dtype (int8 from
-``examples_to_arrays``), with no float32 copy. A column that holds the same
-value c in every training row adds the same (x_j - c)**2 to every distance
-of a query row, so dropping it shifts each row of distances by one constant
-and leaves the neighbours as they were.
+rows at a time, of every column or of the columns of a mask only. The kNN
+model keeps only the feature columns that vary over its training rows, in
+the input's own dtype (int8 from ``examples_to_arrays``), with no float32
+copy. ``varying_columns`` finds them in one pass over the training rows'
+views, so that ``classify`` stacks only those columns and never holds the
+full-width training matrix. A column that holds the same value c in every
+training row adds the same (x_j - c)**2 to every distance of a query row,
+so dropping it shifts each row of distances by one constant and leaves the
+neighbours as they were.
 
 Prediction goes over the training rows 512 (BLOCK) at a time, each block
 cast to float32 once, and over the test rows 256 (CHUNK) at a time, so the
@@ -58,13 +61,36 @@ class KnnModel:
     num_classes: int
 
 
-def examples_to_arrays(examples: Examples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(features, labels, nlos mask) for a table of examples; one int8 feature row per example."""
-    x = np.empty((len(examples), int(np.prod(examples.grids.shape[1:]))), dtype=np.int8)
+def _feature_blocks(examples: Examples):
+    """Yield (rows, that block's receiver views flattened to feature rows), STACK rows at a time."""
     for start in range(0, len(examples), STACK):
         rows = slice(start, start + STACK)
         views = receiver_view(examples.grids[examples.grid_row[rows]], examples.receiver[rows])
-        x[rows] = views.reshape(len(views), -1)
+        yield rows, views.reshape(len(views), -1)
+
+
+def varying_columns(examples: Examples) -> np.ndarray:
+    """Which feature columns of ``examples_to_arrays`` vary over the examples (bool, one per column)."""
+    blocks = (x for _, x in _feature_blocks(examples))
+    first = next(blocks, np.zeros((1, int(np.prod(examples.grids.shape[1:]))), dtype=examples.grids.dtype))
+    lo, hi = first.min(axis=0), first.max(axis=0)
+    for x in blocks:
+        np.minimum(lo, x.min(axis=0), out=lo)
+        np.maximum(hi, x.max(axis=0), out=hi)
+    return lo != hi
+
+
+def examples_to_arrays(
+    examples: Examples, columns: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(features, labels, nlos mask) for a table of examples; one int8 feature row per example.
+
+    With a bool mask ``columns``, the features hold only those columns.
+    """
+    width = int(np.prod(examples.grids.shape[1:]))
+    x = np.empty((len(examples), width if columns is None else np.count_nonzero(columns)), dtype=np.int8)
+    for rows, features in _feature_blocks(examples):
+        x[rows] = features if columns is None else np.compress(columns, features, axis=1)
     return x, examples.label, examples.los == LosStatus.NLOS.value
 
 
@@ -88,7 +114,15 @@ def _check_exact(features: np.ndarray) -> None:
         raise ValueError("kNN features must be finite integers in float32's exact range, 4 * d * m**2 < 2**24")
 
 
-def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel:
+def knn_classifier(
+    features: np.ndarray, labels: np.ndarray, k: int, columns: np.ndarray | None = None
+) -> KnnModel:
+    """Fit the kNN on the training rows' varying columns.
+
+    ``features`` is the full-width training rows, or, with a bool mask
+    ``columns`` over the full width that holds every column varying over
+    them (``varying_columns``), only those columns of them.
+    """
     features = np.asarray(features)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or features.shape[0] != labels.shape[0]:
@@ -98,9 +132,12 @@ def knn_classifier(features: np.ndarray, labels: np.ndarray, k: int) -> KnnModel
     if labels.min() < 0:
         raise ValueError("labels must be non-negative")
     _check_exact(features)
-    columns = features.min(axis=0) != features.max(axis=0)
-    kept = np.compress(columns, features, axis=1)  # faster than features[:, columns]
-    return KnnModel(features=kept, columns=columns, labels=labels, k=k, num_classes=int(labels.max()))
+    if columns is None:
+        columns = features.min(axis=0) != features.max(axis=0)
+        features = np.compress(columns, features, axis=1)  # faster than features[:, columns]
+    elif features.shape[1] != np.count_nonzero(columns):
+        raise ValueError(f"{features.shape[1]} feature columns, but {np.count_nonzero(columns)} columns are named")
+    return KnnModel(features=features, columns=columns, labels=labels, k=k, num_classes=int(labels.max()))
 
 
 def _k_smallest(key: np.ndarray, k: int) -> np.ndarray:

@@ -271,13 +271,14 @@ def _classifier_table(reports: dict[str, dict]) -> str:
 def cmd_classify(config: RunConfig, episodes_path: Path, out_dir: Path) -> None:
     """Run the in-repo baselines on an episode-wise split and print the table."""
     _, train, test, _ = _load_split_examples(config, episodes_path)
-    x_train, y_train, _ = clf.examples_to_arrays(train)
+    columns = clf.varying_columns(train)
+    x_train, y_train, _ = clf.examples_to_arrays(train, columns)  # the kNN model keeps these rows
     k = min(config.knn_k, len(y_train))  # the report names the k the model uses
     models = {
         "majority": clf.majority_classifier(x_train, y_train),
-        f"knn(k={k})": clf.knn_classifier(x_train, y_train, k),
+        f"knn(k={k})": clf.knn_classifier(x_train, y_train, k, columns),
     }
-    del train, x_train  # the kNN model holds its own int8 copy of the varying columns
+    del train, x_train
     x_test, y_test, nlos = clf.examples_to_arrays(test)
     del test
     reports = {name: clf.evaluate(m, x_test, y_test, nlos) for name, m in models.items()}

@@ -6,6 +6,14 @@ round-trip bit-exactly and field order is fixed, so identical inputs always
 produce byte-identical files. There is one writer: ``encode_record`` turns a
 record into its line, and ``write_episodes`` writes the header and a stream
 of such lines, so a record can be encoded where it is made and dropped.
+
+There is one reader, and it builds no object per vehicle, pair or ray.
+``read_episodes`` checks each line against the format's rules and decodes
+it into an ``EpisodeColumns``: a few scalars and three tables, the vehicles
+(``SceneVehicles``), the pairs and the rays (``Rays``), each an array per
+field in file order. Every read stage takes these as they are: ``extract_examples`` sweeps the
+rays of all pairs at once and rasterizes the vehicles of all scenes at once,
+and ``scheduler.build_reward_table`` sweeps an episode's rays.
 """
 
 from __future__ import annotations
@@ -20,20 +28,10 @@ from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .features import GridSpec, encode_scenes, scene_view
-from .mimo import ArraySpec, strongest_ray_angles, sweep_rays
-from .raytrace import PairRecord, Ray, TraceConfig, classify_los, trace_scenes
-from .scenario import (
-    EpisodeParams,
-    Rect,
-    Scenario,
-    Scene,
-    Vec3,
-    Vehicle,
-    VehicleKind,
-    VehicleType,
-    generate_episode,
-)
+from .features import HEIGHT_CODES, GridSpec, SceneVehicles, encode_scenes, scene_view
+from .mimo import ArraySpec, Rays, strongest_ray_angles, sweep_rays
+from .raytrace import LosStatus, TraceConfig, trace_scenes
+from .scenario import EpisodeParams, Rect, Scenario, Scene, Vec3, VehicleKind, generate_episode
 
 FORMAT_NAME = "beamcanyon-episodes"
 FORMAT_VERSION = 1
@@ -54,6 +52,30 @@ class EpisodeRecord:
     rsu_position: Vec3
     receiver_vehicles: dict[int, int]  # receiver index -> vehicle id
     scenes: tuple[Scene, ...]
+
+
+@dataclass(frozen=True)
+class EpisodeColumns:
+    """One episode as the read stages take it from a file: its scalars and three tables.
+
+    The vehicles of scene s are the next ``vehicles.counts[s]`` rows of
+    ``vehicles``, its pairs the next ``pair_counts[s]`` entries of ``rx_id``,
+    and each pair's rays the next ``rays.counts`` rows of ``rays``, all in
+    file order.
+    """
+
+    episode_id: int
+    params: EpisodeParams
+    v2i_area: Rect
+    receiver_vehicles: dict[int, int]  # receiver index -> vehicle id
+    vehicles: SceneVehicles
+    pair_counts: np.ndarray  # pairs per scene
+    rx_id: np.ndarray        # per pair
+    rays: Rays               # one ray list per pair
+
+    @property
+    def n_scenes(self) -> int:
+        return len(self.pair_counts)
 
 
 @dataclass(frozen=True)
@@ -109,8 +131,9 @@ def build_episode_record(
 
 
 # The JSON keys of each record type's plain fields, in the order of its constructor,
-# so that the reader builds the record positionally. They are the fields' names, so
-# the writer stores a record by copying its fields. The other fields are converted
+# so that the reader takes a ray's delay and then its angles in the ``Rays.angles``
+# order from the first five. They are the fields' names, so the writer stores a
+# record by copying its fields. The other fields are converted
 # by name: a ray's complex gain is stored as [re, im], a pair's rays as a list of
 # objects, a vehicle's position as [x, y, z] and its type flat in the vehicle's
 # object.
@@ -120,10 +143,14 @@ VEHICLE_KEYS = ("id", "heading", "speed", "receiver_index")
 VEHICLE_TYPE_KEYS = ("kind", "length", "width", "height", "probability")
 PARAMS_KEYS = ("sample_period", "scenes_per_episode", "receiver_count", "seed", "avg_speed")
 
-_ray_items, _pair_items, _vehicle_items, _type_items, _params_items = (
-    itemgetter(*k) for k in (RAY_KEYS, PAIR_KEYS, VEHICLE_KEYS, VEHICLE_TYPE_KEYS, PARAMS_KEYS)
+_pair_items, _vehicle_items, _type_items, _params_items = (
+    itemgetter(*k) for k in (PAIR_KEYS, VEHICLE_KEYS, VEHICLE_TYPE_KEYS, PARAMS_KEYS)
 )
 _xyz = attrgetter("x", "y", "z")
+# the reader also looks up the fields that no stage reads, so that a line without one fails
+_ray_numbers = itemgetter(*RAY_KEYS[:-1])  # every ray key but "interactions"
+_scene_items = itemgetter("vehicles", "pairs", "time")
+_record_items = itemgetter("episode_id", "start_time", "max_rays", "rt_area", "v2i_area", "rsu_position")
 
 
 def _record_to_obj(rec: EpisodeRecord) -> dict:
@@ -160,8 +187,13 @@ def _record_to_obj(rec: EpisodeRecord) -> dict:
     }
 
 
-def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
-    """Decode one episode object; ``vehicle_types`` interns the types met so far in its file."""
+def _decode_record(line: str) -> EpisodeColumns:
+    """The columns of one episode line, checked against the format's rules (docs/format.md).
+
+    Every field of the line is looked up, those that no stage reads too, so
+    that a line missing one fails.
+    """
+    o = json.loads(line)
     if not o["scenes"]:
         raise ValueError("no scenes")
     receivers = {int(k): v for k, v in o["receiver_vehicles"].items()}
@@ -171,41 +203,65 @@ def _record_from_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
     if sorted(receivers) != list(range(1, params.receiver_count + 1)):
         raise ValueError(f"receiver_vehicles keys {sorted(receivers)}: not the receiver indices "
                          f"1..{params.receiver_count} of receiver_count {params.receiver_count}")
-    scenes = []
+    types: dict[tuple, tuple] = {}  # a vehicle type's keys -> its height code, length, width and height
+    vehicle_counts, geometry, keys = [], [], []
+    pair_counts, rx_ids, ray_counts, gains, numbers, los = [], [], [], [], [], []
     for s in o["scenes"]:
-        vehicles = []
-        for v in s["vehicles"]:
+        vehicles, pairs, _ = _scene_items(s)
+        tags = []
+        for v in vehicles:
             key = _type_items(v)
-            vtype = vehicle_types.get(key)
+            vtype = types.get(key)
             if vtype is None:
-                kind, *size = key
-                vtype = vehicle_types[key] = VehicleType(VehicleKind(kind), *size)
-            vid, heading, speed, receiver_index = _vehicle_items(v)
-            vehicles.append(Vehicle(vid, vtype, Vec3(*v["position"]), heading, speed, receiver_index))
-        tags = [(v.receiver_index, v.id) for v in vehicles if v.receiver_index is not None]
+                kind, length, width, height, _ = key
+                vtype = types[key] = (HEIGHT_CODES[VehicleKind(kind)], length, width, height)
+            vid, heading, _, receiver_index = _vehicle_items(v)
+            x, y, _ = v["position"]
+            geometry.append((*vtype[1:], x, y, heading))
+            if receiver_index is None:
+                keys.append(vtype[0])
+            else:
+                keys.append(receiver_index)
+                tags.append((receiver_index, vid))
         if len(dict(tags)) < len(tags) or not receivers.items() >= set(tags):
-            raise ValueError(f"scene {len(scenes)}: vehicle (receiver_index, id) tags {tags}: "
+            raise ValueError(f"scene {len(vehicle_counts)}: vehicle (receiver_index, id) tags {tags}: "
                              "not distinct receiver_vehicles entries")
-        pairs = []
-        for p in s["pairs"]:
-            tx_id, rx_id, mean_toa, p_tx_dbm, p_rx_dbm = _pair_items(p)
-            # unpacking the gain rejects any but exactly two parts
-            rays = tuple(Ray(complex(re, im), *_ray_items(r)) for r in p["rays"] for re, im in (r["gain"],))
-            pairs.append(PairRecord(tx_id, rx_id, rays, mean_toa, p_tx_dbm, p_rx_dbm))
-        rx_ids = [p.rx_id for p in pairs]
-        if not receivers.keys() >= set(rx_ids) or len(set(rx_ids)) < len(rx_ids):
-            raise ValueError(f"scene {len(scenes)}: pair rx_ids {rx_ids}: not distinct receiver_vehicles keys")
-        scenes.append(Scene(s["time"], tuple(vehicles), tuple(pairs)))
-    return EpisodeRecord(
-        o["episode_id"],
-        o["start_time"],
-        params,
-        o["max_rays"],
-        Rect(*o["rt_area"]),
-        Rect(*o["v2i_area"]),
-        Vec3(*o["rsu_position"]),
-        receivers,
-        tuple(scenes),
+        vehicle_counts.append(len(vehicles))
+        ids = []
+        for p in pairs:
+            ids.append(_pair_items(p)[1])
+            for r in p["rays"]:
+                re, im = r["gain"]  # rejects any but exactly two parts
+                gains.append(complex(re, im))
+                numbers.append(_ray_numbers(r))
+                los.append(r["interactions"] == "LOS")
+            ray_counts.append(len(p["rays"]))
+        if not receivers.keys() >= set(ids) or len(set(ids)) < len(ids):
+            raise ValueError(f"scene {len(pair_counts)}: pair rx_ids {ids}: not distinct receiver_vehicles keys")
+        pair_counts.append(len(ids))
+        rx_ids.extend(ids)
+    episode_id, _, _, rt_area, v2i_area, rsu_position = _record_items(o)
+    Rect(*rt_area), Vec3(*rsu_position)  # their arity is checked though no stage reads them
+    numbers = np.array(numbers, dtype=np.float64).reshape(-1, 5)
+    return EpisodeColumns(
+        episode_id=episode_id,
+        params=params,
+        v2i_area=Rect(*v2i_area),
+        receiver_vehicles=receivers,
+        vehicles=SceneVehicles(
+            counts=np.array(vehicle_counts, dtype=np.intp),
+            geometry=np.array(geometry, dtype=np.float64).reshape(-1, 6),
+            key=np.array(keys, dtype=np.int32),
+        ),
+        pair_counts=np.array(pair_counts, dtype=np.intp),
+        rx_id=np.array(rx_ids, dtype=np.int64),
+        rays=Rays(
+            gain=np.array(gains, dtype=np.complex128),
+            delay=numbers[:, 0].copy(),
+            angles=numbers[:, 1:].copy(),
+            los=np.array(los, dtype=bool),
+            counts=np.array(ray_counts, dtype=np.intp),
+        ),
     )
 
 
@@ -254,7 +310,11 @@ def write_episodes(lines: Iterable[str], path: str | os.PathLike, episode_count:
             raise ValueError(f"{written} episode records, but the header promises {episode_count}")
 
 
-def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
+def read_episodes(path: str | os.PathLike) -> list[EpisodeColumns]:
+    """The columns of each episode line of a file, checked against its header.
+
+    Every record must have record 0's ``v2i_area``, on which the read stages lay every grid.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as f:
         first = f.readline()
@@ -273,13 +333,16 @@ def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
             raise DatasetFormatError(f"{path}: header episode_count must be an integer, got {expected!r}")
         if expected < 1:
             raise DatasetFormatError(f"{path}: no episode records: header episode_count is {expected}")
-        records = []
-        vehicle_types: dict[tuple, VehicleType] = {}
+        records: list[EpisodeColumns] = []
         for i, line in enumerate(f):
             if i == expected:
                 raise DatasetFormatError(f"{path}: more episode records than the {expected} the header promises")
             try:
-                records.append(_record_from_obj(json.loads(line.rstrip("\n")), vehicle_types))
+                record = _decode_record(line.rstrip("\n"))
+                if records and record.v2i_area != records[0].v2i_area:
+                    raise ValueError(f"v2i_area {list(astuple(record.v2i_area))} differs from record 0's "
+                                     f"{list(astuple(records[0].v2i_area))}")
+                records.append(record)
             except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
                 raise DatasetFormatError(f"{path}: record {i}: {e}") from e
     if len(records) != expected:
@@ -308,9 +371,20 @@ def split_episodes(ids: Sequence[int], test_fraction: float, seed: int) -> Split
     return Split(tuple(train), tuple(test))
 
 
+def _pair_columns(records: Sequence[EpisodeColumns]) -> tuple[np.ndarray, ...]:
+    """Per pair of the records, in order: its scene's row among their scenes, its rx_id, its
+    episode id and its scene's index in its episode."""
+    scene_counts = [r.n_scenes for r in records]
+    first = np.repeat(np.cumsum(scene_counts) - scene_counts, scene_counts)
+    row = np.repeat(np.arange(len(first)), np.concatenate([np.empty(0, np.intp), *(r.pair_counts for r in records)]))
+    episode = np.repeat(np.array([r.episode_id for r in records], dtype=np.int64), scene_counts)
+    rx_id = np.concatenate([np.empty(0, np.int64), *(r.rx_id for r in records)])
+    return row, rx_id, episode[row], (np.arange(len(first)) - first)[row]
+
+
 def extract_examples(
-    train_records: Iterable[EpisodeRecord],
-    test_records: Iterable[EpisodeRecord],
+    train_records: Iterable[EpisodeColumns],
+    test_records: Iterable[EpisodeColumns],
     grid: GridSpec,
     tx_spec: ArraySpec,
     rx_spec: ArraySpec,
@@ -323,35 +397,32 @@ def extract_examples(
     lacks. Pairs with no rays are dropped. Receivers outside the service
     strip keep their label and get an all-zero view.
     """
-    sides = [[(rec.episode_id, i, s) for rec in records for i, s in enumerate(rec.scenes)]
-             for records in (train_records, test_records)]
-    kept = [[(k, pair) for k, (_, _, scene_rec) in enumerate(scenes) for pair in scene_rec.pairs if pair.rays]
-            for scenes in sides]
+    sides = [list(train_records), list(test_records)]
+    rays = [Rays.concat([r.rays for r in side]) for side in sides]
+    kept = [r.counts > 0 for r in rays]  # the pairs with rays, one example each
+    swept = [r.take(keep) for r, keep in zip(rays, kept)]
     # both sides in one sweep, before encoding any grid, so that the sweep's scratch arrays
     # are freed before the grids are written and add nothing to peak memory
-    raw = np.array([
-        key
-        for result in sweep_rays([p.rays for side in kept for _, p in side], tx_spec, rx_spec)
-        for key in result.best_index.tolist()
-    ], dtype=np.int64)
-    keys = np.array(sorted(set(raw[: len(kept[0])].tolist())), dtype=np.int64)
+    raw = np.concatenate([np.empty(0, np.int64), *(r.best_index for r in sweep_rays(Rays.concat(swept), tx_spec, rx_spec))])
+    keys = np.array(sorted(set(raw[: len(swept[0])].tolist())), dtype=np.int64)
     at = np.searchsorted(keys, raw)
     # the -1 after the last key is no beam index, so an index past every key reads class 0
     labels = np.where(np.append(keys, -1)[at] == raw, at + 1, 0)
+    examples = []
     # one grid stack per side, so that the train side's grids are freed with its examples
-    train, test = (
-        Examples(
-            grids=encode_scenes([scene_rec for _, _, scene_rec in scenes], grid),
-            grid_row=np.array([k for k, _ in side], dtype=np.intp),
-            receiver=np.array([p.rx_id for _, p in side], dtype=np.int64),
+    for side, keep, side_rays, label in zip(sides, kept, swept, np.split(labels, [len(swept[0])])):
+        grid_row, receiver, episode, scene = (column[keep] for column in _pair_columns(side))
+        examples.append(Examples(
+            grids=encode_scenes(SceneVehicles.concat([r.vehicles for r in side]), grid),
+            grid_row=grid_row,
+            receiver=receiver,
             label=label,
-            los=np.array([classify_los(p).value for _, p in side], dtype=str),
-            episode=np.array([scenes[k][0] for k, _ in side], dtype=np.int64),
-            scene=np.array([scenes[k][1] for k, _ in side], dtype=np.int64),
-            angles=np.array([strongest_ray_angles(p.rays) for _, p in side], dtype=np.float64).reshape(-1, 4),
-        )
-        for scenes, side, label in zip(sides, kept, np.split(labels, [len(kept[0])]))
-    )
+            los=np.where(side_rays.has_los(), LosStatus.LOS.value, LosStatus.NLOS.value),
+            episode=episode,
+            scene=scene,
+            angles=strongest_ray_angles(side_rays),
+        ))
+    train, test = examples
     return train, test, keys
 
 

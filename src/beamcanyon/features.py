@@ -3,20 +3,21 @@
 A scene becomes an integer matrix over the service strip: 0 for free cells,
 a negative height-class code for blocker vehicles (car -1, truck -2, bus -3)
 and the positive receiver index for receiver vehicles. ``encode_scenes``
-rasterizes a whole list of scenes into one int16 stack in a single array
-pass. The receivers of a scene share its matrix; a per-receiver view of it
-rewrites the target receiver to +1 and every other receiver to -1. All views
-of a scene agree off the target's cells with its ``scene_view``.
+rasterizes the ``SceneVehicles`` columns of a run of scenes, as a file is
+read into them, into one int16 stack in a single array pass. The receivers
+of a scene share its matrix; a per-receiver view of it rewrites the target
+receiver to +1 and every other receiver to -1. All views of a scene agree
+off the target's cells with its ``scene_view``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .scenario import Scene, VehicleKind, vehicle_boxes
+from .scenario import Scene, VehicleKind, geometry_boxes, vehicle_geometry
 
 HEIGHT_CODES = {VehicleKind.CAR: -1, VehicleKind.TRUCK: -2, VehicleKind.BUS: -3}
 
@@ -66,25 +67,57 @@ def _windows(lo: np.ndarray, hi: np.ndarray, origin: float, count: int, cell: fl
         yield index, np.where(index <= last, overlap, 0.0)
 
 
-def encode_scenes(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
+@dataclass(frozen=True)
+class SceneVehicles:
+    """The vehicles of a run of scenes in columns: scene s holds the next ``counts[s]`` rows.
+
+    This is the form an episodes file is read into. ``SceneVehicles.of``
+    also takes ``Scene`` objects.
+    """
+
+    counts: np.ndarray    # vehicles per scene
+    geometry: np.ndarray  # (n, 6) float64 ``vehicle_geometry`` rows
+    key: np.ndarray       # int32: a blocker's height code, or a receiver's index
+
+    @classmethod
+    def of(cls, scenes: SceneVehicles | Sequence[Scene]) -> SceneVehicles:
+        if isinstance(scenes, SceneVehicles):
+            return scenes
+        vehicles = [v for scene in scenes for v in scene.vehicles]
+        for v in vehicles:  # an index below 1 would read as a blocker's code or as free
+            if v.receiver_index is not None and v.receiver_index < 1:
+                raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
+        return cls(
+            counts=np.array([len(scene.vehicles) for scene in scenes], dtype=np.intp),
+            geometry=vehicle_geometry(vehicles),
+            key=np.array([HEIGHT_CODES[v.type.kind] if v.receiver_index is None else v.receiver_index
+                          for v in vehicles], dtype=np.int32),
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence[SceneVehicles]) -> SceneVehicles:
+        return cls(*(np.concatenate([getattr(p, f.name) for p in (cls.of([]), *parts)]) for f in fields(cls)))
+
+
+def encode_scenes(scenes: SceneVehicles | Sequence[Scene], grid: GridSpec) -> np.ndarray:
     """Rasterize the vehicle footprints of every scene into one (scenes, rows, cols) stack.
 
     Cell conflicts: a receiver index always wins over a blocker code; between
     blockers the more negative (taller) code wins; between receivers the
     smaller index wins. No rule depends on vehicle order, so the boxes of all
-    scenes' vehicles are built in one ``vehicle_boxes`` call and laid at once,
+    scenes' vehicles are built in one ``geometry_boxes`` call and laid at once,
     and each cell keeps the smallest key, receivers keyed below blockers.
     Receiver indices must lie in 1..MAX_RECEIVER_INDEX.
     """
-    vehicles = [v for scene in scenes for v in scene.vehicles]
-    for v in vehicles:
-        if v.receiver_index is not None and not 1 <= v.receiver_index <= MAX_RECEIVER_INDEX:
-            raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
-    out = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
-    lo, hi = vehicle_boxes(vehicles, 0.0)
-    key = np.array([HEIGHT_CODES[v.type.kind] if v.receiver_index is None else RECEIVER_KEY + v.receiver_index
-                    for v in vehicles], dtype=np.int16)
-    base = np.repeat(np.arange(len(scenes)) * grid.rows, [len(scene.vehicles) for scene in scenes])
+    vehicles = SceneVehicles.of(scenes)
+    receiver = vehicles.key > 0
+    past = vehicles.key[receiver & (vehicles.key > MAX_RECEIVER_INDEX)]
+    if past.size:
+        raise ValueError(f"receiver index {past[0]} outside 1..{MAX_RECEIVER_INDEX}")
+    out = np.zeros((len(vehicles.counts), grid.rows, grid.cols), dtype=np.int16)
+    lo, hi = geometry_boxes(vehicles.geometry, 0.0)
+    key = np.where(receiver, RECEIVER_KEY + vehicles.key, vehicles.key).astype(np.int16)
+    base = np.repeat(np.arange(len(vehicles.counts)) * grid.rows, vehicles.counts)
     threshold = OVERLAP_FRACTION * grid.cell * grid.cell
     # the few row windows are kept; column windows are built one offset at a time to bound memory
     rows = list(_windows(lo[:, 1], hi[:, 1], grid.origin[1], grid.rows, grid.cell))

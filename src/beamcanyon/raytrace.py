@@ -358,12 +358,3 @@ def _pair_record(rx_id: int, rays: list[Ray], cfg: TraceConfig) -> PairRecord:
         p_tx_dbm=cfg.tx_power_dbm,
         p_rx_dbm=p_rx,
     )
-
-
-def classify_los(record: PairRecord) -> LosStatus:
-    """LOS if any ray is the direct path, NoPath if the pair has no rays at all."""
-    if not record.rays:
-        return LosStatus.NO_PATH
-    if any(r.interactions == "LOS" for r in record.rays):
-        return LosStatus.LOS
-    return LosStatus.NLOS

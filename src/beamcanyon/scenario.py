@@ -227,16 +227,22 @@ def sample_vehicle_type(
     return types[-1]
 
 
-def vehicle_boxes(vehicles: Sequence[Vehicle], ground_z: float) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 3) min and max corners of the boxes around the vehicles' (possibly rotated) footprints.
+def vehicle_geometry(vehicles: Sequence[Vehicle]) -> np.ndarray:
+    """(n, 6) length, width, height, x, y and heading of each vehicle: the input of ``geometry_boxes``."""
+    return np.array([(v.type.length, v.type.width, v.type.height, v.position.x, v.position.y, v.heading)
+                     for v in vehicles], dtype=float).reshape(-1, 6)
+
+
+def geometry_boxes(geometry: np.ndarray, ground_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) min and max corners of the boxes around (n, 6) ``vehicle_geometry`` rows' footprints.
 
     Each footprint's axis-aligned bounding rectangle is extruded upward from
-    ``ground_z``; one cosine and sine are taken per distinct heading.
+    ``ground_z``; one ``math`` cosine and sine are taken per distinct heading.
     """
-    trig = {h: (abs(math.cos(h)), abs(math.sin(h))) for h in {v.heading for v in vehicles}}
-    size = np.array([(v.type.length, v.type.width, v.type.height, v.position.x, v.position.y,
-                      *trig[v.heading]) for v in vehicles], dtype=float).reshape(-1, 7)
-    length, width, height, x, y, c, s = size.T
+    length, width, height, x, y, heading = geometry.T
+    headings = heading.tolist()
+    trig = {h: (abs(math.cos(h)), abs(math.sin(h))) for h in set(headings)}
+    c, s = np.array([trig[h] for h in headings], dtype=float).reshape(-1, 2).T
     half_l, half_w = length / 2.0, width / 2.0
     hx = c * half_l + s * half_w
     hy = s * half_l + c * half_w
@@ -245,6 +251,11 @@ def vehicle_boxes(vehicles: Sequence[Vehicle], ground_z: float) -> tuple[np.ndar
     if not (lo <= hi).all():
         raise ValueError("box min corner must not exceed max corner")
     return lo, hi
+
+
+def vehicle_boxes(vehicles: Sequence[Vehicle], ground_z: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 3) min and max corners of the boxes around the vehicles' (possibly rotated) footprints."""
+    return geometry_boxes(vehicle_geometry(vehicles), ground_z)
 
 
 def _draw_speed(rng: np.random.Generator, avg_speed: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EpisodeRecord
+from .dataset import EpisodeColumns
 from .mimo import ArraySpec, sweep_rays
 from .rules import check, setting
 
@@ -85,7 +85,7 @@ def normalize_powers(
 
 
 def build_reward_table(
-    record: EpisodeRecord,
+    record: EpisodeColumns,
     tx_spec: ArraySpec,
     rx_spec: ArraySpec,
     params: SchedulerParams,
@@ -95,24 +95,19 @@ def build_reward_table(
     A scene where none of those receivers has a path has no power to
     normalize; its rewards are all 0.
     """
-    available = sorted(record.receiver_vehicles)
-    if params.num_receivers > len(available):
+    available = len(record.receiver_vehicles)
+    if params.num_receivers > available:
         raise ValueError(
-            f"scheduler needs {params.num_receivers} receivers, episode has {len(available)}"
+            f"scheduler needs {params.num_receivers} receivers, episode has {available}"
         )
     n_pairs = tx_spec.size * rx_spec.size
-    raw = np.full((len(record.scenes), params.num_receivers, n_pairs), -np.inf)
-    swept = [
-        (s, pair.rx_id - 1, pair.rays)
-        for s, scene_rec in enumerate(record.scenes)
-        for pair in scene_rec.pairs
-        if pair.rx_id <= params.num_receivers and pair.rays
-    ]
-    if swept:
-        scenes, receivers, ray_lists = zip(*swept)
-        outputs = np.concatenate([r.outputs for r in sweep_rays(ray_lists, tx_spec, rx_spec)])
+    raw = np.full((record.n_scenes, params.num_receivers, n_pairs), -np.inf)
+    scene = np.repeat(np.arange(record.n_scenes), record.pair_counts)
+    swept = (record.rx_id <= params.num_receivers) & (record.rays.counts > 0)
+    if swept.any():
+        outputs = np.concatenate([r.outputs for r in sweep_rays(record.rays.take(swept), tx_spec, rx_spec)])
         with np.errstate(divide="ignore"):
-            raw[scenes, receivers] = 20.0 * np.log10(np.abs(outputs))
+            raw[scene[swept], record.rx_id[swept] - 1] = 20.0 * np.log10(np.abs(outputs))
     normalized = np.zeros_like(raw)
     for s in range(raw.shape[0]):
         if np.isfinite(raw[s]).any():

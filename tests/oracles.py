@@ -16,12 +16,18 @@ distance row at its k-th value and filled the ties from a cumulative count,
 the chunk kNN vote that took each row's k smallest composite keys over every
 train row at once, and the episode-file codec that spelled out every key of
 each record type in one writer and one reader helper per type, with the writer
-that took the whole list of records before writing any, exactly as they were
-before the rewrites. The production code must reproduce them bit for bit.
+that took the whole list of records before writing any, the object reader that
+checked every rule of the format but one (``read_episodes``) and built a frozen
+record per episode, vehicle, pair and ray, and the read stages' object forms
+over it: the batched channel composition over lists of Ray objects, the
+strongest-ray and LOS tests of one pair, the example extraction into an
+``Examples`` table and the reward table, exactly as they were before the
+rewrites. The production code must reproduce them bit for bit.
 
-Two helpers that only tests call live here too: the one-segment box test over
-the tracer's slab test, and the mean reward of a plan replayed through the
-scalar scheduling environment.
+Helpers that only tests call live here too: the one-segment box test over
+the tracer's slab test, the mean reward of a plan replayed through the
+scalar scheduling environment, and the conversions between an object record
+and its columns (``columns_of``, ``record_of``, ``assert_columns_equal``).
 """
 
 from __future__ import annotations
@@ -30,7 +36,9 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from operator import itemgetter
+from pathlib import Path
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
@@ -39,13 +47,21 @@ from beamcanyon.classify import KnnModel
 from beamcanyon.dataset import (
     CSV_FIXED_COLUMNS,
     FORMAT_NAME,
+    PAIR_KEYS,
+    PARAMS_KEYS,
+    RAY_KEYS,
+    VEHICLE_KEYS,
+    VEHICLE_TYPE_KEYS,
     FORMAT_VERSION,
+    DatasetFormatError,
+    EpisodeColumns,
     EpisodeRecord,
     Examples,
     open_atomic,
 )
-from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, receiver_view
-from beamcanyon.mimo import ArraySpec, strongest_ray_angles, sweep_rays
+from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, SceneVehicles, receiver_view
+from beamcanyon.mimo import ArraySpec, Rays, dft_codebook, sweep_rays
+from beamcanyon.mimo import upa_steering as upa_steering_batch
 from beamcanyon.raytrace import (
     _FACE_TOL,
     SPEED_OF_LIGHT,
@@ -57,7 +73,6 @@ from beamcanyon.raytrace import (
     _mirror,
     _slab_hits,
     _wall_planes,
-    classify_los,
     free_space_gain,
 )
 from beamcanyon.scheduler import (
@@ -68,6 +83,7 @@ from beamcanyon.scheduler import (
     _best_beams,
     _make_plan,
     greedy_agent,
+    normalize_powers,
 )
 from beamcanyon.scenario import (
     MIN_GAP_M,
@@ -129,6 +145,104 @@ def sweep(h: np.ndarray, tx_codebook: np.ndarray, rx_codebook: np.ndarray) -> tu
     per_pair = rx_codebook.conj().T @ h @ tx_codebook
     outputs = per_pair.T.reshape(-1)
     return outputs, int(np.argmax(np.abs(outputs)))
+
+
+def compose_ray_lists(ray_lists: Sequence[Sequence[Ray]], tx_spec: ArraySpec, rx_spec: ArraySpec) -> np.ndarray:
+    """Channels of K lists of Ray objects, stacked (K, Nr, Nt), summed ray slot by ray slot across the batch."""
+    if any(not rays for rays in ray_lists):
+        raise ValueError("cannot compose a channel from an empty ray list")
+    h = np.zeros((len(ray_lists), rx_spec.size, tx_spec.size), dtype=complex)
+    for slot in range(max(map(len, ray_lists), default=0)):
+        owners = [k for k, rays in enumerate(ray_lists) if len(rays) > slot]
+        rays = [ray_lists[k][slot] for k in owners]
+        a_rx = upa_steering_batch([r.arr_azimuth for r in rays], [r.arr_elevation for r in rays], rx_spec)
+        a_tx = upa_steering_batch([r.dep_azimuth for r in rays], [r.dep_elevation for r in rays], tx_spec)
+        gains = np.array([r.gain for r in rays], dtype=complex)[:, None, None]
+        terms = a_rx[:, :, None] * a_tx.conj()[:, None, :]
+        h[owners] += np.multiply(gains, terms, out=terms)
+    return np.multiply(math.sqrt(tx_spec.size * rx_spec.size), h, out=h)
+
+
+def strongest_ray_angles(rays: Sequence[Ray]) -> tuple[float, float, float, float]:
+    """Angles of the highest-amplitude ray; amplitude ties go to the earliest arrival."""
+    if not rays:
+        raise ValueError("empty ray list")
+    best = min(rays, key=lambda r: (-abs(r.gain), r.delay))
+    return (best.dep_azimuth, best.dep_elevation, best.arr_azimuth, best.arr_elevation)
+
+
+def classify_los(record: PairRecord) -> LosStatus:
+    """LOS if any ray is the direct path, NoPath if the pair has no rays at all."""
+    if not record.rays:
+        return LosStatus.NO_PATH
+    if any(r.interactions == "LOS" for r in record.rays):
+        return LosStatus.LOS
+    return LosStatus.NLOS
+
+
+def _encode_each(scenes: Sequence[Scene], grid: GridSpec) -> np.ndarray:
+    grids = np.zeros((len(scenes), grid.rows, grid.cols), dtype=np.int16)
+    for k, scene in enumerate(scenes):
+        grids[k] = encode_scene(scene, grid)
+    return grids
+
+
+def extract_example_table(
+    train_records: Iterable[EpisodeRecord],
+    test_records: Iterable[EpisodeRecord],
+    grid: GridSpec,
+    tx_spec: ArraySpec,
+    rx_spec: ArraySpec,
+) -> tuple[Examples, Examples, np.ndarray]:
+    """``extract_examples`` on object records: each pair's channel composed and swept alone,
+    each scene rasterized alone, the strongest ray and the LOS flag taken per pair."""
+    sides = [[(rec.episode_id, i, s) for rec in records for i, s in enumerate(rec.scenes)]
+             for records in (train_records, test_records)]
+    kept = [[(k, pair) for k, (_, _, scene_rec) in enumerate(scenes) for pair in scene_rec.pairs if pair.rays]
+            for scenes in sides]
+    tx_codebook, rx_codebook = dft_codebook(tx_spec), dft_codebook(rx_spec)
+    raw = np.array([sweep(compose_channel(p.rays, tx_spec, rx_spec), tx_codebook, rx_codebook)[1]
+                    for side in kept for _, p in side], dtype=np.int64)
+    keys = np.array(sorted(set(raw[: len(kept[0])].tolist())), dtype=np.int64)
+    index = {key: i + 1 for i, key in enumerate(keys.tolist())}
+    labels = np.array([index.get(key, 0) for key in raw.tolist()], dtype=np.int64)
+    train, test = (
+        Examples(
+            grids=_encode_each([scene_rec for _, _, scene_rec in scenes], grid),
+            grid_row=np.array([k for k, _ in side], dtype=np.intp),
+            receiver=np.array([p.rx_id for _, p in side], dtype=np.int64),
+            label=label,
+            los=np.array([classify_los(p).value for _, p in side], dtype=str),
+            episode=np.array([scenes[k][0] for k, _ in side], dtype=np.int64),
+            scene=np.array([scenes[k][1] for k, _ in side], dtype=np.int64),
+            angles=np.array([strongest_ray_angles(p.rays) for _, p in side], dtype=np.float64).reshape(-1, 4),
+        )
+        for scenes, side, label in zip(sides, kept, np.split(labels, [len(kept[0])]))
+    )
+    return train, test, keys
+
+
+def build_reward_table(
+    record: EpisodeRecord, tx_spec: ArraySpec, rx_spec: ArraySpec, params: SchedulerParams
+) -> RewardTable:
+    """``build_reward_table`` on an object record, each pair's channel composed and swept alone."""
+    if params.num_receivers > len(record.receiver_vehicles):
+        raise ValueError(
+            f"scheduler needs {params.num_receivers} receivers, episode has {len(record.receiver_vehicles)}"
+        )
+    tx_codebook, rx_codebook = dft_codebook(tx_spec), dft_codebook(rx_spec)
+    raw = np.full((len(record.scenes), params.num_receivers, tx_spec.size * rx_spec.size), -np.inf)
+    for s, scene_rec in enumerate(record.scenes):
+        for pair in scene_rec.pairs:
+            if pair.rx_id <= params.num_receivers and pair.rays:
+                outputs, _ = sweep(compose_channel(pair.rays, tx_spec, rx_spec), tx_codebook, rx_codebook)
+                with np.errstate(divide="ignore"):
+                    raw[s, pair.rx_id - 1] = 20.0 * np.log10(np.abs(outputs))
+    normalized = np.zeros_like(raw)
+    for s in range(raw.shape[0]):
+        if np.isfinite(raw[s]).any():
+            normalized[s] = normalize_powers(raw[s], params.floor_offset_db)
+    return RewardTable(normalized=normalized)
 
 
 def _cell_range(lo: float, hi: float, origin: float, cell: float, count: int) -> range:
@@ -250,7 +364,7 @@ def extract_examples(
 
     # sweep before encoding any grid, so that the sweep's scratch arrays are freed before the
     # grids accumulate and add nothing to peak memory
-    records = list(records)
+    records = [record_of(r) if isinstance(r, EpisodeColumns) else r for r in records]
     ray_lists = [
         pair.rays for rec in records for scene_rec in rec.scenes for pair in scene_rec.pairs if pair.rays
     ]
@@ -1092,6 +1206,153 @@ def _record_from_obj(o: dict) -> EpisodeRecord:
             for s in o["scenes"]
         ),
     )
+
+
+_ray_items, _pair_items, _vehicle_items, _type_items, _params_items = (
+    itemgetter(*k) for k in (RAY_KEYS, PAIR_KEYS, VEHICLE_KEYS, VEHICLE_TYPE_KEYS, PARAMS_KEYS)
+)
+
+
+def _record_from_checked_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
+    """Decode one episode object; ``vehicle_types`` interns the types met so far in its file."""
+    if not o["scenes"]:
+        raise ValueError("no scenes")
+    receivers = {int(k): v for k, v in o["receiver_vehicles"].items()}
+    if min(receivers, default=1) < 1:
+        raise ValueError(f"receiver_vehicles holds receiver index {min(receivers)}; indices start at 1")
+    params = EpisodeParams(*_params_items(o["params"]))
+    if sorted(receivers) != list(range(1, params.receiver_count + 1)):
+        raise ValueError(f"receiver_vehicles keys {sorted(receivers)}: not the receiver indices "
+                         f"1..{params.receiver_count} of receiver_count {params.receiver_count}")
+    scenes = []
+    for s in o["scenes"]:
+        vehicles = []
+        for v in s["vehicles"]:
+            key = _type_items(v)
+            vtype = vehicle_types.get(key)
+            if vtype is None:
+                kind, *size = key
+                vtype = vehicle_types[key] = VehicleType(VehicleKind(kind), *size)
+            vid, heading, speed, receiver_index = _vehicle_items(v)
+            vehicles.append(Vehicle(vid, vtype, Vec3(*v["position"]), heading, speed, receiver_index))
+        tags = [(v.receiver_index, v.id) for v in vehicles if v.receiver_index is not None]
+        if len(dict(tags)) < len(tags) or not receivers.items() >= set(tags):
+            raise ValueError(f"scene {len(scenes)}: vehicle (receiver_index, id) tags {tags}: "
+                             "not distinct receiver_vehicles entries")
+        pairs = []
+        for p in s["pairs"]:
+            tx_id, rx_id, mean_toa, p_tx_dbm, p_rx_dbm = _pair_items(p)
+            # unpacking the gain rejects any but exactly two parts
+            rays = tuple(Ray(complex(re, im), *_ray_items(r)) for r in p["rays"] for re, im in (r["gain"],))
+            pairs.append(PairRecord(tx_id, rx_id, rays, mean_toa, p_tx_dbm, p_rx_dbm))
+        rx_ids = [p.rx_id for p in pairs]
+        if not receivers.keys() >= set(rx_ids) or len(set(rx_ids)) < len(rx_ids):
+            raise ValueError(f"scene {len(scenes)}: pair rx_ids {rx_ids}: not distinct receiver_vehicles keys")
+        scenes.append(Scene(s["time"], tuple(vehicles), tuple(pairs)))
+    return EpisodeRecord(
+        o["episode_id"],
+        o["start_time"],
+        params,
+        o["max_rays"],
+        Rect(*o["rt_area"]),
+        Rect(*o["v2i_area"]),
+        Vec3(*o["rsu_position"]),
+        receivers,
+        tuple(scenes),
+    )
+
+
+def read_episodes(path: str | os.PathLike) -> list[EpisodeRecord]:
+    """The object reader: one frozen record per episode, with every rule of the column reader
+    but the one that each record's ``v2i_area`` be record 0's."""
+    path = Path(path)
+    with open(path, "r", encoding="utf-8") as f:
+        first = f.readline()
+        if not first:
+            raise DatasetFormatError(f"{path}: empty file")
+        try:
+            header = json.loads(first.rstrip("\n"))
+        except json.JSONDecodeError as e:
+            raise DatasetFormatError(f"{path}: bad header line: {e}") from e
+        if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
+            raise DatasetFormatError(f"{path}: not a {FORMAT_NAME} file")
+        if header.get("version") != FORMAT_VERSION:
+            raise DatasetFormatError(f"{path}: unsupported version {header.get('version')}")
+        expected = header.get("episode_count")
+        if type(expected) is not int:  # a bool is not a count
+            raise DatasetFormatError(f"{path}: header episode_count must be an integer, got {expected!r}")
+        if expected < 1:
+            raise DatasetFormatError(f"{path}: no episode records: header episode_count is {expected}")
+        records = []
+        vehicle_types: dict[tuple, VehicleType] = {}
+        for i, line in enumerate(f):
+            if i == expected:
+                raise DatasetFormatError(f"{path}: more episode records than the {expected} the header promises")
+            try:
+                records.append(_record_from_checked_obj(json.loads(line.rstrip("\n")), vehicle_types))
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as e:
+                raise DatasetFormatError(f"{path}: record {i}: {e}") from e
+    if len(records) != expected:
+        raise DatasetFormatError(
+            f"{path}: truncated: header promises {expected} episode records, "
+            f"found {len(records)}"
+        )
+    return records
+
+
+def columns_of(record: EpisodeRecord) -> EpisodeColumns:
+    """The columns of an object record, built from its objects, not from its line."""
+    pairs = [p for s in record.scenes for p in s.pairs]
+    return EpisodeColumns(
+        episode_id=record.episode_id,
+        params=record.params,
+        v2i_area=record.v2i_area,
+        receiver_vehicles=dict(record.receiver_vehicles),
+        vehicles=SceneVehicles.of(record.scenes),
+        pair_counts=np.array([len(s.pairs) for s in record.scenes], dtype=np.intp),
+        rx_id=np.array([p.rx_id for p in pairs], dtype=np.int64),
+        rays=Rays.of([p.rays for p in pairs]),
+    )
+
+
+KIND_OF_CODE = {code: kind for kind, code in HEIGHT_CODES.items()}
+
+
+def record_of(columns: EpisodeColumns) -> EpisodeRecord:
+    """An object record that holds what the columns hold. The fields that the columns drop get
+    stand-ins: a receiver vehicle is a car, every ray not the direct path a wall bounce, and the
+    ids, times, speeds, probabilities, z coordinates and powers are 0."""
+    vehicles = iter(zip(columns.vehicles.geometry.tolist(), columns.vehicles.key.tolist()))
+    gain, delay, angles, los = (a.tolist() for a in (columns.rays.gain, columns.rays.delay,
+                                                     columns.rays.angles, columns.rays.los))
+    rays = iter(Ray(g, d, *a, "LOS" if direct else "R") for g, d, a, direct in zip(gain, delay, angles, los))
+    pairs = iter(PairRecord(0, rx_id, tuple(itertools.islice(rays, n)), 0.0, 0.0, 0.0)
+                 for rx_id, n in zip(columns.rx_id.tolist(), columns.rays.counts.tolist()))
+    scenes = []
+    for n_vehicles, n_pairs in zip(columns.vehicles.counts.tolist(), columns.pair_counts.tolist()):
+        scene_vehicles = tuple(
+            Vehicle(0, VehicleType(KIND_OF_CODE.get(key, VehicleKind.CAR), length, width, height, 0.0),
+                    Vec3(x, y, 0.0), heading, 0.0, key if key > 0 else None)
+            for (length, width, height, x, y, heading), key in itertools.islice(vehicles, n_vehicles)
+        )
+        scenes.append(Scene(0.0, scene_vehicles, tuple(itertools.islice(pairs, n_pairs))))
+    area = columns.v2i_area
+    return EpisodeRecord(columns.episode_id, 0.0, columns.params, 0, area, area, Vec3(0.0, 0.0, 0.0),
+                         dict(columns.receiver_vehicles), tuple(scenes))
+
+
+def assert_columns_equal(a: EpisodeColumns, b: EpisodeColumns) -> None:
+    """Every field equal, arrays bit for bit and of one dtype."""
+    for name in ("episode_id", "params", "v2i_area", "receiver_vehicles"):
+        assert getattr(a, name) == getattr(b, name), name
+    tables = [("vehicles", SceneVehicles), ("rays", Rays)]
+    pairs = [(name, getattr(a, name), getattr(b, name)) for name in ("pair_counts", "rx_id")]
+    for table, cls in tables:
+        pairs += [(f"{table}.{f.name}", getattr(getattr(a, table), f.name), getattr(getattr(b, table), f.name))
+                  for f in fields(cls)]
+    for name, x, y in pairs:
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert x.tobytes() == y.tobytes(), name
 
 
 def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:

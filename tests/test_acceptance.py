@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from oracles import env_reset, env_step, episode_reward, segment_intersects_box
 from beamcanyon.cli import main
 from beamcanyon.classify import evaluate, knn_classifier, majority_classifier
@@ -302,10 +303,12 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     assert train_ids.isdisjoint(test_ids)
     assert train_ids | test_ids == {r.episode_id for r in records}
 
+    objects = oracles.read_episodes(path)
     copy_path = tmp_path / "copy.jsonl"
-    write_episodes(map(encode_record, records), copy_path, len(records))
+    write_episodes(map(encode_record, objects), copy_path, len(objects))
     assert copy_path.read_bytes() == path.read_bytes()
-    assert read_episodes(copy_path) == records
+    for columns, record in zip(read_episodes(copy_path), objects, strict=True):
+        oracles.assert_columns_equal(columns, oracles.columns_of(record))
 
     grid = GridSpec.from_area(records[0].v2i_area)
     by_id = {r.episode_id: r for r in records}
@@ -316,7 +319,7 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
     codebook = dft_codebook(ARRAY)
     pairs = {
         (r.episode_id, s, p.rx_id): p
-        for r in records
+        for r in objects
         for s, scene_rec in enumerate(r.scenes)
         for p in scene_rec.pairs
     }

@@ -457,3 +457,35 @@ class TestEvaluate:
         model = majority_classifier(np.zeros((2, 1)), np.array([1, 1]))
         with pytest.raises(ValueError):
             evaluate(model, np.zeros((0, 1)), np.array([], dtype=int), np.array([], dtype=bool))
+
+
+@pytest.mark.parametrize("n_scenes, n", [(40, 2 * CHUNK + 3), (3, 1), (2, 70)])
+def test_stacking_the_varying_columns_fits_the_full_width_model(n_scenes, n):
+    # grids whose first rows are fixed, so that many columns stay constant over the examples
+    rng = np.random.default_rng(n)
+    grids = rng.integers(-3, 1, size=(n_scenes, 5, 7)).astype(np.int16)
+    grids[:, :2] = -1
+    grids[:, 0, 0], grids[:, 4, 6] = 1, 2
+    examples = Examples(
+        grids=grids,
+        grid_row=rng.integers(n_scenes, size=n),
+        receiver=rng.integers(1, 3, size=n),
+        label=rng.integers(0, 9, size=n),
+        los=rng.choice(["LOS", "NLOS"], size=n),
+        episode=np.zeros(n, dtype=np.int64),
+        scene=np.zeros(n, dtype=np.int64),
+        angles=np.zeros((n, 4)),
+    )
+    full, labels, _ = examples_to_arrays(examples)
+    columns = classify.varying_columns(examples)
+    assert np.array_equal(columns, full.min(axis=0) != full.max(axis=0))
+    kept, _, _ = examples_to_arrays(examples, columns)
+    assert kept.dtype == np.int8 and np.array_equal(kept, full[:, columns])
+    k = min(3, n)
+    model, oracle = knn_classifier(kept, labels, k, columns), knn_classifier(full, labels, k)
+    assert model.features is kept
+    assert np.array_equal(model.columns, oracle.columns) and np.array_equal(model.features, oracle.features)
+    assert np.array_equal(predict(model, full), predict(oracle, full))
+    assert not columns.all()
+    with pytest.raises(ValueError, match="feature columns, but"):
+        knn_classifier(full, labels, k, columns)

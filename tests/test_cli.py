@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import time
 
+import numpy as np
 import pytest
 
 import oracles
@@ -79,7 +80,7 @@ class TestGenerate:
         path = _generate(tmp_path, episodes=2, scenes=3)
         records = read_episodes(path)
         assert len(records) == 2
-        assert all(len(r.scenes) == 3 for r in records)
+        assert all(r.n_scenes == 3 for r in records)
         assert [r.episode_id for r in records] == [0, 1]
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -306,6 +307,12 @@ class TestExport:
                 _tags_reason,
                 id="vehicle-receiver-index-of-another-vehicle",
             ),
+            pytest.param(
+                # every grid is laid on record 0's strip, so another strip would put this record's off it
+                lambda o: o.update(v2i_area=[o["v2i_area"][0] + 40.0, *o["v2i_area"][1:]]),
+                "v2i_area [80.0, 0.0, 290.0, 23.0] differs from record 0's [40.0, 0.0, 290.0, 23.0]",
+                id="v2i-area-differs-from-record-0",
+            ),
         ],
     )
     def test_bad_receiver_fails_every_read_stage(self, tmp_path, capsys, corrupt, reason):
@@ -355,8 +362,7 @@ class TestClassify:
         records = read_episodes(path)
         split = split_episodes([r.episode_id for r in records], 0.25, derive_seed(42, cli._PURPOSE_SPLIT))
         n_train = sum(
-            bool(pair.rays) for r in records if r.episode_id in split.train_episode_ids
-            for scene in r.scenes for pair in scene.pairs
+            np.count_nonzero(r.rays.counts) for r in records if r.episode_id in split.train_episode_ids
         )
         assert main(["--seed", "42", "--out", str(tmp_path), "classify", str(path), "--knn-k", "1000"]) == 0
         report = json.loads((tmp_path / "classify_report.json").read_text())
@@ -414,7 +420,7 @@ class TestSchedule:
     def test_scenes_without_paths_do_not_abort(self, tmp_path, capsys):
         # at this seed receivers 1 and 2 have no path in episode 2, scenes 8-9
         path = _generate(tmp_path, episodes=3, scenes=10, seed=71)
-        dead = [p for p in read_episodes(path)[2].scenes[8].pairs if p.rx_id <= 2]
+        dead = [p for p in oracles.read_episodes(path)[2].scenes[8].pairs if p.rx_id <= 2]
         assert len(dead) == 2 and not any(p.rays for p in dead)
         argv = ["--seed", "71", "--out", str(tmp_path), "schedule", str(path)]
         assert main(argv + ["--n-rec", "2", "--n-out", "3", "--r-out", "-3"]) == 0

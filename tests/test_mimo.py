@@ -10,6 +10,7 @@ from beamcanyon.dataset import EpisodeRecord, extract_examples
 from beamcanyon.features import GridSpec
 from beamcanyon.mimo import (
     ArraySpec,
+    Rays,
     compose_channel,
     dft_codebook,
     strongest_ray_angles,
@@ -22,6 +23,11 @@ from beamcanyon.scenario import EpisodeParams, Rect, Scene, Vec3
 
 def _ray(gain=1.0 + 0j, delay=1e-8, dep=(0.0, 0.0), arr=(0.0, 0.0)):
     return Ray(gain, delay, dep[0], dep[1], arr[0], arr[1], "LOS")
+
+
+def _strongest(rays):
+    """``strongest_ray_angles`` of one list, as a tuple."""
+    return tuple(strongest_ray_angles(Rays.of([rays]))[0].tolist())
 
 
 def _grid_angles(px, py, spec):
@@ -213,17 +219,17 @@ class TestSweep:
 class TestStrongestRayAngles:
     def test_single_ray(self):
         ray = _ray(dep=(0.1, 0.2), arr=(0.3, 0.4))
-        assert strongest_ray_angles([ray]) == (0.1, 0.2, 0.3, 0.4)
+        assert _strongest([ray]) == (0.1, 0.2, 0.3, 0.4)
 
     def test_picks_larger_amplitude(self):
         weak = _ray(gain=0.5, dep=(1, 1), arr=(1, 1))
         strong = _ray(gain=0.9, dep=(2, 2), arr=(2, 2))
-        assert strongest_ray_angles([weak, strong]) == (2, 2, 2, 2)
+        assert _strongest([weak, strong]) == (2, 2, 2, 2)
 
     def test_amplitude_tie_takes_earliest_arrival(self):
         late = _ray(gain=0.5, delay=2e-8, dep=(1, 1), arr=(1, 1))
         early = _ray(gain=0.5, delay=1e-8, dep=(2, 2), arr=(2, 2))
-        assert strongest_ray_angles([late, early]) == (2, 2, 2, 2)
+        assert _strongest([late, early]) == (2, 2, 2, 2)
 
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(12)
@@ -242,7 +248,7 @@ class TestStrongestRayAngles:
                 key = (-abs(r.gain), r.delay)
                 if best_key is None or key < best_key:
                     best, best_key = r, key
-            assert strongest_ray_angles(rays) == (
+            assert _strongest(rays) == (
                 best.dep_azimuth,
                 best.dep_elevation,
                 best.arr_azimuth,
@@ -251,7 +257,7 @@ class TestStrongestRayAngles:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            strongest_ray_angles([])
+            strongest_ray_angles(Rays.of([[]]))
 
 
 # each of a 4 x 1 array's four DFT beams points at a real direction, so every one of
@@ -269,7 +275,8 @@ def _record(episode_id, indices):
         scenes.append(Scene(float(len(scenes)), (), (PairRecord(0, 1, (ray,), 0.0, 0.0, 0.0),)))
     area = Rect(0.0, 0.0, 1.0, 1.0)
     origin = Vec3(0.0, 0.0, 0.0)
-    return EpisodeRecord(episode_id, 0.0, EpisodeParams(), 1, area, area, origin, {1: 0}, tuple(scenes))
+    params = EpisodeParams(receiver_count=1)
+    return oracles.columns_of(EpisodeRecord(episode_id, 0.0, params, 1, area, area, origin, {1: 0}, tuple(scenes)))
 
 
 def _classes(train_indices, test_indices):

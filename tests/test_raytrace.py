@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from oracles import segment_intersects_box
 from beamcanyon.dataset import build_episode_record, encode_record
+from beamcanyon.mimo import Rays
 from beamcanyon.raytrace import (
     LosStatus,
     PairRecord,
@@ -18,7 +19,6 @@ from beamcanyon.raytrace import (
     SPEED_OF_LIGHT,
     TraceConfig,
     _unit_rows,
-    classify_los,
     free_space_gain,
     mirror_paths,
     trace_scenes,
@@ -237,7 +237,7 @@ class TestTracePaths:
         (rec,) = trace_scenes(canyon, (Scene(0.0, tuple([rx] + ring)),), TraceConfig(max_reflections=0))[0]
         assert rec.rays == ()
         assert rec.p_rx_dbm is None and rec.mean_toa is None
-        assert classify_los(rec) == LosStatus.NO_PATH
+        assert oracles.classify_los(rec) == LosStatus.NO_PATH
 
 
 class TestMatchesOracle:
@@ -524,20 +524,29 @@ class TestSpecularGeometry:
 
 
 class TestClassifyLos:
-    def _record(self, interactions):
-        rays = tuple(
-            Ray(1.0 + 0j, 1e-8, 0.0, 1.0, 0.0, 1.0, s) for s in interactions
+    """A ray list is LOS when one of its rays is the direct path."""
+
+    def _has_los(self, interactions):
+        rays = [Ray(1.0 + 0j, 1e-8, 0.0, 1.0, 0.0, 1.0, s) for s in interactions]
+        (has_los,) = Rays.of([rays]).has_los().tolist()
+        assert oracles.classify_los(PairRecord(0, 1, tuple(rays), None, 0.0, None)) == (
+            LosStatus.LOS if has_los else LosStatus.NLOS if rays else LosStatus.NO_PATH
         )
-        return PairRecord(0, 1, rays, 1e-8 if rays else None, 0.0, -80.0 if rays else None)
+        return has_los
 
     def test_los(self):
-        assert classify_los(self._record(["R", "LOS"])) == LosStatus.LOS
+        assert self._has_los(["R", "LOS"])
 
     def test_nlos(self):
-        assert classify_los(self._record(["R", "RG"])) == LosStatus.NLOS
+        assert not self._has_los(["R", "RG"])
 
     def test_no_path(self):
-        assert classify_los(self._record([])) == LosStatus.NO_PATH
+        assert not self._has_los([])
+
+    def test_lists_of_one_batch(self):
+        rays = [[Ray(1.0 + 0j, 1e-8, 0.0, 1.0, 0.0, 1.0, s) for s in lst]
+                for lst in (["R"], [], ["R-RG", "LOS", "R"], ["LOS"])]
+        assert Rays.of(rays).has_los().tolist() == [False, False, True, True]
 
 
 class TestTraceConfig:

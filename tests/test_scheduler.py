@@ -458,18 +458,23 @@ def record():
     return build_episode_record(sc, EpisodeParams(scenes_per_episode=4, receiver_count=4, seed=77), TraceConfig())
 
 
+@pytest.fixture(scope="module")
+def columns(record):
+    return oracles.columns_of(record)
+
+
 class TestBuildRewardTable:
-    def test_shape_and_normalization(self, record):
+    def test_shape_and_normalization(self, columns):
         params = SchedulerParams(num_receivers=2)
-        table = build_reward_table(record, ARRAY, ARRAY, params)
+        table = build_reward_table(columns, ARRAY, ARRAY, params)
         assert table.normalized.shape == (4, 2, 256)
         for s in range(table.n_scenes):
             assert table.normalized[s].max() == 1.0
             assert table.normalized[s].min() >= 0.0
 
-    def test_too_many_receivers_rejected(self, record):
-        with pytest.raises(ValueError):
-            build_reward_table(record, ARRAY, ARRAY, SchedulerParams(num_receivers=10))
+    def test_too_many_receivers_rejected(self, columns):
+        with pytest.raises(ValueError, match="scheduler needs 10 receivers, episode has 4"):
+            build_reward_table(columns, ARRAY, ARRAY, SchedulerParams(num_receivers=10))
 
     def test_scene_without_any_path_scores_zero(self, record):
         # no scheduled receiver has a path in scene 1: its rewards are all 0
@@ -478,8 +483,8 @@ class TestBuildRewardTable:
         )
         blanked = replace(record, scenes=(record.scenes[0], dead) + record.scenes[2:])
         params = SchedulerParams(outage_after=3, outage_penalty=-3.0, num_receivers=2)
-        table = build_reward_table(blanked, ARRAY, ARRAY, params)
-        full = build_reward_table(record, ARRAY, ARRAY, params)
+        table = build_reward_table(oracles.columns_of(blanked), ARRAY, ARRAY, params)
+        full = build_reward_table(oracles.columns_of(record), ARRAY, ARRAY, params)
         assert (table.normalized[1] == 0.0).all()
         kept = [0, 2, 3]
         assert np.array_equal(table.normalized[kept], full.normalized[kept])
