@@ -24,8 +24,7 @@ from . import classify as clf
 from .dataset import (
     Examples,
     Split,
-    build_episode_record,
-    encode_record,
+    episode_line,
     export_csv,
     extract_examples,
     open_atomic,
@@ -172,17 +171,16 @@ def _write_json(path: Path, obj: object) -> None:
 
 
 def _generate_one(args: tuple) -> str:
-    """Simulate and trace one episode; its encoded line, so that no record is pickled."""
+    """Simulate and trace one episode; its encoded line, so that only text is pickled."""
     scenario_cfg, params, trace_cfg, episode_id = args
-    scenario = make_canyon_scenario(scenario_cfg)
-    return encode_record(build_episode_record(scenario, params, trace_cfg, episode_id))
+    return episode_line(make_canyon_scenario(scenario_cfg), params, trace_cfg, episode_id)
 
 
 def cmd_generate(config: RunConfig, n_episodes: int, out_path: Path, jobs: int = 1) -> None:
     """Simulate episodes, trace all pairs, and stream them to the episodes file atomically.
 
-    Each episode's record is built from its derived seed in ``min(jobs, n_episodes)`` worker processes,
-    and its line is written and logged as soon as it is its turn, so the records are never all held at once.
+    Each episode's line is made from its derived seed in ``min(jobs, n_episodes)`` worker processes,
+    and written and logged as soon as it is its turn, so the episodes are never all held at once.
     """
     if n_episodes < 1:
         raise ValueError("need at least one episode")

@@ -3,9 +3,10 @@
 Episodes are stored as JSON Lines: a header line followed by one
 self-contained episode object per line (schema in docs/format.md). Floats
 round-trip bit-exactly and field order is fixed, so identical inputs always
-produce byte-identical files. There is one writer: ``encode_record`` turns a
-record into its line, and ``write_episodes`` writes the header and a stream
-of such lines, so a record can be encoded where it is made and dropped.
+produce byte-identical files. There is one writer: ``episode_line``
+simulates and traces one episode and turns the tracer's columns into its
+line, and ``write_episodes`` writes the header and a stream of such lines,
+so an episode can be encoded where it is made and dropped.
 
 There is one reader, and it builds no object per vehicle, pair or ray.
 ``read_episodes`` checks each line against the format's rules and decodes
@@ -19,9 +20,11 @@ and ``scheduler.build_reward_table`` sweeps an episode's rays.
 from __future__ import annotations
 
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass
+from itertools import islice
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -31,7 +34,7 @@ import numpy as np
 from .features import HEIGHT_CODES, GridSpec, SceneVehicles, encode_scenes, scene_view
 from .mimo import ArraySpec, Rays, strongest_ray_angles, sweep_rays
 from .raytrace import LosStatus, TraceConfig, trace_scenes
-from .scenario import EpisodeParams, Rect, Scenario, Scene, Vec3, VehicleKind, generate_episode
+from .scenario import EpisodeParams, Rect, Scenario, Vec3, VehicleKind, generate_episode
 
 FORMAT_NAME = "beamcanyon-episodes"
 FORMAT_VERSION = 1
@@ -39,19 +42,6 @@ FORMAT_VERSION = 1
 
 class DatasetFormatError(ValueError):
     """Raised when an episodes file cannot be decoded."""
-
-
-@dataclass(frozen=True)
-class EpisodeRecord:
-    episode_id: int
-    start_time: float
-    params: EpisodeParams
-    max_rays: int
-    rt_area: Rect
-    v2i_area: Rect
-    rsu_position: Vec3
-    receiver_vehicles: dict[int, int]  # receiver index -> vehicle id
-    scenes: tuple[Scene, ...]
 
 
 @dataclass(frozen=True)
@@ -106,37 +96,12 @@ class Split:
     test_episode_ids: tuple[int, ...]
 
 
-def build_episode_record(
-    scenario: Scenario, params: EpisodeParams, cfg: TraceConfig, episode_id: int = 0
-) -> EpisodeRecord:
-    """Simulate one episode from ``params`` (its seed included) and trace every (scene, receiver) pair."""
-    scenes = generate_episode(scenario, params)
-    receiver_vehicles = {
-        v.receiver_index: v.id for v in scenes[0].vehicles if v.receiver_index is not None
-    }
-    return EpisodeRecord(
-        episode_id=episode_id,
-        start_time=scenes[0].time,
-        params=params,
-        max_rays=cfg.max_rays,
-        rt_area=scenario.rt_area,
-        v2i_area=scenario.v2i_area,
-        rsu_position=scenario.rsu_position,
-        receiver_vehicles=receiver_vehicles,
-        scenes=tuple(
-            Scene(s.time, s.vehicles, pairs)
-            for s, pairs in zip(scenes, trace_scenes(scenario, scenes, cfg))
-        ),
-    )
-
-
-# The JSON keys of each record type's plain fields, in the order of its constructor,
-# so that the reader takes a ray's delay and then its angles in the ``Rays.angles``
-# order from the first five. They are the fields' names, so the writer stores a
-# record by copying its fields. The other fields are converted
-# by name: a ray's complex gain is stored as [re, im], a pair's rays as a list of
-# objects, a vehicle's position as [x, y, z] and its type flat in the vehicle's
-# object.
+# The JSON keys of each record type's plain fields. The reader takes a ray's delay and
+# then its angles in the ``Rays.angles`` order from the first five ray keys, which
+# ``episode_line`` writes from the tracer's columns under the same names. The other
+# fields are converted by name: a ray's complex gain is stored as [re, im], a pair's
+# rays as a list of objects, a vehicle's position as [x, y, z] and its type flat in
+# the vehicle's object.
 RAY_KEYS = ("delay", "dep_azimuth", "dep_elevation", "arr_azimuth", "arr_elevation", "interactions")
 PAIR_KEYS = ("tx_id", "rx_id", "mean_toa", "p_tx_dbm", "p_rx_dbm")
 VEHICLE_KEYS = ("id", "heading", "speed", "receiver_index")
@@ -153,38 +118,58 @@ _scene_items = itemgetter("vehicles", "pairs", "time")
 _record_items = itemgetter("episode_id", "start_time", "max_rays", "rt_area", "v2i_area", "rsu_position")
 
 
-def _record_to_obj(rec: EpisodeRecord) -> dict:
-    scenes = []
-    for s in rec.scenes:
+def episode_line(scenario: Scenario, params: EpisodeParams, cfg: TraceConfig, episode_id: int = 0) -> str:
+    """Simulate one episode from ``params`` (its seed included), trace every (scene, receiver) pair,
+    and return the episode's line of the episodes file, without its newline."""
+    scenes = generate_episode(scenario, params)
+    pair_counts, rx_id, rays, interactions = trace_scenes(scenario, scenes, cfg)
+    pairs = _pair_objects(rx_id, rays, interactions, cfg.tx_power_dbm)
+    scene_objects = []
+    for scene, n_pairs in zip(scenes, pair_counts.tolist()):
         vehicles = []
-        for v in s.vehicles:
+        for v in scene.vehicles:
             obj = vars(v.type).copy()  # the kind is a str enum, so json writes its value
             obj.update(vars(v))
             del obj["type"]
             obj["position"] = _xyz(v.position)
             vehicles.append(obj)
-        pairs = []
-        for p in s.pairs:
-            rays = []
-            for r in p.rays:
-                obj = vars(r).copy()
-                obj["gain"] = (r.gain.real, r.gain.imag)
-                rays.append(obj)
-            obj = vars(p).copy()
-            obj["rays"] = rays
-            pairs.append(obj)
-        scenes.append({"time": s.time, "vehicles": vehicles, "pairs": pairs})
-    return {
-        "episode_id": rec.episode_id,
-        "start_time": rec.start_time,
-        "params": vars(rec.params),
-        "max_rays": rec.max_rays,
-        "rt_area": astuple(rec.rt_area),
-        "v2i_area": astuple(rec.v2i_area),
-        "rsu_position": astuple(rec.rsu_position),
-        "receiver_vehicles": {str(k): v for k, v in sorted(rec.receiver_vehicles.items())},
-        "scenes": scenes,
-    }
+        scene_objects.append({"time": scene.time, "vehicles": vehicles, "pairs": list(islice(pairs, n_pairs))})
+    return _dumps({
+        "episode_id": episode_id,
+        "start_time": scenes[0].time,
+        "params": vars(params),
+        "max_rays": cfg.max_rays,
+        "rt_area": astuple(scenario.rt_area),
+        "v2i_area": astuple(scenario.v2i_area),
+        "rsu_position": astuple(scenario.rsu_position),
+        "receiver_vehicles": {str(v.receiver_index): v.id for v in scenes[0].vehicles if v.receiver_index is not None},
+        "scenes": scene_objects,
+    })
+
+
+def _pair_objects(rx_id: np.ndarray, rays: Rays, interactions: Sequence[str], tx_power_dbm: float) -> Iterator[dict]:
+    """The object of each traced pair, its rays converted to Python values one pair at a time.
+
+    A pair's ``mean_toa``, the power-weighted mean delay, and its ``p_rx_dbm`` are derived
+    from its rays, and are null for a pair with none.
+    """
+    stops = np.cumsum(rays.counts).tolist()
+    for rx, start, stop in zip(rx_id.tolist(), [0, *stops], stops):
+        gains = rays.gain[start:stop].tolist()
+        ray_objects = []
+        for gain, delay, (dep_az, dep_el, arr_az, arr_el), kind in zip(
+            gains, rays.delay[start:stop].tolist(), rays.angles[start:stop].tolist(), interactions[start:stop]
+        ):
+            ray_objects.append({"gain": (gain.real, gain.imag), "delay": delay, "dep_azimuth": dep_az,
+                                "dep_elevation": dep_el, "arr_azimuth": arr_az, "arr_elevation": arr_el,
+                                "interactions": kind})
+        mean_toa = p_rx_dbm = None
+        if gains:
+            powers = np.array([abs(g) ** 2 for g in gains])
+            mean_toa = float((powers * rays.delay[start:stop]).sum() / powers.sum())
+            p_rx_dbm = tx_power_dbm + 10.0 * math.log10(float(powers.sum()))
+        yield {"tx_id": 0, "rx_id": rx, "rays": ray_objects, "mean_toa": mean_toa, "p_tx_dbm": tx_power_dbm,
+               "p_rx_dbm": p_rx_dbm}
 
 
 def _decode_record(line: str) -> EpisodeColumns:
@@ -286,13 +271,8 @@ def open_atomic(path: str | os.PathLike, mode: str = "w") -> Iterator[IO]:
         raise
 
 
-def encode_record(rec: EpisodeRecord) -> str:
-    """The record's line of the episodes file, without its newline."""
-    return _dumps(_record_to_obj(rec))
-
-
 def write_episodes(lines: Iterable[str], path: str | os.PathLike, episode_count: int) -> None:
-    """Write the header, then each ``encode_record`` line as it is yielded, atomically.
+    """Write the header, then each ``episode_line`` line as it is yielded, atomically.
 
     Raises ``ValueError``, leaving no file, unless exactly ``episode_count`` lines come.
     """

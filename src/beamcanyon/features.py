@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .scenario import Scene, VehicleKind, geometry_boxes, vehicle_geometry
+from .scenario import VehicleKind, geometry_boxes
 
 HEIGHT_CODES = {VehicleKind.CAR: -1, VehicleKind.TRUCK: -2, VehicleKind.BUS: -3}
 
@@ -71,8 +71,7 @@ def _windows(lo: np.ndarray, hi: np.ndarray, origin: float, count: int, cell: fl
 class SceneVehicles:
     """The vehicles of a run of scenes in columns: scene s holds the next ``counts[s]`` rows.
 
-    This is the form an episodes file is read into. ``SceneVehicles.of``
-    also takes ``Scene`` objects.
+    This is the form an episodes file is read into.
     """
 
     counts: np.ndarray    # vehicles per scene
@@ -80,26 +79,12 @@ class SceneVehicles:
     key: np.ndarray       # int32: a blocker's height code, or a receiver's index
 
     @classmethod
-    def of(cls, scenes: SceneVehicles | Sequence[Scene]) -> SceneVehicles:
-        if isinstance(scenes, SceneVehicles):
-            return scenes
-        vehicles = [v for scene in scenes for v in scene.vehicles]
-        for v in vehicles:  # an index below 1 would read as a blocker's code or as free
-            if v.receiver_index is not None and v.receiver_index < 1:
-                raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
-        return cls(
-            counts=np.array([len(scene.vehicles) for scene in scenes], dtype=np.intp),
-            geometry=vehicle_geometry(vehicles),
-            key=np.array([HEIGHT_CODES[v.type.kind] if v.receiver_index is None else v.receiver_index
-                          for v in vehicles], dtype=np.int32),
-        )
-
-    @classmethod
     def concat(cls, parts: Sequence[SceneVehicles]) -> SceneVehicles:
-        return cls(*(np.concatenate([getattr(p, f.name) for p in (cls.of([]), *parts)]) for f in fields(cls)))
+        empty = cls(np.empty(0, np.intp), np.empty((0, 6)), np.empty(0, np.int32))
+        return cls(*(np.concatenate([getattr(p, f.name) for p in (empty, *parts)]) for f in fields(cls)))
 
 
-def encode_scenes(scenes: SceneVehicles | Sequence[Scene], grid: GridSpec) -> np.ndarray:
+def encode_scenes(vehicles: SceneVehicles, grid: GridSpec) -> np.ndarray:
     """Rasterize the vehicle footprints of every scene into one (scenes, rows, cols) stack.
 
     Cell conflicts: a receiver index always wins over a blocker code; between
@@ -109,7 +94,6 @@ def encode_scenes(scenes: SceneVehicles | Sequence[Scene], grid: GridSpec) -> np
     and each cell keeps the smallest key, receivers keyed below blockers.
     Receiver indices must lie in 1..MAX_RECEIVER_INDEX.
     """
-    vehicles = SceneVehicles.of(scenes)
     receiver = vehicles.key > 0
     past = vehicles.key[receiver & (vehicles.key > MAX_RECEIVER_INDEX)]
     if past.size:

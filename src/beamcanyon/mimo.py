@@ -13,7 +13,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .raytrace import Ray
 from .rules import check, setting
 
 SWEEP_CHUNK = 256  # ray lists per batched sweep in sweep_rays
@@ -23,8 +22,10 @@ SWEEP_CHUNK = 256  # ray lists per batched sweep in sweep_rays
 class Rays:
     """K ray lists in columns: list k is the next ``counts[k]`` rows of the ray columns.
 
-    This is the form an episodes file is read into. ``Rays.of`` also takes
-    ``Ray`` objects, one sequence of them per list.
+    This is the form the tracer emits and an episodes file is read into.
+    Azimuths lie in (-pi, pi] from +x, elevations in [0, pi] from the +z
+    zenith; departure angles point from the transmitter along a path's first
+    segment, arrival angles from the receiver back along its last.
     """
 
     gain: np.ndarray    # complex128
@@ -37,22 +38,9 @@ class Rays:
         return len(self.counts)
 
     @classmethod
-    def of(cls, ray_lists: Rays | Sequence[Sequence[Ray]]) -> Rays:
-        if isinstance(ray_lists, Rays):
-            return ray_lists
-        rays = [r for rays in ray_lists for r in rays]
-        return cls(
-            gain=np.array([r.gain for r in rays], dtype=np.complex128),
-            delay=np.array([r.delay for r in rays], dtype=np.float64),
-            angles=np.array([(r.dep_azimuth, r.dep_elevation, r.arr_azimuth, r.arr_elevation) for r in rays],
-                            dtype=np.float64).reshape(-1, 4),
-            los=np.array([r.interactions == "LOS" for r in rays], dtype=bool),
-            counts=np.array([len(rays) for rays in ray_lists], dtype=np.intp),
-        )
-
-    @classmethod
     def concat(cls, parts: Sequence[Rays]) -> Rays:
-        return cls(*(np.concatenate([getattr(p, f.name) for p in (cls.of([]), *parts)]) for f in fields(cls)))
+        empty = cls(np.empty(0, np.complex128), np.empty(0), np.empty((0, 4)), np.empty(0, bool), np.empty(0, np.intp))
+        return cls(*(np.concatenate([getattr(p, f.name) for p in (empty, *parts)]) for f in fields(cls)))
 
     def take(self, keep: np.ndarray) -> Rays:
         """The lists where ``keep`` is true, in order."""
@@ -110,7 +98,7 @@ def upa_steering(
     return (np.exp(1j * phase) / math.sqrt(spec.size)).reshape(*az.shape[:-2], spec.size)
 
 
-def compose_channel(ray_lists: Rays | Sequence[Sequence[Ray]], tx_spec: ArraySpec, rx_spec: ArraySpec) -> np.ndarray:
+def compose_channel(rays: Rays, tx_spec: ArraySpec, rx_spec: ArraySpec) -> np.ndarray:
     """Channels of K ray lists, stacked with shape (K, Nr, Nt).
 
     Each channel is the sum of its per-ray rank-one terms, scaled by
@@ -119,7 +107,6 @@ def compose_channel(ray_lists: Rays | Sequence[Sequence[Ray]], tx_spec: ArraySpe
     order whatever else is in the batch. For slot s the lists longer than s
     add their ray at row ``start + s`` of the ``Rays`` columns.
     """
-    rays = Rays.of(ray_lists)
     if not rays.counts.all():
         raise ValueError("cannot compose a channel from an empty ray list")
     start = np.cumsum(rays.counts) - rays.counts
@@ -166,15 +153,12 @@ def sweep(h: np.ndarray, tx_codebook: np.ndarray, rx_codebook: np.ndarray) -> Sw
     return SweepResult(outputs=outputs, best_index=np.argmax(np.abs(outputs), axis=-1))
 
 
-def sweep_rays(
-    ray_lists: Rays | Sequence[Sequence[Ray]], tx_spec: ArraySpec, rx_spec: ArraySpec
-) -> Iterator[SweepResult]:
+def sweep_rays(rays: Rays, tx_spec: ArraySpec, rx_spec: ArraySpec) -> Iterator[SweepResult]:
     """Sweep the channel of each ray list, SWEEP_CHUNK lists per batched sweep.
 
     Yields one stacked result per chunk, in order. The chunk bounds the
     channel stack at a few megabytes whatever the number of lists.
     """
-    rays = Rays.of(ray_lists)
     tx_codebook = dft_codebook(tx_spec)
     rx_codebook = dft_codebook(rx_spec)
     bounds = np.concatenate(([0], np.cumsum(rays.counts)))

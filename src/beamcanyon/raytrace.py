@@ -12,12 +12,12 @@ scene, against the buildings and that scene's vehicles only. The kept rays
 are finished per bounce sequence on arrays: path lengths, and unit
 directions whose norms equal ``np.linalg.norm`` of each vector bit for bit.
 The angles come from ``math.atan2`` and ``math.acos``, because numpy's
-array versions can differ from them in the last bit.
+array versions can differ from them in the last bit. The rays of all pairs
+are then ranked in one stable sort and returned as ``Rays`` columns.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -25,44 +25,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .mimo import Rays
 from .rules import check, setting
 from .scenario import Box, Scenario, Scene, vehicle_boxes
 
 SPEED_OF_LIGHT = 299792458.0
 
 _FACE_TOL = 1e-9  # tolerance for "point lies on a reflector face" checks
-
-
-@dataclass(frozen=True)
-class Ray:
-    """One propagation path: complex amplitude, delay, and its four angles.
-
-    Azimuths lie in (-pi, pi] measured from +x; elevations in [0, pi] measured
-    from the +z zenith. Departure angles point from the transmitter along the
-    first segment, arrival angles point from the receiver back along the last.
-    ``interactions`` is "LOS" for the direct path, otherwise hyphen-joined
-    bounce tokens: "R" for a wall bounce, "RG" for a ground bounce.
-    """
-
-    gain: complex
-    delay: float
-    dep_azimuth: float
-    dep_elevation: float
-    arr_azimuth: float
-    arr_elevation: float
-    interactions: str
-
-
-@dataclass(frozen=True)
-class PairRecord:
-    """All rays kept for one transmitter/receiver pair, strongest first."""
-
-    tx_id: int
-    rx_id: int
-    rays: tuple[Ray, ...]
-    mean_toa: float | None  # power-weighted mean delay, None when no path exists
-    p_tx_dbm: float
-    p_rx_dbm: float | None
 
 
 @dataclass(frozen=True)
@@ -244,29 +213,37 @@ def _on_faces(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
 
 def trace_scenes(
     scenario: Scenario, scenes: Sequence[Scene], cfg: TraceConfig
-) -> tuple[tuple[PairRecord, ...], ...]:
+) -> tuple[np.ndarray, np.ndarray, Rays, list[str]]:
     """Synthesize the multipath sets from the RSU to every receiving vehicle's roof.
 
-    Returns one tuple per scene, holding one record per vehicle with a
-    receiver index, in receiver-index order. Every sub-segment of a candidate
-    path must clear all building boxes and the boxes of the scene's vehicles
-    (one ``vehicle_boxes`` call per scene) except the receiver's own; full
-    blockage yields a record with an empty ray tuple rather than an error.
+    Returns the columns that an episodes file is read back into: the pairs
+    per scene, the ``rx_id`` of each pair, one ``Rays`` list per pair, and
+    each ray's ``interactions``: "LOS" for the direct path, otherwise
+    hyphen-joined bounce tokens, "R" for a wall bounce and "RG" for a ground
+    bounce. A scene has one pair per vehicle with a receiver index, in
+    receiver-index order. A pair keeps its ``max_rays`` strongest rays,
+    amplitude ties going to the earlier arrival and ties of both to the
+    bounce sequence enumerated first. Every sub-segment of a candidate path
+    must clear all building boxes and the boxes of the scene's vehicles (one
+    ``vehicle_boxes`` call per scene) except the receiver's own; full
+    blockage yields a pair with no rays rather than an error.
     """
     receivers = [
         sorted((v for v in s.vehicles if v.receiver_index is not None), key=lambda v: v.receiver_index)
         for s in scenes
     ]
     flat = [v for found in receivers for v in found]
+    pair_counts = np.array([len(found) for found in receivers], dtype=np.intp)
+    rx_id = np.array([v.receiver_index for v in flat], dtype=np.int64)
     if not flat:
-        return tuple(() for _ in scenes)
+        return pair_counts, rx_id, Rays.concat([]), []
 
     # every receiver of every scene is one row, with its scene's index
     g = scenario.ground_z
     tx = scenario.rsu_position.to_array()
     rx = np.array([[v.position.x, v.position.y, g + v.type.height] for v in flat], dtype=float)
-    rx_ids = np.array([v.id for v in flat])
-    row_scene = np.repeat(np.arange(len(scenes)), [len(found) for found in receivers])
+    vehicle_ids = np.array([v.id for v in flat])
+    row_scene = np.repeat(np.arange(len(scenes)), pair_counts)
     planes = tuple(_wall_planes(scenario) + [ReflectorPlane(2, g, "ground")])
     faces = {p: _wall_faces(p, scenario.buildings) for p in planes if p.kind == "wall"}
     area = scenario.rt_area
@@ -299,7 +276,7 @@ def trace_scenes(
     bounds = np.searchsorted(row_scene[seg_row[order]], np.arange(len(scenes) + 1))
     starts = np.concatenate(seg_start)[order]
     ends = np.concatenate(seg_end)[order]
-    owners = rx_ids[seg_row[order]]
+    owners = vehicle_ids[seg_row[order]]
     buildings = scenario.buildings
     building_lo = np.array([[bx.min.x, bx.min.y, bx.min.z] for bx in buildings])
     building_hi = np.array([[bx.max.x, bx.max.y, bx.max.z] for bx in buildings])
@@ -316,7 +293,7 @@ def trace_scenes(
     blocked = np.logical_or.reduceat(seg_hit, np.concatenate(first_seg))
 
     # the finish of each bounce sequence's kept rays, appended in sequence order
-    rays: list[list[Ray]] = [[] for _ in flat]
+    owner, gains, delays, angles, interactions = [], [], [], [], []
     done = 0
     for seq, points, rows in paths:
         clear = rows[~blocked[done : done + rows.size]]
@@ -327,34 +304,28 @@ def trace_scenes(
         totals = np.linalg.norm(np.diff(kept, axis=1), axis=2).sum(axis=1)
         departures = _unit_rows(kept[:, 1] - kept[:, 0])
         arrivals = _unit_rows(kept[:, -2] - kept[:, -1])
-        interactions = "-".join("R" if p.kind == "wall" else "RG" for p in seq) or "LOS"
-        for r, total, dep, arr in zip(clear.tolist(), totals.tolist(), departures, arrivals):
+        for total, dep, arr in zip(totals.tolist(), departures, arrivals):
             gain = free_space_gain(total, cfg.wavelength)
             for plane in seq:
                 gain *= cfg.wall_reflection if plane.kind == "wall" else cfg.ground_reflection
-            rays[r].append(Ray(gain, total / SPEED_OF_LIGHT, *_angles(*dep), *_angles(*arr), interactions))
-    records = iter([_pair_record(v.receiver_index, found, cfg) for v, found in zip(flat, rays)])
-    return tuple(tuple(itertools.islice(records, len(found))) for found in receivers)
+            gains.append(gain)
+            delays.append(total / SPEED_OF_LIGHT)
+            angles += _angles(*dep)
+            angles += _angles(*arr)
+        owner += clear.tolist()
+        interactions += ["-".join("R" if p.kind == "wall" else "RG" for p in seq) or "LOS"] * clear.size
 
-
-def _pair_record(rx_id: int, rays: list[Ray], cfg: TraceConfig) -> PairRecord:
-    """Keep the max_rays strongest rays, ties broken by delay, and summarize them."""
-    rays.sort(key=lambda r: (-abs(r.gain), r.delay))
-    rays = rays[: cfg.max_rays]
-
-    if rays:
-        powers = np.array([abs(r.gain) ** 2 for r in rays])
-        delays = np.array([r.delay for r in rays])
-        mean_toa = float((powers * delays).sum() / powers.sum())
-        p_rx = cfg.tx_power_dbm + 10.0 * math.log10(float(powers.sum()))
-    else:
-        mean_toa = None
-        p_rx = None
-    return PairRecord(
-        tx_id=0,
-        rx_id=rx_id,
-        rays=tuple(rays),
-        mean_toa=mean_toa,
-        p_tx_dbm=cfg.tx_power_dbm,
-        p_rx_dbm=p_rx,
-    )
+    # one stable sort: by receiver, then strongest first and earliest on ties; then each cut to max_rays
+    owner = np.array(owner, dtype=np.intp)
+    delay = np.array(delays, dtype=np.float64)
+    order = np.lexsort((delay, -np.array([abs(g) for g in gains], dtype=np.float64), owner))
+    counts = np.bincount(owner, minlength=len(flat))
+    order = order[np.arange(order.size) - np.repeat(np.cumsum(counts) - counts, counts) < cfg.max_rays]
+    interactions = [interactions[i] for i in order.tolist()]
+    return pair_counts, rx_id, Rays(
+        gain=np.array(gains, dtype=np.complex128)[order],
+        delay=delay[order],
+        angles=np.array(angles, dtype=np.float64).reshape(-1, 4)[order],
+        los=np.array([kind == "LOS" for kind in interactions], dtype=bool),
+        counts=np.minimum(counts, cfg.max_rays),
+    ), interactions

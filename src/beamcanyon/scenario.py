@@ -119,11 +119,10 @@ class Vehicle:
 
 @dataclass(frozen=True)
 class Scene:
-    """The vehicles at one sample time; once traced, ``pairs`` has one record per receiver, by index."""
+    """The vehicles at one sample time."""
 
     time: float
     vehicles: tuple[Vehicle, ...]
-    pairs: tuple = ()  # of raytrace.PairRecord, which cannot be imported here: raytrace imports this module
 
 
 @dataclass(frozen=True)

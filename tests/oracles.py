@@ -6,7 +6,9 @@ that kept one feature grid per example and fitted a label map on one side of a s
 apply on the other, with the table-driven CSV writer over it, the
 table-driven writer over one grid per scene that encoded every cell of every row, the traffic model that rebuilt a frozen scene on every step, the
 per-pair tracer that enumerated and tested one candidate path at a time and
-finished each ray with its own norm, the
+finished each ray with its own norm, the tracer's object finish that sorted, cut and
+summarized a list of ``Ray`` objects per pair (``pair_record``) into a ``PairRecord``,
+with the object records it filled (``TracedScene``, ``EpisodeRecord``), the
 dynamic-programming optimum that scanned states and receivers one at a time
 over state tables enumerated in Python loops, the array-built tables over every
 capped starve vector, the scalar scheduling environment that replayed plans,
@@ -26,8 +28,12 @@ rewrites. The production code must reproduce them bit for bit.
 
 Helpers that only tests call live here too: the one-segment box test over
 the tracer's slab test, the mean reward of a plan replayed through the
-scalar scheduling environment, and the conversions between an object record
-and its columns (``columns_of``, ``record_of``, ``assert_columns_equal``).
+scalar scheduling environment, the conversions between an object record
+and its columns (``columns_of``, ``record_of``, ``assert_columns_equal``),
+the columns of ``Ray`` lists and of scenes (``rays_of``, ``vehicles_of``),
+the column tracer's output as ``PairRecord``s through the writer's pair
+objects (``trace_pairs``), and a simulated episode as an object record
+(``episode_record``) with its line (``encode_record``).
 """
 
 from __future__ import annotations
@@ -55,25 +61,31 @@ from beamcanyon.dataset import (
     FORMAT_VERSION,
     DatasetFormatError,
     EpisodeColumns,
-    EpisodeRecord,
     Examples,
+    _pair_objects,
     open_atomic,
 )
-from beamcanyon.features import HEIGHT_CODES, OVERLAP_FRACTION, GridSpec, SceneVehicles, receiver_view
+from beamcanyon.features import (
+    HEIGHT_CODES,
+    MAX_RECEIVER_INDEX,
+    OVERLAP_FRACTION,
+    GridSpec,
+    SceneVehicles,
+    receiver_view,
+)
 from beamcanyon.mimo import ArraySpec, Rays, dft_codebook, sweep_rays
 from beamcanyon.mimo import upa_steering as upa_steering_batch
 from beamcanyon.raytrace import (
     _FACE_TOL,
     SPEED_OF_LIGHT,
     LosStatus,
-    PairRecord,
-    Ray,
     ReflectorPlane,
     TraceConfig,
     _mirror,
     _slab_hits,
     _wall_planes,
     free_space_gain,
+    trace_scenes,
 )
 from beamcanyon.scheduler import (
     AllocationPlan,
@@ -100,8 +112,148 @@ from beamcanyon.scenario import (
     VehicleKind,
     VehicleType,
     _draw_speed,
+    generate_episode as _generate_episode,
     sample_vehicle_type,
+    vehicle_geometry,
 )
+
+
+@dataclass(frozen=True)
+class Ray:
+    """One propagation path: complex amplitude, delay, and its four angles (in ``Rays.angles``'s
+    conventions). ``interactions`` is "LOS" for the direct path, otherwise hyphen-joined bounce
+    tokens: "R" for a wall bounce, "RG" for a ground bounce.
+    """
+
+    gain: complex
+    delay: float
+    dep_azimuth: float
+    dep_elevation: float
+    arr_azimuth: float
+    arr_elevation: float
+    interactions: str
+
+
+@dataclass(frozen=True)
+class PairRecord:
+    """All rays kept for one transmitter/receiver pair, strongest first."""
+
+    tx_id: int
+    rx_id: int
+    rays: tuple[Ray, ...]
+    mean_toa: float | None  # power-weighted mean delay, None when no path exists
+    p_tx_dbm: float
+    p_rx_dbm: float | None
+
+
+@dataclass(frozen=True)
+class TracedScene:
+    """The vehicles at one sample time and one record per receiver, by index."""
+
+    time: float
+    vehicles: tuple[Vehicle, ...]
+    pairs: tuple[PairRecord, ...] = ()
+
+
+@dataclass(frozen=True)
+class EpisodeRecord:
+    episode_id: int
+    start_time: float
+    params: EpisodeParams
+    max_rays: int
+    rt_area: Rect
+    v2i_area: Rect
+    rsu_position: Vec3
+    receiver_vehicles: dict[int, int]  # receiver index -> vehicle id
+    scenes: tuple[TracedScene, ...]
+
+
+def rays_of(ray_lists: Sequence[Sequence[Ray]]) -> Rays:
+    """The columns of lists of Ray objects."""
+    rays = [r for rays in ray_lists for r in rays]
+    return Rays(
+        gain=np.array([r.gain for r in rays], dtype=np.complex128),
+        delay=np.array([r.delay for r in rays], dtype=np.float64),
+        angles=np.array([(r.dep_azimuth, r.dep_elevation, r.arr_azimuth, r.arr_elevation) for r in rays],
+                        dtype=np.float64).reshape(-1, 4),
+        los=np.array([r.interactions == "LOS" for r in rays], dtype=bool),
+        counts=np.array([len(rays) for rays in ray_lists], dtype=np.intp),
+    )
+
+
+def vehicles_of(scenes: Sequence[Scene | TracedScene]) -> SceneVehicles:
+    """The vehicle columns of scenes of Vehicle objects."""
+    vehicles = [v for scene in scenes for v in scene.vehicles]
+    for v in vehicles:  # an index below 1 would read as a blocker's code or as free
+        if v.receiver_index is not None and v.receiver_index < 1:
+            raise ValueError(f"receiver index {v.receiver_index} outside 1..{MAX_RECEIVER_INDEX}")
+    return SceneVehicles(
+        counts=np.array([len(scene.vehicles) for scene in scenes], dtype=np.intp),
+        geometry=vehicle_geometry(vehicles),
+        key=np.array([HEIGHT_CODES[v.type.kind] if v.receiver_index is None else v.receiver_index
+                      for v in vehicles], dtype=np.int32),
+    )
+
+
+def pair_record(rx_id: int, rays: list[Ray], cfg: TraceConfig) -> PairRecord:
+    """Keep the max_rays strongest rays, ties broken by delay, and summarize them."""
+    rays.sort(key=lambda r: (-abs(r.gain), r.delay))
+    rays = rays[: cfg.max_rays]
+
+    if rays:
+        powers = np.array([abs(r.gain) ** 2 for r in rays])
+        delays = np.array([r.delay for r in rays])
+        mean_toa = float((powers * delays).sum() / powers.sum())
+        p_rx = cfg.tx_power_dbm + 10.0 * math.log10(float(powers.sum()))
+    else:
+        mean_toa = None
+        p_rx = None
+    return PairRecord(
+        tx_id=0,
+        rx_id=rx_id,
+        rays=tuple(rays),
+        mean_toa=mean_toa,
+        p_tx_dbm=cfg.tx_power_dbm,
+        p_rx_dbm=p_rx,
+    )
+
+
+def trace_pairs(
+    scenario: Scenario, scenes: Sequence[Scene], cfg: TraceConfig
+) -> tuple[tuple[PairRecord, ...], ...]:
+    """``trace_scenes``'s columns as one tuple of PairRecords per scene, each built from the pair's
+    object in the writer's form: its rays and the powers that the writer derives."""
+    pair_counts, rx_id, rays, interactions = trace_scenes(scenario, scenes, cfg)
+    pairs = map(_pair_from_obj, _pair_objects(rx_id, rays, interactions, cfg.tx_power_dbm))
+    return tuple(tuple(itertools.islice(pairs, n)) for n in pair_counts.tolist())
+
+
+def trace_each_pair(
+    scenario: Scenario, scenes: Sequence[Scene], cfg: TraceConfig
+) -> tuple[tuple[PairRecord, ...], ...]:
+    """``trace_paths`` over each scene's receivers, in receiver-index order."""
+    out = []
+    for scene in scenes:
+        receivers = sorted((v for v in scene.vehicles if v.receiver_index is not None), key=lambda v: v.receiver_index)
+        out.append(tuple(trace_paths(scenario, scene, v, cfg) for v in receivers))
+    return tuple(out)
+
+
+def episode_record(scenario: Scenario, params: EpisodeParams, cfg: TraceConfig, episode_id: int = 0,
+                   trace=trace_pairs) -> EpisodeRecord:
+    """One episode of the production traffic from ``params`` as an object record, traced by ``trace``."""
+    scenes = _generate_episode(scenario, params)
+    return EpisodeRecord(
+        episode_id=episode_id,
+        start_time=scenes[0].time,
+        params=params,
+        max_rays=cfg.max_rays,
+        rt_area=scenario.rt_area,
+        v2i_area=scenario.v2i_area,
+        rsu_position=scenario.rsu_position,
+        receiver_vehicles={v.receiver_index: v.id for v in scenes[0].vehicles if v.receiver_index is not None},
+        scenes=tuple(TracedScene(s.time, s.vehicles, pairs) for s, pairs in zip(scenes, trace(scenario, scenes, cfg))),
+    )
 
 
 def vehicle_bounding_box(vehicle: Vehicle, ground_z: float) -> Box:
@@ -369,7 +521,7 @@ def extract_examples(
         pair.rays for rec in records for scene_rec in rec.scenes for pair in scene_rec.pairs if pair.rays
     ]
     raw_keys = [
-        key for result in sweep_rays(ray_lists, tx_spec, rx_spec) for key in result.best_index.tolist()
+        key for result in sweep_rays(rays_of(ray_lists), tx_spec, rx_spec) for key in result.best_index.tolist()
     ]
     if mode == "fit":
         label_map = compact_labels(raw_keys)
@@ -378,7 +530,7 @@ def extract_examples(
     examples = []
     for rec in records:
         for scene_index, scene_rec in enumerate(rec.scenes):
-            grid_values = encode_scene(Scene(scene_rec.time, scene_rec.vehicles), grid)
+            grid_values = encode_scene(scene_rec, grid)
             for pair in scene_rec.pairs:
                 if not pair.rays:
                     continue
@@ -825,25 +977,7 @@ def trace_paths(scenario: Scenario, scene: Scene, rx: Vehicle, cfg: TraceConfig)
             )
         )
 
-    rays.sort(key=lambda r: (-abs(r.gain), r.delay))
-    rays = rays[: cfg.max_rays]
-
-    if rays:
-        powers = np.array([abs(r.gain) ** 2 for r in rays])
-        delays = np.array([r.delay for r in rays])
-        mean_toa = float((powers * delays).sum() / powers.sum())
-        p_rx = cfg.tx_power_dbm + 10.0 * math.log10(float(powers.sum()))
-    else:
-        mean_toa = None
-        p_rx = None
-    return PairRecord(
-        tx_id=0,
-        rx_id=rx.receiver_index,
-        rays=tuple(rays),
-        mean_toa=mean_toa,
-        p_tx_dbm=cfg.tx_power_dbm,
-        p_rx_dbm=p_rx,
-    )
+    return pair_record(rx.receiver_index, rays, cfg)
 
 
 # the full-table guard: (cap + 1) ** n_rec states at most
@@ -1198,7 +1332,7 @@ def _record_from_obj(o: dict) -> EpisodeRecord:
         rsu_position=Vec3(*o["rsu_position"]),
         receiver_vehicles={int(k): v for k, v in o["receiver_vehicles"].items()},
         scenes=tuple(
-            Scene(
+            TracedScene(
                 time=s["time"],
                 vehicles=tuple(_vehicle_from_obj(v) for v in s["vehicles"]),
                 pairs=tuple(_pair_from_obj(p) for p in s["pairs"]),
@@ -1248,7 +1382,7 @@ def _record_from_checked_obj(o: dict, vehicle_types: dict) -> EpisodeRecord:
         rx_ids = [p.rx_id for p in pairs]
         if not receivers.keys() >= set(rx_ids) or len(set(rx_ids)) < len(rx_ids):
             raise ValueError(f"scene {len(scenes)}: pair rx_ids {rx_ids}: not distinct receiver_vehicles keys")
-        scenes.append(Scene(s["time"], tuple(vehicles), tuple(pairs)))
+        scenes.append(TracedScene(s["time"], tuple(vehicles), tuple(pairs)))
     return EpisodeRecord(
         o["episode_id"],
         o["start_time"],
@@ -1308,10 +1442,10 @@ def columns_of(record: EpisodeRecord) -> EpisodeColumns:
         params=record.params,
         v2i_area=record.v2i_area,
         receiver_vehicles=dict(record.receiver_vehicles),
-        vehicles=SceneVehicles.of(record.scenes),
+        vehicles=vehicles_of(record.scenes),
         pair_counts=np.array([len(s.pairs) for s in record.scenes], dtype=np.intp),
         rx_id=np.array([p.rx_id for p in pairs], dtype=np.int64),
-        rays=Rays.of([p.rays for p in pairs]),
+        rays=rays_of([p.rays for p in pairs]),
     )
 
 
@@ -1335,7 +1469,7 @@ def record_of(columns: EpisodeColumns) -> EpisodeRecord:
                     Vec3(x, y, 0.0), heading, 0.0, key if key > 0 else None)
             for (length, width, height, x, y, heading), key in itertools.islice(vehicles, n_vehicles)
         )
-        scenes.append(Scene(0.0, scene_vehicles, tuple(itertools.islice(pairs, n_pairs))))
+        scenes.append(TracedScene(0.0, scene_vehicles, tuple(itertools.islice(pairs, n_pairs))))
     area = columns.v2i_area
     return EpisodeRecord(columns.episode_id, 0.0, columns.params, 0, area, area, Vec3(0.0, 0.0, 0.0),
                          dict(columns.receiver_vehicles), tuple(scenes))
@@ -1355,17 +1489,22 @@ def assert_columns_equal(a: EpisodeColumns, b: EpisodeColumns) -> None:
         assert x.tobytes() == y.tobytes(), name
 
 
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def encode_record(rec: EpisodeRecord) -> str:
+    """The record's line of the episodes file, without its newline."""
+    return _dumps(_record_to_obj(rec))
+
+
 def write_episodes(records: Sequence[EpisodeRecord], path: str | os.PathLike) -> None:
     """Write a whole list of records as JSON Lines, atomically."""
-
-    def dumps(obj: dict) -> str:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
     with open_atomic(path) as f:
-        f.write(dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
+        f.write(_dumps({"format": FORMAT_NAME, "version": FORMAT_VERSION, "episode_count": len(records)}))
         f.write("\n")
         for rec in records:
-            f.write(dumps(_record_to_obj(rec)))
+            f.write(encode_record(rec))
             f.write("\n")
 
 

@@ -14,11 +14,11 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import env_reset, env_step, episode_reward, segment_intersects_box
+from oracles import Ray, encode_record, env_reset, env_step, episode_reward, rays_of, segment_intersects_box
+from oracles import trace_pairs
 from beamcanyon.cli import main
 from beamcanyon.classify import evaluate, knn_classifier, majority_classifier
 from beamcanyon.dataset import (
-    encode_record,
     extract_examples,
     read_episodes,
     split_episodes,
@@ -26,11 +26,7 @@ from beamcanyon.dataset import (
 )
 from beamcanyon.features import GridSpec, encode_scenes, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
-from beamcanyon.raytrace import (
-    SPEED_OF_LIGHT,
-    TraceConfig,
-    trace_scenes,
-)
+from beamcanyon.raytrace import SPEED_OF_LIGHT, TraceConfig
 from beamcanyon.scenario import (
     Box,
     DEFAULT_VEHICLE_TYPES,
@@ -126,8 +122,6 @@ def test_criterion_03_channel_sweep_consistency():
             return None
         return math.atan2(v, u), math.asin(math.sqrt(u * u + v * v))
 
-    from beamcanyon.raytrace import Ray
-
     checked = 0
     while checked < 200:
         px, py, qx, qy = (int(rng.integers(4)) for _ in range(4))
@@ -144,7 +138,7 @@ def test_criterion_03_channel_sweep_consistency():
             arr_elevation=arr[1],
             interactions="LOS",
         )
-        h = compose_channel([[ray]], ARRAY, ARRAY)[0]
+        h = compose_channel(rays_of([[ray]]), ARRAY, ARRAY)[0]
         result = sweep(h, codebook, codebook)
         assert divmod(int(result.best_index), codebook.shape[1]) == (px * ARRAY.ny + py, qx * ARRAY.ny + qy)
         checked += 1
@@ -192,7 +186,7 @@ def test_criterion_04_ray_tracer_geometry():
         bounce = roof + t * (mirrored - roof)
         expected_length = float(np.linalg.norm(mirrored - roof))
 
-        (record,) = trace_scenes(scenario, (Scene(0.0, (rx,)),), cfg)[0]
+        (record,) = trace_pairs(scenario, (Scene(0.0, (rx,)),), cfg)[0]
         token_rays = [r for r in record.rays if r.interactions == token]
         matching = [
             r for r in token_rays if abs(r.delay * SPEED_OF_LIGHT - expected_length) < 1e-9
@@ -328,7 +322,7 @@ def test_criterion_08_dataset_hygiene(desk_dataset, tmp_path):
             examples.episode, examples.scene, examples.receiver, examples.label
         ):
             pair = pairs[(episode, scene, receiver)]
-            reswept = sweep(compose_channel([pair.rays], ARRAY, ARRAY), codebook, codebook).best_index[0]
+            reswept = sweep(compose_channel(rays_of([pair.rays]), ARRAY, ARRAY), codebook, codebook).best_index[0]
             assert classes.get(reswept, 0) == label
     _report(
         8,
@@ -405,7 +399,7 @@ def test_criterion_10_end_to_end_desk_run(desk_dataset):
                 ),
             ),
         )
-        return receiver_view(encode_scenes([scene], grid)[0], 1).reshape(-1)
+        return receiver_view(encode_scenes(oracles.vehicles_of([scene]), grid)[0], 1).reshape(-1)
 
     labels = np.array([1, 2] * 30)
     feats = np.stack([fixture_example(int(lab)) for lab in labels]).astype(float)

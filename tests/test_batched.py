@@ -13,13 +13,14 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
+from oracles import Ray, rays_of, vehicles_of
 from beamcanyon import mimo
 from beamcanyon.classify import examples_to_arrays
 from beamcanyon.cli import main
 from beamcanyon.dataset import Examples, export_csv, extract_examples, read_episodes
 from beamcanyon.features import GridSpec, encode_scenes, receiver_view
 from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep, sweep_rays, upa_steering
-from beamcanyon.raytrace import LosStatus, Ray, TraceConfig
+from beamcanyon.raytrace import LosStatus, TraceConfig
 from beamcanyon.scenario import DEFAULT_VEHICLE_TYPES, Scene, Vec3, Vehicle
 
 MAX_RAYS = TraceConfig().max_rays
@@ -43,7 +44,7 @@ SWEEP_SETTINGS = settings(max_examples=40, deadline=None)
 
 
 def _check_against_oracle(ray_lists):
-    h = compose_channel(ray_lists, TX, RX)
+    h = compose_channel(rays_of(ray_lists), TX, RX)
     assert h.shape == (len(ray_lists), RX.size, TX.size)
     result = sweep(h, TX_CB, RX_CB)
     for k, rays_k in enumerate(ray_lists):
@@ -103,16 +104,16 @@ def test_sweep_rays_chunks_match_one_batch(monkeypatch):
         ]
         for _ in range(11)
     ]
-    whole = sweep(compose_channel(ray_lists, TX, RX), TX_CB, RX_CB)
+    whole = sweep(compose_channel(rays_of(ray_lists), TX, RX), TX_CB, RX_CB)
     monkeypatch.setattr(mimo, "SWEEP_CHUNK", 4)
-    chunks = list(sweep_rays(ray_lists, TX, RX))
+    chunks = list(sweep_rays(rays_of(ray_lists), TX, RX))
     assert [len(c.best_index) for c in chunks] == [4, 4, 3]
     assert np.array_equal(np.concatenate([c.outputs for c in chunks]), whole.outputs)
     assert np.array_equal(np.concatenate([c.best_index for c in chunks]), whole.best_index)
 
 
 def test_sweep_rays_of_nothing_yields_nothing():
-    assert list(sweep_rays([], TX, RX)) == []
+    assert list(sweep_rays(rays_of([]), TX, RX)) == []
 
 
 def _oracle_view(grid_values, receiver):
@@ -187,7 +188,7 @@ def test_encode_scenes_matches_oracle(data):
         Scene(0.1 * k, tuple(_draw_vehicle(data, v, grid) for v in range(data.draw(st.integers(0, 8)))))
         for k in range(data.draw(st.integers(1, 4)))
     ]
-    out = encode_scenes(scenes, grid)
+    out = encode_scenes(vehicles_of(scenes), grid)
     expected = np.stack([oracles.encode_scene(scene, grid) for scene in scenes])
     assert out.dtype == expected.dtype
     assert np.array_equal(out, expected)

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from beamcanyon import cli
 from beamcanyon.cli import _apply_overrides, _build_parser, derive_seed, load_run_config, main, splitmix64
-from beamcanyon.dataset import build_episode_record, read_episodes, split_episodes
+from beamcanyon.dataset import episode_line, read_episodes, split_episodes
 from beamcanyon.raytrace import TraceConfig
 from beamcanyon.scenario import EpisodeParams, make_canyon_scenario
 
@@ -110,7 +110,7 @@ class TestGenerate:
         path = _generate(tmp_path, episodes=3, scenes=2, seed=5, jobs=jobs)
         scenario = make_canyon_scenario()
         records = [
-            build_episode_record(
+            oracles.episode_record(
                 scenario,
                 EpisodeParams(scenes_per_episode=2, seed=derive_seed(5, cli._PURPOSE_EPISODE, i)),
                 TraceConfig(),
@@ -126,12 +126,12 @@ class TestGenerate:
         if jobs > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("workers see the patched module only when forked")
 
-        def build_or_fail(scenario, params, cfg, episode_id):
+        def line_or_fail(scenario, params, cfg, episode_id):
             if episode_id == 1:
                 raise RuntimeError("episode 1 failed")
-            return build_episode_record(scenario, params, cfg, episode_id)
+            return episode_line(scenario, params, cfg, episode_id)
 
-        monkeypatch.setattr(cli, "build_episode_record", build_or_fail)
+        monkeypatch.setattr(cli, "episode_line", line_or_fail)
         argv = ["--out", str(tmp_path), "generate", "--episodes", "3", "--scenes", "1", "--jobs", str(jobs)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: episode 1 failed\n"

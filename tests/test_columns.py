@@ -1,8 +1,9 @@
 """The read stages on the columns of a file against the object records the file used to be read into.
 
-Drawn records are written with the real writer, then read back twice: into ``EpisodeColumns`` by
-``read_episodes`` and into frozen objects by the object reader in ``oracles``. Example extraction
-and the reward table must come out bit for bit as the per-pair object code computes them.
+Drawn records are encoded by the object encoder in ``oracles``, written by the real streaming writer,
+then read back twice: into ``EpisodeColumns`` by ``read_episodes`` and into frozen objects by the
+object reader in ``oracles``. Example extraction and the reward table must come out bit for bit as
+the per-pair object code computes them.
 """
 
 import math
@@ -12,11 +13,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from beamcanyon.dataset import EpisodeRecord, Examples, encode_record, extract_examples, read_episodes, write_episodes
+from oracles import EpisodeRecord, PairRecord, Ray, TracedScene, encode_record, rays_of
+from beamcanyon.dataset import Examples, extract_examples, read_episodes, write_episodes
 from beamcanyon.features import GridSpec
-from beamcanyon.mimo import ArraySpec, Rays, compose_channel
-from beamcanyon.raytrace import PairRecord, Ray
-from beamcanyon.scenario import DEFAULT_VEHICLE_TYPES, EpisodeParams, Scene, Vec3, Vehicle, make_canyon_scenario
+from beamcanyon.mimo import ArraySpec, compose_channel
+from beamcanyon.scenario import DEFAULT_VEHICLE_TYPES, EpisodeParams, Vec3, Vehicle, make_canyon_scenario
 from beamcanyon.scheduler import SchedulerParams, build_reward_table
 
 CANYON = make_canyon_scenario()
@@ -68,7 +69,7 @@ def records(draw):
             for rx_id in rx_ids:
                 rays = draw(ray_lists())
                 pairs.append(PairRecord(0, rx_id, rays, 1e-8 if rays else None, 0.0, -80.0 if rays else None))
-            scenes.append(Scene(0.1 * s, tuple(order), tuple(pairs)))
+            scenes.append(TracedScene(0.1 * s, tuple(order), tuple(pairs)))
         params = EpisodeParams(scenes_per_episode=len(scenes), receiver_count=receivers, seed=episode_id)
         out.append(EpisodeRecord(episode_id, 0.0, params, 25, CANYON.rt_area, STRIP, CANYON.rsu_position,
                                  {r: 100 + r for r in range(1, receivers + 1)}, tuple(scenes)))
@@ -115,7 +116,7 @@ def test_strongest_ray_ties_go_to_the_first_listed():
         assert oracles.strongest_ray_angles(turned)[0] == turned[0].dep_azimuth
         record = EpisodeRecord(
             0, 0.0, EpisodeParams(scenes_per_episode=1, receiver_count=1), 25, CANYON.rt_area, STRIP,
-            CANYON.rsu_position, {1: 0}, (Scene(0.0, (), (PairRecord(0, 1, tuple(turned), 1e-8, 0.0, -80.0),)),),
+            CANYON.rsu_position, {1: 0}, (TracedScene(0.0, (), (PairRecord(0, 1, tuple(turned), 1e-8, 0.0, -80.0),)),),
         )
         examples, _, _ = extract_examples([oracles.columns_of(record)], [], GRID, TX, RX)
         assert examples.angles[0, 0] == turned[0].dep_azimuth
@@ -124,5 +125,5 @@ def test_strongest_ray_ties_go_to_the_first_listed():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ray_lists().filter(len), min_size=1, max_size=6))
 def test_compose_matches_the_object_form(lists):
-    h = compose_channel(Rays.of(lists), TX, RX)
+    h = compose_channel(rays_of(lists), TX, RX)
     assert h.tobytes() == oracles.compose_ray_lists(lists, TX, RX).tobytes()

@@ -1,11 +1,16 @@
 import csv
 import json
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
+from oracles import PairRecord, Ray, encode_record
+from beamcanyon import dataset
 from beamcanyon.cli import main
 from beamcanyon.dataset import (
     PAIR_KEYS,
@@ -15,8 +20,6 @@ from beamcanyon.dataset import (
     VEHICLE_TYPE_KEYS,
     DatasetFormatError,
     Examples,
-    build_episode_record,
-    encode_record,
     export_csv,
     extract_examples,
     read_episodes,
@@ -24,12 +27,15 @@ from beamcanyon.dataset import (
     write_episodes,
 )
 from beamcanyon.features import GridSpec, receiver_view
-from beamcanyon.mimo import ArraySpec, compose_channel, dft_codebook, sweep
-from beamcanyon.raytrace import LosStatus, PairRecord, Ray, TraceConfig
+from beamcanyon.mimo import ArraySpec, Rays, compose_channel, dft_codebook, sweep
+from beamcanyon.raytrace import LosStatus, TraceConfig, trace_scenes
 from beamcanyon.scenario import (
     EpisodeParams,
+    ScenarioConfig,
     Vehicle,
+    VehicleKind,
     VehicleType,
+    generate_episode,
     make_canyon_scenario,
 )
 
@@ -47,7 +53,7 @@ def records(canyon):
     out = []
     for i in range(3):
         params = EpisodeParams(scenes_per_episode=4, receiver_count=5, seed=100 + i)
-        out.append(build_episode_record(canyon, params, cfg, i))
+        out.append(oracles.episode_record(canyon, params, cfg, i))
     return out
 
 
@@ -300,7 +306,7 @@ class TestRoundTrip:
         import time
 
         params = EpisodeParams(scenes_per_episode=50, receiver_count=10, seed=4242)
-        base = build_episode_record(canyon, params, TraceConfig())
+        base = oracles.episode_record(canyon, params, TraceConfig())
         big = [dataclasses.replace(base, episode_id=i) for i in range(116)]
         path = tmp_path / "big.jsonl"
         started = time.monotonic()
@@ -310,6 +316,48 @@ class TestRoundTrip:
         expected = oracles.columns_of(base)
         for i, columns in enumerate(back):
             oracles.assert_columns_equal(columns, replace(expected, episode_id=i))
+
+
+# taller than every vehicle type: a tower over a receiver's roof blocks its every path
+TOWER = VehicleType(VehicleKind.BUS, 9.0, 2.5, 10.0, 0.0)
+
+
+@st.composite
+def traced_episodes(draw):
+    """A simulated episode to trace: a drawn lane count, 1-4 receivers, 0-2 bounces and 1-25 rays
+    kept. Any receiver may stand under a tower, and any scene after the first may have no tagged
+    receiver (the first names the episode's receivers)."""
+    scenario = make_canyon_scenario(ScenarioConfig(lane_count=draw(st.integers(1, 6))))
+    params = EpisodeParams(scenes_per_episode=draw(st.integers(1, 3)), receiver_count=draw(st.integers(1, 4)),
+                           seed=draw(st.integers(0, 2**16)))
+    cfg = TraceConfig(max_reflections=draw(st.integers(0, 2)), max_rays=draw(st.integers(1, 25)))
+    scenes = []
+    for k, scene in enumerate(generate_episode(scenario, params)):
+        vehicles = scene.vehicles
+        if k and draw(st.booleans()):
+            vehicles = tuple(replace(v, receiver_index=None) for v in vehicles)
+        towers = [Vehicle(10_000 + v.receiver_index, TOWER, v.position, 0.0, 0.0)
+                  for v in vehicles if v.receiver_index is not None and draw(st.booleans())]
+        scenes.append(replace(scene, vehicles=vehicles + tuple(towers)))
+    return scenario, params, cfg, tuple(scenes)
+
+
+class TestTracerToReader:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(traced_episodes())
+    def test_reader_returns_the_tracer_columns(self, tmp_path_factory, drawn):
+        scenario, params, cfg, scenes = drawn
+        with mock.patch.object(dataset, "generate_episode", lambda *_: scenes):
+            line = dataset.episode_line(scenario, params, cfg)
+        path = tmp_path_factory.mktemp("traced") / "episodes.jsonl"
+        write_episodes([line], path, 1)
+        (back,) = read_episodes(path)
+        pair_counts, rx_id, rays, _ = trace_scenes(scenario, scenes, cfg)
+        columns = [("pair_counts", back.pair_counts, pair_counts), ("rx_id", back.rx_id, rx_id)]
+        columns += [(f"rays.{f.name}", getattr(back.rays, f.name), getattr(rays, f.name)) for f in fields(Rays)]
+        for name, got, traced in columns:
+            assert got.dtype == traced.dtype and got.shape == traced.shape, name
+            assert got.tobytes() == traced.tobytes(), name
 
 
 def _oracle_read(path):
@@ -433,7 +481,7 @@ class TestExtractExamples:
             examples.episode, examples.scene, examples.receiver, examples.label
         ):
             pair = by_key[(episode, scene, receiver)]
-            raw = sweep(compose_channel([pair.rays], ARRAY, ARRAY), cb, cb).best_index[0]
+            raw = sweep(compose_channel(oracles.rays_of([pair.rays]), ARRAY, ARRAY), cb, cb).best_index[0]
             assert keys.tolist().index(raw) + 1 == label
 
     def test_outside_strip_receiver_flagged_with_zero_grid(self, records, columns, grid):

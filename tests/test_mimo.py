@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from beamcanyon.dataset import EpisodeRecord, extract_examples
+from oracles import EpisodeRecord, PairRecord, Ray, TracedScene, rays_of
+from beamcanyon.dataset import extract_examples
 from beamcanyon.features import GridSpec
 from beamcanyon.mimo import (
     ArraySpec,
-    Rays,
     compose_channel,
     dft_codebook,
     strongest_ray_angles,
     sweep,
     upa_steering,
 )
-from beamcanyon.raytrace import PairRecord, Ray
-from beamcanyon.scenario import EpisodeParams, Rect, Scene, Vec3
+from beamcanyon.scenario import EpisodeParams, Rect, Vec3
 
 
 def _ray(gain=1.0 + 0j, delay=1e-8, dep=(0.0, 0.0), arr=(0.0, 0.0)):
@@ -27,7 +26,7 @@ def _ray(gain=1.0 + 0j, delay=1e-8, dep=(0.0, 0.0), arr=(0.0, 0.0)):
 
 def _strongest(rays):
     """``strongest_ray_angles`` of one list, as a tuple."""
-    return tuple(strongest_ray_angles(Rays.of([rays]))[0].tolist())
+    return tuple(strongest_ray_angles(rays_of([rays]))[0].tolist())
 
 
 def _grid_angles(px, py, spec):
@@ -72,7 +71,7 @@ class TestUpaSteering:
 class TestComposeChannel:
     def test_single_zenith_ray_gives_all_ones(self):
         spec = ArraySpec(4, 4)
-        h = compose_channel([[_ray()]], spec, spec)[0]
+        h = compose_channel(rays_of([[_ray()]]), spec, spec)[0]
         assert np.allclose(h, np.ones((16, 16)))
 
     def test_linearity_over_concatenation(self):
@@ -94,8 +93,8 @@ class TestComposeChannel:
             )
             for _ in range(3)
         ]
-        h_all = compose_channel([rays_a + rays_b], spec, spec)[0]
-        h_a, h_b = compose_channel([rays_a, rays_b], spec, spec)
+        h_all = compose_channel(rays_of([rays_a + rays_b]), spec, spec)[0]
+        h_a, h_b = compose_channel(rays_of([rays_a, rays_b]), spec, spec)
         h_sum = h_a + h_b
         assert np.allclose(h_all, h_sum, rtol=1e-12, atol=1e-15)
 
@@ -103,7 +102,7 @@ class TestComposeChannel:
         spec = ArraySpec(2, 2)
         ray = _ray(gain=0.3 - 0.4j, dep=(1.0, 1.2), arr=(-0.5, 0.8))
         scaled = _ray(gain=3 * (0.3 - 0.4j), dep=(1.0, 1.2), arr=(-0.5, 0.8))
-        h, h_scaled = compose_channel([[ray], [scaled]], spec, spec)
+        h, h_scaled = compose_channel(rays_of([[ray], [scaled]]), spec, spec)
         assert np.allclose(3 * h, h_scaled)
 
     def test_rank_bounded_by_ray_count(self):
@@ -118,13 +117,13 @@ class TestComposeChannel:
                 )
                 for _ in range(n_rays)
             ]
-            h = compose_channel([rays], spec, spec)[0]
+            h = compose_channel(rays_of([rays]), spec, spec)[0]
             s = np.linalg.svd(h, compute_uv=False)
             assert (s > 1e-9 * s[0]).sum() <= n_rays
 
     def test_empty_rays_rejected(self):
         with pytest.raises(ValueError):
-            compose_channel([[_ray()], []], ArraySpec(2, 2), ArraySpec(2, 2))
+            compose_channel(rays_of([[_ray()], []]), ArraySpec(2, 2), ArraySpec(2, 2))
 
 
 class TestDftCodebook:
@@ -147,7 +146,7 @@ class TestDftCodebook:
 class TestSweep:
     def test_all_ones_channel_picks_broadside(self):
         spec = ArraySpec(4, 4)
-        h = compose_channel([[_ray()]], spec, spec)[0]
+        h = compose_channel(rays_of([[_ray()]]), spec, spec)[0]
         cb = dft_codebook(spec)
         result = sweep(h, cb, cb)
         assert divmod(int(result.best_index), cb.shape[1]) == (0, 0)
@@ -208,7 +207,7 @@ class TestSweep:
             if dep is None or arr is None:
                 continue
             gain = complex(rng.normal(), rng.normal())
-            h = compose_channel([[_ray(gain=gain, dep=dep, arr=arr)]], spec, spec)[0]
+            h = compose_channel(rays_of([[_ray(gain=gain, dep=dep, arr=arr)]]), spec, spec)[0]
             result = sweep(h, cb, cb)
             tx_col = px * spec.ny + py
             rx_col = qx * spec.ny + qy
@@ -257,7 +256,7 @@ class TestStrongestRayAngles:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            strongest_ray_angles(Rays.of([[]]))
+            strongest_ray_angles(rays_of([[]]))
 
 
 # each of a 4 x 1 array's four DFT beams points at a real direction, so every one of
@@ -272,7 +271,7 @@ def _record(episode_id, indices):
     for index in indices:
         tx_beam, rx_beam = divmod(index, LINE.size)
         ray = _ray(dep=_grid_angles(tx_beam, 0, LINE), arr=_grid_angles(rx_beam, 0, LINE))
-        scenes.append(Scene(float(len(scenes)), (), (PairRecord(0, 1, (ray,), 0.0, 0.0, 0.0),)))
+        scenes.append(TracedScene(float(len(scenes)), (), (PairRecord(0, 1, (ray,), 0.0, 0.0, 0.0),)))
     area = Rect(0.0, 0.0, 1.0, 1.0)
     origin = Vec3(0.0, 0.0, 0.0)
     params = EpisodeParams(receiver_count=1)

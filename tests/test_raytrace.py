@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import segment_intersects_box
-from beamcanyon.dataset import build_episode_record, encode_record
-from beamcanyon.mimo import Rays
+from oracles import PairRecord, Ray, segment_intersects_box, trace_pairs
+from beamcanyon.dataset import episode_line
 from beamcanyon.raytrace import (
     LosStatus,
-    PairRecord,
-    Ray,
     ReflectorPlane,
     SPEED_OF_LIGHT,
     TraceConfig,
@@ -63,11 +60,7 @@ def _rays_with(record, interactions):
 
 def _oracle_scene(scenario, scene, cfg):
     """The per-pair oracle over the scene's receivers, in receiver-index order."""
-    receivers = sorted(
-        (v for v in scene.vehicles if v.receiver_index is not None),
-        key=lambda v: v.receiver_index,
-    )
-    return tuple(oracles.trace_paths(scenario, scene, v, cfg) for v in receivers)
+    return oracles.trace_each_pair(scenario, (scene,), cfg)[0]
 
 
 def _assert_exact(got, expected):
@@ -153,7 +146,7 @@ def canyon():
 class TestTracePaths:
     def test_los_delay_is_distance_over_c(self, canyon):
         rx = _vehicle(0, 180.0, 9.75, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         los = [r for r in rec.rays if r.interactions == "LOS"]
         assert len(los) == 1
         tx = canyon.rsu_position.to_array()
@@ -162,20 +155,20 @@ class TestTracePaths:
 
     def test_scene_without_receivers_yields_nothing(self, canyon):
         v = _vehicle(0, 180.0, 9.75)
-        assert trace_scenes(canyon, (Scene(0.0, (v,)),), TraceConfig())[0] == ()
+        assert trace_pairs(canyon, (Scene(0.0, (v,)),), TraceConfig())[0] == ()
 
     def test_bus_blocks_line_of_sight(self, canyon):
         rx = _vehicle(0, 165.0, 16.75, receiver=1)  # straight across from the RSU
         # bus parked between the RSU and the receiver
         bus = _vehicle(1, 165.0, 9.75, kind=2)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx, bus)),), TraceConfig())[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx, bus)),), TraceConfig())[0]
         assert all(r.interactions != "LOS" for r in rec.rays)
 
     def test_one_wall_reflection_matches_mirror_point(self, canyon):
         # oracle: path length via the explicitly mirrored source
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
         cfg = TraceConfig(max_reflections=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), cfg)[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), cfg)[0]
         walls = [r for r in rec.rays if r.interactions == "R"]
         assert len(walls) == 2  # south wall at y=0, north wall at y=23
         tx = canyon.rsu_position.to_array()
@@ -189,12 +182,12 @@ class TestTracePaths:
 
     def test_ground_reflection_present(self, canyon):
         rx = _vehicle(0, 200.0, 13.25, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_reflections=1))[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_reflections=1))[0]
         assert any(r.interactions == "RG" for r in rec.rays)
 
     def test_rays_ranked_by_amplitude(self, canyon):
         rx = _vehicle(0, 220.0, 6.25, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         mags = [abs(r.gain) for r in rec.rays]
         assert mags == sorted(mags, reverse=True)
 
@@ -203,24 +196,35 @@ class TestTracePaths:
         scene = Scene(0.0, (rx,))
         sets = []
         for k in (0, 1, 2):
-            (rec,) = trace_scenes(canyon, (scene,), TraceConfig(max_reflections=k))[0]
+            (rec,) = trace_pairs(canyon, (scene,), TraceConfig(max_reflections=k))[0]
             sets.append({(r.interactions, round(r.delay * 1e12, 3)) for r in rec.rays})
         assert sets[0] <= sets[1] <= sets[2]
 
+    def test_amplitude_ties_go_to_the_earlier_arrival(self, canyon):
+        # absorbing walls and ground: every bounced ray has amplitude 0, so they rank by delay alone
+        rx = _vehicle(0, 190.0, 9.75, receiver=1)
+        cfg = TraceConfig(wall_reflection=0j, ground_reflection=0j, max_rays=6)
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), cfg)[0]
+        assert [r.interactions for r in rec.rays[:1]] == ["LOS"] and len(rec.rays) == 6
+        assert all(abs(r.gain) == 0.0 for r in rec.rays[1:])
+        (uncut,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), replace(cfg, max_rays=25))[0]
+        assert sorted(r.delay for r in uncut.rays[1:])[:5] == [r.delay for r in rec.rays[1:]]
+        _assert_exact((rec,), _oracle_scene(canyon, Scene(0.0, (rx,)), cfg))
+
     def test_truncates_to_max_rays(self, canyon):
         rx = _vehicle(0, 190.0, 9.75, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_rays=3))[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig(max_rays=3))[0]
         assert len(rec.rays) == 3
 
     def test_received_power_consistent_with_ray_gains(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig(tx_power_dbm=0.0))[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig(tx_power_dbm=0.0))[0]
         total = sum(abs(r.gain) ** 2 for r in rec.rays)
         assert rec.p_rx_dbm == pytest.approx(10 * math.log10(total), abs=1e-6)
 
     def test_mean_toa_is_power_weighted(self, canyon):
         rx = _vehicle(0, 170.0, 6.25, receiver=1)
-        (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
         weights = [abs(r.gain) ** 2 for r in rec.rays]
         expected = sum(w * r.delay for w, r in zip(weights, rec.rays)) / sum(weights)
         assert rec.mean_toa == pytest.approx(expected, rel=1e-12)
@@ -234,7 +238,7 @@ class TestTracePaths:
                 [(-7, 0, 0.0), (7, 0, 0.0), (0, 3.2, math.pi / 2), (0, -3.2, math.pi / 2)]
             )
         ]
-        (rec,) = trace_scenes(canyon, (Scene(0.0, tuple([rx] + ring)),), TraceConfig(max_reflections=0))[0]
+        (rec,) = trace_pairs(canyon, (Scene(0.0, tuple([rx] + ring)),), TraceConfig(max_reflections=0))[0]
         assert rec.rays == ()
         assert rec.p_rx_dbm is None and rec.mean_toa is None
         assert oracles.classify_los(rec) == LosStatus.NO_PATH
@@ -248,7 +252,7 @@ class TestMatchesOracle:
         scenes = generate_episode(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=seed))
         cfg = TraceConfig()
         for scene in scenes:
-            _assert_exact(trace_scenes(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
+            _assert_exact(trace_pairs(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
 
     @pytest.mark.parametrize(
         "lane_count, receivers, max_reflections, max_rays",
@@ -270,7 +274,7 @@ class TestMatchesOracle:
         scenes = generate_episode(sc, params)
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
         for scene in scenes:
-            _assert_exact(trace_scenes(sc, (scene,), cfg)[0], _oracle_scene(sc, scene, cfg))
+            _assert_exact(trace_pairs(sc, (scene,), cfg)[0], _oracle_scene(sc, scene, cfg))
 
     def test_gapped_walls_and_narrow_area(self, canyon):
         # gaps between buildings reject wall bounces off the face; a narrowed
@@ -284,9 +288,9 @@ class TestMatchesOracle:
         cfg = TraceConfig()
         counts = {"R": [0, 0], "RG": [0, 0]}
         for scene in scenes:
-            records = trace_scenes(sc, (scene,), cfg)[0]
+            records = trace_pairs(sc, (scene,), cfg)[0]
             _assert_exact(records, _oracle_scene(sc, scene, cfg))
-            for i, recs in enumerate((trace_scenes(canyon, (scene,), cfg)[0], records)):
+            for i, recs in enumerate((trace_pairs(canyon, (scene,), cfg)[0], records)):
                 for kind in counts:
                     counts[kind][i] += sum(len(_rays_with(r, kind)) for r in recs)
         assert counts["R"][1] < counts["R"][0]
@@ -319,14 +323,14 @@ class TestMatchesOracle:
             ),
         )
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
-        _assert_exact(trace_scenes(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
+        _assert_exact(trace_pairs(canyon, (scene,), cfg)[0], _oracle_scene(canyon, scene, cfg))
 
     def test_receiver_blocks_another_but_not_itself(self, canyon):
         # receiver 2's bus stands on receiver 1's line of sight to the RSU
         rx1 = _vehicle(0, 165.0, 16.75, receiver=1)
         rx2 = _vehicle(1, 165.0, 9.75, kind=2, receiver=2)
         scene = Scene(0.0, (rx1, rx2))
-        rec1, rec2 = trace_scenes(canyon, (scene,), TraceConfig())[0]
+        rec1, rec2 = trace_pairs(canyon, (scene,), TraceConfig())[0]
         assert (rec1.rx_id, rec2.rx_id) == (1, 2)
         assert _rays_with(rec1, "LOS") == []
         assert _rays_with(rec2, "LOS") != []
@@ -368,7 +372,7 @@ class TestEpisodeMatchesOracle:
         scenes = generate_episode(sc, EpisodeParams(scenes_per_episode=5, receiver_count=receivers, seed=seed))
         cfg = TraceConfig(max_reflections=max_reflections, max_rays=max_rays)
         expected = tuple(_oracle_scene(sc, scene, cfg) for scene in scenes)
-        _assert_exact(trace_scenes(sc, scenes, cfg), expected)
+        _assert_exact(trace_pairs(sc, scenes, cfg), expected)
 
     @pytest.mark.parametrize(
         "untagged",
@@ -379,20 +383,20 @@ class TestEpisodeMatchesOracle:
         episode = generate_episode(canyon, EpisodeParams(scenes_per_episode=5, receiver_count=10, seed=8))
         scenes = tuple(_untagged(s) if i in untagged else s for i, s in enumerate(episode))
         cfg = TraceConfig()
-        got = trace_scenes(canyon, scenes, cfg)
+        got = trace_pairs(canyon, scenes, cfg)
         assert len(got) == len(scenes)
         assert all(got[i] == () for i in untagged)
         _assert_exact(got, tuple(_oracle_scene(canyon, scene, cfg) for scene in scenes))
 
     def test_no_scenes(self, canyon):
-        assert trace_scenes(canyon, (), TraceConfig()) == ()
+        assert trace_pairs(canyon, (), TraceConfig()) == ()
 
     def test_fully_blocked_receiver_among_open_scenes(self, canyon):
         ringed = _ringed_scene(canyon)
         episode = generate_episode(canyon, EpisodeParams(scenes_per_episode=2, receiver_count=10, seed=9))
         scenes = (ringed, episode[0], ringed, episode[1], ringed)
         cfg = TraceConfig(max_reflections=0)
-        got = trace_scenes(canyon, scenes, cfg)
+        got = trace_pairs(canyon, scenes, cfg)
         assert [len(records) for records in got] == [1, 10, 1, 10, 1]
         assert all(got[i][0].rays == () for i in (0, 2, 4))
         _assert_exact(got, tuple(_oracle_scene(canyon, scene, cfg) for scene in scenes))
@@ -401,21 +405,15 @@ class TestEpisodeMatchesOracle:
         # the same receiver twice: with a bus on its line of sight, then without
         rx = _vehicle(0, 165.0, 16.75, receiver=1)
         bus = _vehicle(1, 165.0, 9.75, kind=2)
-        blocked, open_ = trace_scenes(canyon, (Scene(0.0, (rx, bus)), Scene(0.1, (rx,))), TraceConfig())
+        blocked, open_ = trace_pairs(canyon, (Scene(0.0, (rx, bus)), Scene(0.1, (rx,))), TraceConfig())
         assert _rays_with(blocked[0], "LOS") == []
         assert _rays_with(open_[0], "LOS") != []
 
     def test_episode_record_bytes_match_oracle(self, canyon):
         cfg = TraceConfig()
-        record = build_episode_record(canyon, EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=10), cfg, 3)
-        traced_by_oracle = replace(
-            record,
-            scenes=tuple(
-                Scene(scene.time, scene.vehicles, _oracle_scene(canyon, scene, cfg))
-                for scene in record.scenes
-            ),
-        )
-        assert encode_record(record) == encode_record(traced_by_oracle)
+        params = EpisodeParams(scenes_per_episode=4, receiver_count=10, seed=10)
+        traced_by_oracle = oracles.episode_record(canyon, params, cfg, 3, trace=oracles.trace_each_pair)
+        assert episode_line(canyon, params, cfg, 3) == oracles.encode_record(traced_by_oracle)
 
     def test_traced_peak_of_an_80_scene_episode(self, canyon):
         scenes = generate_episode(canyon, EpisodeParams(scenes_per_episode=80, receiver_count=10, seed=7))
@@ -493,7 +491,7 @@ class TestSpecularGeometry:
         tx = canyon.rsu_position.to_array()
         for _ in range(100):
             rx = _vehicle(0, float(rng.uniform(60, 270)), 9.75, receiver=1)
-            (rec,) = trace_scenes(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
+            (rec,) = trace_pairs(canyon, (Scene(0.0, (rx,)),), TraceConfig())[0]
             roof = np.array([rx.position.x, rx.position.y, rx.type.height])
             lengths = sorted(
                 float(np.linalg.norm(np.diff(points, axis=0), axis=1).sum())
@@ -528,7 +526,7 @@ class TestClassifyLos:
 
     def _has_los(self, interactions):
         rays = [Ray(1.0 + 0j, 1e-8, 0.0, 1.0, 0.0, 1.0, s) for s in interactions]
-        (has_los,) = Rays.of([rays]).has_los().tolist()
+        (has_los,) = oracles.rays_of([rays]).has_los().tolist()
         assert oracles.classify_los(PairRecord(0, 1, tuple(rays), None, 0.0, None)) == (
             LosStatus.LOS if has_los else LosStatus.NLOS if rays else LosStatus.NO_PATH
         )
@@ -546,7 +544,7 @@ class TestClassifyLos:
     def test_lists_of_one_batch(self):
         rays = [[Ray(1.0 + 0j, 1e-8, 0.0, 1.0, 0.0, 1.0, s) for s in lst]
                 for lst in (["R"], [], ["R-RG", "LOS", "R"], ["LOS"])]
-        assert Rays.of(rays).has_los().tolist() == [False, False, True, True]
+        assert oracles.rays_of(rays).has_los().tolist() == [False, False, True, True]
 
 
 class TestTraceConfig:

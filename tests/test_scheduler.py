@@ -9,7 +9,6 @@ import oracles
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import env_reset, env_step, episode_reward
-from beamcanyon.dataset import build_episode_record
 from beamcanyon.mimo import ArraySpec
 from beamcanyon.raytrace import TraceConfig
 from beamcanyon.scenario import EpisodeParams, make_canyon_scenario
@@ -455,7 +454,7 @@ class TestQLearningConfig:
 @pytest.fixture(scope="module")
 def record():
     sc = make_canyon_scenario()
-    return build_episode_record(sc, EpisodeParams(scenes_per_episode=4, receiver_count=4, seed=77), TraceConfig())
+    return oracles.episode_record(sc, EpisodeParams(scenes_per_episode=4, receiver_count=4, seed=77), TraceConfig())
 
 
 @pytest.fixture(scope="module")
